@@ -32,6 +32,7 @@ use crate::campaign::{
     campaign_jobs, worker_count, CampaignJob, CampaignSpec, MonitorFactory, ScenarioCtx,
 };
 use crate::closed_loop::LoopConfig;
+use crate::exec::ordered_par_map;
 use crate::outcome::SimError;
 use crate::session::FaultRoute;
 use aps_controllers::Controller;
@@ -49,8 +50,7 @@ use aps_types::{
     AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, UnitsPerHour,
     CONTROL_CYCLE_MINUTES,
 };
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 
 /// Lane width of the batched campaign executor.
 ///
@@ -425,12 +425,10 @@ fn run_block_engine<const LANES: usize>(
 /// streaming each finished trace — **in deterministic job order** —
 /// into `sink(job_index, trace)`.
 ///
-/// Workers claim *blocks* of [`BATCH_LANES`] consecutive jobs from a
-/// single atomic counter and run each block in lockstep; the calling
-/// thread drains a bounded channel through an ordered reorder buffer,
-/// exactly like the scalar
-/// [`run_campaign_with`](crate::campaign::run_campaign_with). Output
-/// is defined to equal
+/// Each unit of the [ordered executor](crate::exec) is a block of
+/// [`BATCH_LANES`] consecutive jobs run in lockstep; the calling thread
+/// unpacks each block into its jobs' positions. Output is defined to
+/// equal
 /// [`run_campaign_serial`](crate::campaign::run_campaign_serial),
 /// bit for bit.
 ///
@@ -460,84 +458,25 @@ pub fn run_campaign_batched_with_workers(
 ) {
     let jobs = campaign_jobs(spec);
     let n = jobs.len();
-    if n == 0 {
-        return;
-    }
-    let blocks = n.div_ceil(BATCH_LANES);
-    let run_one = |b: usize| -> Vec<SimTrace> {
-        let lo = b * BATCH_LANES;
-        let hi = (lo + BATCH_LANES).min(n);
-        run_block::<BATCH_LANES>(spec, &jobs[lo..hi], monitor_factory)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("campaign job failed: {e}")))
-            .collect()
-    };
-    let workers = worker_count(workers).0.min(blocks);
-    if workers <= 1 {
-        for b in 0..blocks {
-            for (j, trace) in run_one(b).into_iter().enumerate() {
+    let Ok(_) = ordered_par_map(
+        n.div_ceil(BATCH_LANES),
+        worker_count(workers).0,
+        None,
+        |b| {
+            let lo = b * BATCH_LANES;
+            let hi = (lo + BATCH_LANES).min(n);
+            run_block::<BATCH_LANES>(spec, &jobs[lo..hi], monitor_factory)
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|e| panic!("campaign job failed: {e}")))
+                .collect::<Vec<_>>()
+        },
+        |b, traces| -> Result<(), Infallible> {
+            for (j, trace) in traces.into_iter().enumerate() {
                 sink(b * BATCH_LANES + j, trace);
             }
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let emitted = AtomicUsize::new(0);
-    // Same bounded-memory design as the scalar executor, with blocks
-    // as the claim unit: the channel backpressures a slow sink and
-    // `max_ahead` keeps workers near the in-order emission frontier.
-    let max_ahead = 4 * workers;
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<SimTrace>)>(2 * workers);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let emitted = &emitted;
-            let run_one = &run_one;
-            scope.spawn(move || loop {
-                // sound: Relaxed suffices — fetch_add is an atomic
-                // RMW, so block claims are unique and monotone
-                // regardless of ordering; the traces themselves are
-                // published by the channel send, not by this counter.
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= blocks {
-                    break;
-                }
-                // sound: Acquire pairs with the frontier's Release
-                // store; a stale read under-estimates the frontier and
-                // parks one extra poll — it never admits b early.
-                while b >= emitted.load(Ordering::Acquire) + max_ahead {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                let traces = run_one(b);
-                if tx.send((b, traces)).is_err() {
-                    break; // receiver gone: abandon quietly
-                }
-            });
-        }
-        drop(tx);
-
-        // Reorder buffer over block indices; each block unpacks into
-        // its jobs' positions.
-        let mut pending: BTreeMap<usize, Vec<SimTrace>> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        for (b, traces) in rx {
-            debug_assert!(!pending.contains_key(&b), "block {b} executed twice");
-            pending.insert(b, traces);
-            while let Some(traces) = pending.remove(&next_emit) {
-                for (j, trace) in traces.into_iter().enumerate() {
-                    sink(next_emit * BATCH_LANES + j, trace);
-                }
-                next_emit += 1;
-                // sound: Release pairs with the gate's Acquire loads,
-                // so workers that observe the new frontier also
-                // observe the emissions that produced it.
-                emitted.store(next_emit, Ordering::Release);
-            }
-        }
-        debug_assert!(pending.is_empty(), "stream ended with gaps");
-    });
+            Ok(())
+        },
+    );
 }
 
 /// [`run_campaign_batched_with`] collected into a `Vec` — the batched

@@ -6,11 +6,10 @@
 //! are created per run through a [`MonitorFactory`], since a
 //! patient-specific monitor needs the run's basal/target context.
 //!
-//! Results can be consumed three ways, all in the same deterministic
+//! Results can be consumed two ways, both in the same deterministic
 //! job order: materialized ([`run_campaign`] /
-//! [`run_campaign_serial`]), streamed into a sink with bounded memory
-//! ([`run_campaign_with`], parallel), or pulled lazily one trace at a
-//! time ([`CampaignStream`], serial).
+//! [`run_campaign_serial`]) or streamed into a sink with bounded memory
+//! ([`run_campaign_with`], parallel).
 //!
 //! # Fault tolerance
 //!
@@ -35,6 +34,7 @@ use crate::checkpoint::{
     CHECKPOINT_VERSION,
 };
 use crate::closed_loop::{try_run, LoopConfig};
+use crate::exec::ordered_par_map;
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
 use crate::platform::Platform;
 use aps_core::hms::ContextMitigatorConfig;
@@ -44,10 +44,10 @@ use aps_fault::{campaign_grid, CampaignConfig, FaultInjector, FaultKind, FaultSc
 use aps_glucose::sensor::CgmConfig;
 use aps_types::{MgDl, SimTrace, Step, UnitsPerHour};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -593,10 +593,13 @@ impl EmitState<'_> {
 /// Every job runs isolated (`catch_unwind` + spec validation +
 /// optional deadline) with retries under `options.retry`; outcomes —
 /// [`JobOutcome::Completed`] or [`JobOutcome::Failed`] — stream into
-/// `sink(job_index, outcome)` in **deterministic job order**, exactly
-/// like [`run_campaign_with`]. Failed jobs are final after their
-/// attempt budget: they are ledgered, marked done, and never re-run
-/// by a resume (failures under a fixed seed/spec are deterministic).
+/// `sink(job_index, outcome)` in **deterministic job order**. Each
+/// pending job is one unit of the [ordered executor](crate::exec), so
+/// cancelling leaves the emitted jobs a prefix of the pending ones and
+/// a failed checkpoint write stops the run. Failed jobs are final
+/// after their attempt budget: they are ledgered, marked done, and
+/// never re-run by a resume (failures under a fixed seed/spec are
+/// deterministic).
 ///
 /// With `resume`, jobs already recorded in the checkpoint's bitmap
 /// are skipped and the ledger/partials continue from the snapshot;
@@ -642,13 +645,6 @@ pub fn run_campaign_resumable(
 
     let (workers, worker_source) = worker_count(options.workers);
     let workers = workers.min(m.max(1));
-    let cancel = options.cancel.as_deref();
-    // sound: Acquire pairs with the canceller's Release store, so a
-    // worker that observes the flag also observes everything the
-    // canceller wrote before raising it; a stale read only delays the
-    // stop by one job and can never reorder emission.
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Acquire));
-
     let mut state = EmitState {
         jobs: &jobs,
         bitmap,
@@ -659,90 +655,18 @@ pub fn run_campaign_resumable(
         chaos_seed,
         emitted_this_segment: 0,
     };
+    let emitted = ordered_par_map(
+        m,
+        workers,
+        options.cancel.as_deref(),
+        |k| {
+            let i = pending[k];
+            run_job_checked(spec, &jobs[i], monitor_factory, options, i)
+        },
+        |k, outcome| state.emit(pending[k], outcome, &mut sink),
+    )?;
 
-    if workers <= 1 {
-        for &i in &pending {
-            if cancelled() {
-                break;
-            }
-            let outcome = run_job_checked(spec, &jobs[i], monitor_factory, options, i);
-            state.emit(i, outcome, &mut sink)?;
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let emitted = AtomicUsize::new(0);
-        // Same bounded-memory design as `run_campaign_with`: a bounded
-        // channel backpressures a slow sink, and `max_ahead` keeps
-        // workers from racing past the in-order emission frontier.
-        let max_ahead = 4 * workers;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, JobOutcome)>(2 * workers);
-        let mut emit_err: Option<CheckpointError> = None;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let emitted = &emitted;
-                let jobs = &jobs;
-                let pending = &pending;
-                scope.spawn(move || loop {
-                    if cancelled() {
-                        break;
-                    }
-                    // sound: Relaxed suffices for the claim counter —
-                    // fetch_add is an atomic RMW, so each worker gets a
-                    // unique k regardless of ordering; data written by
-                    // the job is published by the channel send below.
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= m {
-                        break;
-                    }
-                    // Claims are monotone in k, so the claimed set is
-                    // always a prefix of `pending` — cancellation can
-                    // therefore never leave a gap in the emission
-                    // order. Parked workers do not re-check the flag:
-                    // a claimed job must finish or the frontier jams.
-                    //
-                    // sound: Acquire pairs with the frontier's Release
-                    // store; a stale (smaller) read only parks one
-                    // extra 100 µs poll, never admits k past the gate.
-                    while k >= emitted.load(Ordering::Acquire) + max_ahead {
-                        std::thread::sleep(std::time::Duration::from_micros(100));
-                    }
-                    let i = pending[k];
-                    let outcome = run_job_checked(spec, &jobs[i], monitor_factory, options, i);
-                    if tx.send((k, outcome)).is_err() {
-                        break; // receiver gone: abandon quietly
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut buffer: BTreeMap<usize, JobOutcome> = BTreeMap::new();
-            let mut next_emit = 0usize;
-            'drain: for (k, outcome) in rx {
-                debug_assert!(!buffer.contains_key(&k), "job slot {k} executed twice");
-                buffer.insert(k, outcome);
-                while let Some(outcome) = buffer.remove(&next_emit) {
-                    if let Err(e) = state.emit(pending[next_emit], outcome, &mut sink) {
-                        emit_err = Some(e);
-                        break 'drain;
-                    }
-                    next_emit += 1;
-                    // sound: Release publishes the advanced frontier —
-                    // a gated worker whose Acquire load sees the new
-                    // value also sees every emission before it.
-                    emitted.store(next_emit, Ordering::Release);
-                }
-            }
-            // On emit error the receiver is dropped here and workers'
-            // sends fail, unwinding the pool without running the rest.
-        });
-        if let Some(e) = emit_err {
-            return Err(e);
-        }
-    }
-
-    let was_cancelled = state.emitted_this_segment < m;
+    let was_cancelled = emitted < m;
     // A final snapshot so the on-disk checkpoint always reflects the
     // end state (resuming a finished campaign is then a no-op).
     if let Some(policy) = options.checkpoint.as_ref() {
@@ -815,17 +739,9 @@ pub fn run_campaign_serial(
 /// deterministic job order** — into `sink(job_index, trace)` without
 /// ever materializing the full result vector.
 ///
-/// The executor is the same lock-free design as before: workers claim
-/// jobs from a single atomic counter (so load stays balanced however
-/// uneven individual runs are) and push `(job index, trace)` pairs
-/// through a bounded channel that the calling thread drains through an
-/// ordered reorder buffer. Run-ahead is capped on both sides — the
-/// channel backpressures a slow sink, and workers park rather than run
-/// more than a few batches past the in-order emission frontier (so one
-/// pathologically slow job cannot make the buffer absorb the rest of
-/// the campaign). Peak buffering is O(workers), never O(campaign);
-/// paper-scale sweeps can score, aggregate, or persist traces as they
-/// arrive.
+/// Jobs run on the [ordered executor](crate::exec), one job per unit,
+/// so peak buffering is O(workers), never O(campaign): paper-scale
+/// sweeps can score, aggregate, or persist traces as they arrive.
 ///
 /// [`run_campaign`] is a thin wrapper that collects this stream into a
 /// `Vec`; output order and contents are defined to equal
@@ -850,79 +766,16 @@ pub fn run_campaign_with_workers(
     mut sink: impl FnMut(usize, SimTrace),
 ) {
     let jobs = expand(spec);
-    let n = jobs.len();
-    // `worker_count` (not raw `available_parallelism().unwrap_or(1)`)
-    // so the `APS_WORKERS` override applies to the legacy path too and
-    // detection failure is a deliberate, clamped fallback.
-    let workers = worker_count(workers).0.min(n.max(1));
-    if workers <= 1 {
-        for (i, job) in jobs.iter().enumerate() {
-            sink(i, run_job(spec, job, monitor_factory));
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let emitted = AtomicUsize::new(0);
-    // Both caps together make the bounded-memory claim true: the
-    // channel backpressures a slow (e.g. disk-persisting) sink, and
-    // `max_ahead` keeps workers from racing past a slow head-of-line
-    // job and parking the whole campaign in the reorder buffer.
-    let max_ahead = 4 * workers;
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, SimTrace)>(2 * workers);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let emitted = &emitted;
-            let jobs = &jobs;
-            scope.spawn(move || loop {
-                // sound: Relaxed suffices — fetch_add is an atomic
-                // RMW, so claims are unique and monotone regardless of
-                // ordering; the trace itself is published by the
-                // channel send, not by this counter.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The job at the emission frontier is never gated
-                // (frontier ≤ i < frontier + max_ahead), so the
-                // frontier always progresses and every parked worker
-                // eventually wakes.
-                //
-                // sound: Acquire pairs with the frontier's Release
-                // store; a stale read under-estimates the frontier and
-                // parks one extra poll — it never admits i early.
-                while i >= emitted.load(Ordering::Acquire) + max_ahead {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                let trace = run_job(spec, &jobs[i], monitor_factory);
-                if tx.send((i, trace)).is_err() {
-                    break; // receiver gone: abandon quietly
-                }
-            });
-        }
-        // The scope owns all senders through the clones above; dropping
-        // the original ends the stream once every worker exits.
-        drop(tx);
-
-        // Reorder buffer: emit strictly in job order as results arrive.
-        let mut pending: BTreeMap<usize, SimTrace> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        for (i, trace) in rx {
-            debug_assert!(!pending.contains_key(&i), "job {i} executed twice");
-            pending.insert(i, trace);
-            while let Some(trace) = pending.remove(&next_emit) {
-                sink(next_emit, trace);
-                next_emit += 1;
-                // sound: Release pairs with the gate's Acquire loads,
-                // so workers that observe the new frontier also
-                // observe the emissions that produced it.
-                emitted.store(next_emit, Ordering::Release);
-            }
-        }
-        debug_assert!(pending.is_empty(), "stream ended with gaps");
-    });
+    let Ok(_) = ordered_par_map(
+        jobs.len(),
+        worker_count(workers).0,
+        None,
+        |i| run_job(spec, &jobs[i], monitor_factory),
+        |i, trace| -> Result<(), Infallible> {
+            sink(i, trace);
+            Ok(())
+        },
+    );
 }
 
 /// Runs the whole campaign, parallelized over the available cores.
@@ -930,8 +783,8 @@ pub fn run_campaign_with_workers(
 /// [`run_campaign_serial`]).
 ///
 /// Thin wrapper over [`run_campaign_with`] that collects the ordered
-/// stream; prefer the sink (or [`CampaignStream`]) when the campaign
-/// is large and traces can be consumed incrementally.
+/// stream; prefer the sink when the campaign is large and traces can
+/// be consumed incrementally.
 pub fn run_campaign(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
@@ -946,76 +799,11 @@ pub fn run_campaign(
     out
 }
 
-/// A pull-based campaign iterator: each [`next`](Iterator::next) runs
-/// one job on the calling thread and yields its trace, in the same
-/// deterministic job order as [`run_campaign`].
-///
-/// This is the bounded-memory *serial* counterpart to the push-based
-/// [`run_campaign_with`] (which parallelizes): lazy, resumable, and
-/// composable with ordinary iterator adapters —
-///
-/// ```
-/// use aps_sim::campaign::{campaign_size, CampaignSpec, CampaignStream};
-/// use aps_sim::platform::Platform;
-///
-/// let spec = CampaignSpec {
-///     patient_indices: vec![0],
-///     steps: 40,
-///     ..CampaignSpec::quick(Platform::GlucosymOref0)
-/// };
-/// // Lazy: only the surviving traces ever exist in memory.
-/// let finished = CampaignStream::new(&spec, None)
-///     .map(|t| t.len())
-///     .filter(|&n| n == 40)
-///     .count();
-/// assert_eq!(finished, campaign_size(&spec));
-/// ```
-pub struct CampaignStream<'a> {
-    spec: CampaignSpec,
-    jobs: Vec<CampaignJob>,
-    next: usize,
-    monitor_factory: Option<&'a MonitorFactory<'a>>,
-}
-
-impl<'a> CampaignStream<'a> {
-    /// Expands the spec and prepares the (lazy) run sequence.
-    pub fn new(spec: &CampaignSpec, monitor_factory: Option<&'a MonitorFactory<'a>>) -> Self {
-        CampaignStream {
-            spec: spec.clone(),
-            jobs: expand(spec),
-            next: 0,
-            monitor_factory,
-        }
-    }
-
-    /// The job the next call to [`next`](Iterator::next) will run.
-    pub fn peek_job(&self) -> Option<&CampaignJob> {
-        self.jobs.get(self.next)
-    }
-}
-
-impl Iterator for CampaignStream<'_> {
-    type Item = SimTrace;
-
-    fn next(&mut self) -> Option<SimTrace> {
-        let job = self.jobs.get(self.next)?;
-        let trace = run_job(&self.spec, job, self.monitor_factory);
-        self.next += 1;
-        Some(trace)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.jobs.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for CampaignStream<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aps_core::monitors::NullMonitor;
+    use std::sync::atomic::Ordering;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -1141,23 +929,6 @@ mod tests {
         });
         assert_eq!(indices, (0..serial.len()).collect::<Vec<_>>());
         assert_eq!(streamed, serial);
-    }
-
-    #[test]
-    fn campaign_stream_pulls_the_same_traces() {
-        let spec = CampaignSpec {
-            steps: 40,
-            ..tiny_spec()
-        };
-        let mut stream = CampaignStream::new(&spec, None);
-        assert_eq!(stream.len(), campaign_size(&spec));
-        assert!(stream.peek_job().unwrap().scenario.is_none());
-        let pulled: Vec<SimTrace> = stream.by_ref().take(3).collect();
-        assert_eq!(stream.len(), campaign_size(&spec) - 3);
-        let rest: Vec<SimTrace> = stream.collect();
-        let serial = run_campaign_serial(&spec, None);
-        assert_eq!(pulled, serial[..3]);
-        assert_eq!(rest, serial[3..]);
     }
 
     #[test]

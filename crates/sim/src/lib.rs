@@ -21,11 +21,13 @@
 //!   the scalar executors;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
 //!   patients × initial BG × scenarios, multi-threaded), with
-//!   streaming sinks ([`campaign::run_campaign_with`]), a pull-based
-//!   [`campaign::CampaignStream`] for bounded-memory sweeps, and the
-//!   fault-tolerant path ([`campaign::run_campaign_resumable`]):
-//!   panic-isolated workers, retry with bounded backoff, and
-//!   checkpoint/resume;
+//!   bounded-memory streaming sinks ([`campaign::run_campaign_with`])
+//!   and the fault-tolerant path
+//!   ([`campaign::run_campaign_resumable`]): panic-isolated workers,
+//!   retry with bounded backoff, and checkpoint/resume;
+//! * [`exec`] — the one ordered parallel executor under every
+//!   campaign and replay path, and its ordering and bounded-memory
+//!   contract;
 //! * [`outcome`] — typed per-job errors ([`outcome::SimError`]), the
 //!   [`outcome::JobOutcome`] fate of each job, and the campaign
 //!   [`outcome::ErrorLedger`];
@@ -59,6 +61,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod closed_loop;
 pub mod dataset;
+pub mod exec;
 pub mod io;
 pub mod outcome;
 pub mod platform;

@@ -11,18 +11,20 @@
 //!
 //! Campaign-scale replay is parallel ([`replay_campaign`]) and can
 //! stream results through a bounded-memory ordered sink
-//! ([`replay_campaign_with`]), mirroring the live campaign executor's
-//! API. Recorded corpora in the binary trace store replay without
-//! loading the whole campaign as owned traces: [`replay_store_with`]
+//! ([`replay_campaign_with`]), on the same
+//! [ordered executor](crate::exec) as the live campaign. Recorded
+//! corpora in the binary trace store replay without loading the whole
+//! campaign as owned traces: [`replay_store_with`]
 //! materializes each trace from the store's columns only while it is
 //! in flight.
 
+use crate::campaign::worker_count;
+use crate::exec::ordered_par_map;
 use aps_core::monitors::{HazardMonitor, MonitorInput};
 use aps_tracestore::TraceStoreReader;
 use aps_types::{AlertTrack, SimTrace, UnitsPerHour};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 
 /// Replays `trace` through `monitor`, returning a copy with the
 /// `alert` column rewritten to the monitor's verdicts (and
@@ -71,12 +73,8 @@ pub fn replay_monitor(trace: &SimTrace, monitor: &mut dyn HazardMonitor) -> SimT
 /// trace gets a fresh one), streaming each replayed trace — in input
 /// order — into `sink(index, trace)`.
 ///
-/// The executor mirrors [`run_campaign_with`]: workers claim trace
-/// indices from a lock-free atomic counter and the calling thread
-/// drains their results through an ordered reorder buffer, so memory
-/// stays bounded however large the recorded campaign is.
-///
-/// [`run_campaign_with`]: crate::campaign::run_campaign_with
+/// Each trace is one unit of the [ordered executor](crate::exec), so
+/// memory stays bounded however large the recorded campaign is.
 pub fn replay_campaign_with<F>(traces: &[SimTrace], factory: F, sink: impl FnMut(usize, SimTrace))
 where
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
@@ -90,7 +88,9 @@ where
 /// columns on demand, so only the traces currently in flight are ever
 /// held as owned `SimTrace`s; the corpus itself stays in its single
 /// mapped buffer. Same executor, ordering, and backpressure as
-/// [`replay_campaign_with`].
+/// [`replay_campaign_with`]; the worker count, like every campaign
+/// executor's, comes from [`crate::campaign::worker_count`], so
+/// `APS_WORKERS` applies to replay too.
 pub fn replay_store_with<F>(store: &TraceStoreReader, factory: F, sink: impl FnMut(usize, SimTrace))
 where
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
@@ -112,81 +112,29 @@ where
     out
 }
 
-/// The executor shared by the in-memory and store replay paths:
-/// `get(i)` supplies trace `i` (borrowed from a slice, or materialized
-/// from store columns), workers claim indices lock-free, and the
-/// calling thread drains an ordered reorder buffer.
+/// The replay shared by the in-memory and store paths: `get(i)`
+/// supplies trace `i` (borrowed from a slice, or materialized from
+/// store columns) and each trace index is one unit of the
+/// [ordered executor](crate::exec).
 fn replay_source_with<'a, G, F>(n: usize, get: G, factory: F, mut sink: impl FnMut(usize, SimTrace))
 where
     G: Fn(usize) -> Cow<'a, SimTrace> + Sync,
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    if workers <= 1 {
-        for i in 0..n {
+    let Ok(_) = ordered_par_map(
+        n,
+        worker_count(None).0,
+        None,
+        |i| {
             let t = get(i);
             let mut monitor = factory(&t);
-            sink(i, replay_monitor(&t, monitor.as_mut()));
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let emitted = AtomicUsize::new(0);
-    // Bounded on both sides, like `run_campaign_with`: the channel
-    // backpressures a slow sink, the run-ahead gate caps the reorder
-    // buffer under head-of-line blocking.
-    let max_ahead = 4 * workers;
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, SimTrace)>(2 * workers);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let emitted = &emitted;
-            let factory = &factory;
-            let get = &get;
-            scope.spawn(move || loop {
-                // sound: Relaxed suffices — the atomic RMW hands each
-                // worker a unique, monotone claim index; replayed data
-                // is published by the channel send, not this counter.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // sound: Acquire pairs with the frontier's Release
-                // store below; a stale read only parks the worker one
-                // extra poll, it never lets i through the gate early.
-                while i >= emitted.load(Ordering::Acquire) + max_ahead {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                let t = get(i);
-                let mut monitor = factory(&t);
-                let replayed = replay_monitor(&t, monitor.as_mut());
-                if tx.send((i, replayed)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        let mut pending: BTreeMap<usize, SimTrace> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        for (i, trace) in rx {
-            pending.insert(i, trace);
-            while let Some(trace) = pending.remove(&next_emit) {
-                sink(next_emit, trace);
-                next_emit += 1;
-                // sound: Release publishes the advanced frontier to
-                // the gate's Acquire loads, ordering all emissions
-                // before any worker that runs ahead on their strength.
-                emitted.store(next_emit, Ordering::Release);
-            }
-        }
-        debug_assert!(pending.is_empty(), "replay stream ended with gaps");
-    });
+            replay_monitor(&t, monitor.as_mut())
+        },
+        |i, trace| -> Result<(), Infallible> {
+            sink(i, trace);
+            Ok(())
+        },
+    );
 }
 
 /// Replays a whole campaign, parallelized over the available cores

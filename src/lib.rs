@@ -116,16 +116,13 @@
 //!   [`glucose::iob::IobEstimator::set_basal_baseline`] is cached
 //!   process-wide per curve (it used to dominate controller
 //!   construction at ~500 `exp` calls per job).
-//! * **Lock-free streaming campaign executor** —
-//!   [`sim::campaign::run_campaign_with`] claims jobs from an atomic
-//!   counter and drains workers through an ordered reorder buffer
-//!   into a caller-supplied sink, so paper-scale sweeps run in
-//!   bounded memory; [`sim::campaign::run_campaign`] is the
-//!   collecting wrapper, defined to equal
-//!   [`sim::campaign::run_campaign_serial`], and
-//!   [`sim::campaign::CampaignStream`] is the pull-based lazy
-//!   counterpart. Offline monitor replay
-//!   ([`sim::replay::replay_campaign`]) parallelizes the same way.
+//! * **One ordered streaming executor** — the scalar, batched and
+//!   fault-tolerant campaigns and offline monitor replay all run on
+//!   [`sim::exec`], which emits results into a caller-supplied sink in
+//!   deterministic order with O(workers) memory, so paper-scale sweeps
+//!   stream ([`sim::campaign::run_campaign_with`]);
+//!   [`sim::campaign::run_campaign`] is the collecting wrapper, defined
+//!   to equal [`sim::campaign::run_campaign_serial`].
 //! * **Monitor banks** — a [`core::monitors::MonitorBank`] steps N
 //!   monitors against one physics pass (alert streams recorded per
 //!   member in the trace), so scoring a zoo of M monitors live costs
@@ -521,7 +518,7 @@ pub mod prelude {
     pub use aps_sim::campaign::{
         campaign_jobs, campaign_size, run_campaign, run_campaign_ft, run_campaign_resumable,
         run_campaign_with, CampaignJob, CampaignOptions, CampaignReport, CampaignSpec,
-        CampaignStream, CheckpointPolicy, FtCampaign, MonitorFactory, ScenarioCtx, WorkerSource,
+        CheckpointPolicy, FtCampaign, MonitorFactory, ScenarioCtx, WorkerSource,
     };
     pub use aps_sim::chaos::ChaosConfig;
     pub use aps_sim::checkpoint::{CampaignCheckpoint, CheckpointError};

@@ -73,42 +73,6 @@ impl Pump {
     }
 }
 
-/// A lane bank of `LANES` independent pumps, actuated with one
-/// per-lane loop per control cycle by the batched campaign engine.
-///
-/// Each lane owns a full scalar [`Pump`], so clamping, quantization,
-/// and the delivered-insulin accumulator are bit-identical to the pump
-/// of a standalone run.
-#[derive(Debug, Clone)]
-pub struct PumpBank<const LANES: usize> {
-    lanes: [Pump; LANES],
-}
-
-impl<const LANES: usize> PumpBank<LANES> {
-    /// One pump per lane, each constructed from the same config a
-    /// scalar run would use.
-    pub fn new(config: PumpConfig) -> PumpBank<LANES> {
-        PumpBank {
-            lanes: std::array::from_fn(|_| Pump::new(config)),
-        }
-    }
-
-    /// Actuates every lane's command and records its delivery over
-    /// `minutes`, returning the per-lane delivered rates.
-    pub fn deliver_all(
-        &mut self,
-        commanded: &[UnitsPerHour; LANES],
-        minutes: f64,
-    ) -> [UnitsPerHour; LANES] {
-        std::array::from_fn(|l| self.lanes[l].deliver(commanded[l], minutes))
-    }
-
-    /// One lane's pump (e.g. for its delivery accumulator).
-    pub fn lane(&self, lane: usize) -> &Pump {
-        &self.lanes[lane]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

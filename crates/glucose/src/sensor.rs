@@ -101,37 +101,6 @@ impl Default for Cgm {
     }
 }
 
-/// A lane bank of `LANES` independent CGM sensors, sampled with one
-/// per-lane loop per control cycle by the batched campaign engine.
-///
-/// Each lane owns a full scalar [`Cgm`] seeded from the same config a
-/// scalar run would use, so every lane's noise stream, quantization,
-/// and clamping are bit-identical to the sensor of a standalone run.
-#[derive(Debug, Clone)]
-pub struct CgmBank<const LANES: usize> {
-    lanes: [Cgm; LANES],
-}
-
-impl<const LANES: usize> CgmBank<LANES> {
-    /// One sensor per lane, each constructed exactly as a scalar run
-    /// constructs its sensor (identical seed, hence identical stream).
-    pub fn new(config: CgmConfig) -> CgmBank<LANES> {
-        CgmBank {
-            lanes: std::array::from_fn(|_| Cgm::new(config)),
-        }
-    }
-
-    /// Samples every lane's sensor against its lane's true glucose.
-    pub fn sample_all(&mut self, true_bg: &[MgDl; LANES]) -> [MgDl; LANES] {
-        std::array::from_fn(|l| self.lanes[l].sample(true_bg[l]))
-    }
-
-    /// One lane's sensor (e.g. for per-lane mitigation context).
-    pub fn lane(&self, lane: usize) -> &Cgm {
-        &self.lanes[lane]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

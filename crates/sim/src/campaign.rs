@@ -33,14 +33,17 @@ use crate::checkpoint::{
     spec_hash, to_hex, AggregatePartials, CampaignCheckpoint, CheckpointError, JobBitmap,
     CHECKPOINT_VERSION,
 };
-use crate::closed_loop::{try_run, LoopConfig};
+use crate::closed_loop::LoopConfig;
+use crate::engine::{run_one, Lane};
 use crate::exec::ordered_par_map;
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
 use crate::platform::Platform;
+use aps_controllers::Controller;
 use aps_core::hms::ContextMitigatorConfig;
 use aps_core::mitigation::Mitigator;
 use aps_core::monitors::HazardMonitor;
 use aps_fault::{campaign_grid, CampaignConfig, FaultInjector, FaultKind, FaultScenario};
+use aps_glucose::patients::CohortPatient;
 use aps_glucose::sensor::CgmConfig;
 use aps_types::{MgDl, SimTrace, Step, UnitsPerHour};
 use serde::{Deserialize, Serialize};
@@ -222,42 +225,90 @@ pub fn campaign_size(spec: &CampaignSpec) -> usize {
     expand(spec).len()
 }
 
-/// Runs one job on the calling thread, surfacing mid-run failures as
-/// a typed error. [`run_job`] is the panicking wrapper the legacy
-/// executors use.
-fn try_run_job(
-    spec: &CampaignSpec,
-    job: &Job,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-) -> Result<SimTrace, SimError> {
-    let platform = spec.platform;
-    let mut patient = platform.patients().remove(job.patient_idx);
-    let mut controller = platform.controller_for(patient.as_ref());
-    let ctx = ScenarioCtx {
-        patient: patient.name().to_owned(),
-        basal: platform.basal_for(patient.as_ref()),
-        target: platform.target(),
-        max_rate: platform.max_mitigation_rate(patient.as_ref()),
-    };
-    let mut monitor = monitor_factory.map(|f| f(&ctx));
-    let mut injector = job.scenario.clone().map(FaultInjector::new);
-    let config = LoopConfig {
-        steps: spec.steps,
-        initial_bg: job.initial_bg,
-        mitigator: (spec.mitigate && !spec.context_mitigate)
-            .then(|| Mitigator::paper_default(ctx.max_rate)),
-        context_mitigation: (spec.mitigate && spec.context_mitigate)
-            .then(|| ContextMitigatorConfig::for_run(ctx.target, ctx.basal, ctx.max_rate)),
-        cgm: spec.cgm,
-        ..LoopConfig::default()
-    };
-    try_run(
-        patient.as_mut(),
-        controller.as_mut(),
-        monitor.as_deref_mut(),
-        injector.as_mut(),
-        &config,
-    )
+/// One campaign job's closed loop, set up from the spec: the same
+/// setup whether the job runs alone ([`JobRun::run`]) or as a lane of
+/// a lockstep block ([`crate::batch::run_block`]).
+pub(crate) struct JobRun {
+    /// The job's patient; the caller's physics.
+    pub(crate) patient: CohortPatient,
+    controller: Box<dyn Controller>,
+    monitor: Option<Box<dyn HazardMonitor>>,
+    injector: Option<FaultInjector>,
+    pub(crate) config: LoopConfig,
+}
+
+impl JobRun {
+    /// Builds the job's patient, controller, monitor, injector and loop
+    /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the job's patient index is outside the platform's
+    /// cohort ([`run_campaign_resumable`] validates it first).
+    pub(crate) fn new(
+        spec: &CampaignSpec,
+        job: &Job,
+        monitor_factory: Option<&MonitorFactory<'_>>,
+    ) -> JobRun {
+        let platform = spec.platform;
+        let patient = platform
+            .concrete_patient(job.patient_idx)
+            .unwrap_or_else(|| panic!("patient index {} out of cohort range", job.patient_idx));
+        let p = patient.as_dyn();
+        let ctx = ScenarioCtx {
+            patient: p.name().to_owned(),
+            basal: platform.basal_for(p),
+            target: platform.target(),
+            max_rate: platform.max_mitigation_rate(p),
+        };
+        let config = LoopConfig {
+            steps: spec.steps,
+            initial_bg: job.initial_bg,
+            mitigator: (spec.mitigate && !spec.context_mitigate)
+                .then(|| Mitigator::paper_default(ctx.max_rate)),
+            context_mitigation: (spec.mitigate && spec.context_mitigate)
+                .then(|| ContextMitigatorConfig::for_run(ctx.target, ctx.basal, ctx.max_rate)),
+            cgm: spec.cgm,
+            ..LoopConfig::default()
+        };
+        JobRun {
+            controller: platform.controller_for(p),
+            monitor: monitor_factory.map(|f| f(&ctx)),
+            injector: job.scenario.clone().map(FaultInjector::new),
+            config,
+            patient,
+        }
+    }
+
+    /// Runs the job alone, surfacing mid-run failures as a typed error.
+    pub(crate) fn run(mut self) -> Result<SimTrace, SimError> {
+        run_one(
+            self.patient.as_dyn_mut(),
+            self.controller.as_mut(),
+            self.monitor
+                .as_deref_mut()
+                .map(|m| m as &mut dyn HazardMonitor),
+            self.injector.as_mut(),
+            &self.config,
+            None,
+        )
+    }
+
+    /// The job as a lane of a lockstep block. Its patient, reset to the
+    /// initial glucose, is loaded into the block's physics by the
+    /// caller.
+    pub(crate) fn lane(&mut self) -> Lane<'_> {
+        Lane::new(
+            self.patient.as_dyn().name(),
+            self.controller.as_mut(),
+            self.monitor
+                .as_deref_mut()
+                .map(|m| m as &mut dyn HazardMonitor),
+            self.injector.as_mut(),
+            &self.config,
+            None,
+        )
+    }
 }
 
 fn run_job(
@@ -265,7 +316,9 @@ fn run_job(
     job: &Job,
     monitor_factory: Option<&MonitorFactory<'_>>,
 ) -> SimTrace {
-    try_run_job(spec, job, monitor_factory).unwrap_or_else(|e| panic!("campaign job failed: {e}"))
+    JobRun::new(spec, job, monitor_factory)
+        .run()
+        .unwrap_or_else(|e| panic!("campaign job failed: {e}"))
 }
 
 /// Upper bound on the worker count, however it was requested. High
@@ -434,9 +487,17 @@ fn poisoned_scenario() -> FaultScenario {
     FaultScenario::new("", FaultKind::Scale(f64::NAN), Step(0), 1)
 }
 
-/// Validates a job before simulation: finite initial BG and a
-/// structurally valid scenario.
-fn validate_job(job: &Job) -> Result<(), SimError> {
+/// Validates a job before simulation: a patient index inside the
+/// cohort, finite initial BG and a structurally valid scenario.
+fn validate_job(job: &Job, cohort_size: usize) -> Result<(), SimError> {
+    if job.patient_idx >= cohort_size {
+        return Err(SimError::InvalidSpec {
+            detail: format!(
+                "patient index {} out of range (cohort has {cohort_size} patients)",
+                job.patient_idx
+            ),
+        });
+    }
     if !job.initial_bg.is_finite() {
         return Err(SimError::InvalidSpec {
             detail: format!("initial_bg must be finite, got {}", job.initial_bg),
@@ -459,6 +520,7 @@ fn run_job_checked(
     monitor_factory: Option<&MonitorFactory<'_>>,
     options: &CampaignOptions,
     job_index: usize,
+    cohort_size: usize,
 ) -> JobOutcome {
     let mut attempt: u32 = 1;
     loop {
@@ -488,8 +550,8 @@ fn run_job_checked(
                     crate::chaos::INJECTED_PANIC_PREFIX
                 );
             }
-            validate_job(job_ref)?;
-            try_run_job(spec, job_ref, monitor_factory)
+            validate_job(job_ref, cohort_size)?;
+            JobRun::new(spec, job_ref, monitor_factory).run()
         }))
         .unwrap_or_else(|payload| {
             Err(SimError::Panicked {
@@ -645,6 +707,7 @@ pub fn run_campaign_resumable(
 
     let (workers, worker_source) = worker_count(options.workers);
     let workers = workers.min(m.max(1));
+    let cohort_size = spec.platform.cohort_size();
     let mut state = EmitState {
         jobs: &jobs,
         bitmap,
@@ -661,7 +724,7 @@ pub fn run_campaign_resumable(
         options.cancel.as_deref(),
         |k| {
             let i = pending[k];
-            run_job_checked(spec, &jobs[i], monitor_factory, options, i)
+            run_job_checked(spec, &jobs[i], monitor_factory, options, i, cohort_size)
         },
         |k, outcome| state.emit(pending[k], outcome, &mut sink),
     )?;
@@ -1015,22 +1078,33 @@ mod tests {
 
     #[test]
     fn invalid_jobs_are_ledgered_not_fatal() {
-        // A non-finite initial BG is caught by validation before the
-        // engine ever runs, and the rest of the campaign survives.
+        // A non-finite initial BG and a patient index outside the
+        // cohort are caught by validation before the engine ever runs,
+        // and the rest of the campaign survives.
         let spec = CampaignSpec {
             steps: 40,
+            patient_indices: vec![0, 12],
             initial_bgs: vec![120.0, f64::NAN],
             ..tiny_spec()
         };
         let ft = run_campaign_ft(&spec, None, &CampaignOptions::default()).unwrap();
-        let half = ft.report.total_jobs / 2;
-        assert_eq!(ft.report.failed_jobs, half);
-        assert_eq!(ft.report.completed_jobs, half);
-        assert_eq!(ft.report.ledger.len(), half);
+        let quarter = ft.report.total_jobs / 4;
+        assert_eq!(ft.report.failed_jobs, 3 * quarter);
+        assert_eq!(ft.report.completed_jobs, quarter);
+        assert_eq!(ft.report.ledger.len(), 3 * quarter);
         for entry in &ft.report.ledger.entries {
-            assert!(matches!(entry.error, SimError::InvalidSpec { .. }));
+            assert!(
+                matches!(entry.error, SimError::InvalidSpec { .. }),
+                "{:?}",
+                entry.error
+            );
             assert_eq!(entry.attempts, 1);
         }
+        let out_of_range = ft.report.ledger.entries.iter();
+        assert_eq!(
+            out_of_range.filter(|e| e.patient_idx == 12).count(),
+            2 * quarter
+        );
     }
 
     #[test]

@@ -128,9 +128,10 @@ impl Default for LoopConfig {
 
 /// Runs one closed-loop simulation (legacy positional entry point).
 ///
-/// This is a documented thin wrapper over the session engine — the
-/// same loop that powers [`Session::run`](crate::session::Session) and
-/// the campaign executors — retained for source compatibility. New
+/// This is a documented thin wrapper over the closed-loop cycle every
+/// engine shares — the same cycle that powers
+/// [`Session::run`](crate::session::Session) and the campaign
+/// executors — retained for source compatibility. New
 /// code should prefer [`Session::builder`](crate::session::Session),
 /// which accepts any number of monitors (recorded as
 /// [`monitor_tracks`](aps_types::SimTrace::monitor_tracks)), a
@@ -171,12 +172,14 @@ pub(crate) fn try_run(
     injector: Option<&mut FaultInjector>,
     config: &LoopConfig,
 ) -> Result<SimTrace, crate::outcome::SimError> {
-    match monitor {
-        Some(m) => {
-            crate::session::run_engine(patient, controller, &mut [m], injector, config, None)
-        }
-        None => crate::session::run_engine(patient, controller, &mut [], injector, config, None),
-    }
+    crate::engine::run_one(
+        patient,
+        controller,
+        monitor.map(|m| m as &mut dyn HazardMonitor),
+        injector,
+        config,
+        None,
+    )
 }
 
 #[cfg(test)]

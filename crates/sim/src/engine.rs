@@ -1,0 +1,402 @@
+//! The closed-loop cycle, written once.
+//!
+//! Every run executes [`run_lanes`] over `L` lanes: a
+//! [`Session`](crate::session::Session), the positional
+//! [`closed_loop::run`](crate::closed_loop::run), and a scalar
+//! campaign job are its one-lane instance ([`run_one`] puts the patient
+//! behind a [`BatchedPatientSim<1>`] adapter), and a lockstep block of
+//! [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs is its batched
+//! instance over a structure-of-arrays physics bank. Only physics is
+//! batched. Every other stage runs per lane, on that lane's own
+//! components, in the same order whatever the lane count — which is why
+//! a lane of a block produces, bit for bit, the trace of the same run
+//! alone.
+//!
+//! Per cycle, each live lane goes through meals/exercise → CGM → fault
+//! route → decide → rate fault → classify → monitor bank → mitigate →
+//! pump → observe delivery → record (+ observer); then the physics
+//! steps every lane at once and each lane's state is checked for
+//! finiteness.
+
+use crate::closed_loop::LoopConfig;
+use crate::outcome::SimError;
+use aps_controllers::Controller;
+use aps_core::hms::ContextMitigator;
+use aps_core::monitors::{HazardMonitor, MonitorInput};
+use aps_fault::FaultInjector;
+use aps_glucose::pump::Pump;
+use aps_glucose::sensor::Cgm;
+use aps_glucose::{BatchedPatientSim, PatientSim};
+use aps_types::{
+    AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, Units,
+    UnitsPerHour, CONTROL_CYCLE_MINUTES,
+};
+
+/// Where the scenario's target variable sits in the control loop.
+enum FaultRoute {
+    /// Actuator command, perturbed after the controller decision.
+    Rate,
+    /// CGM input, perturbed before the decision.
+    Glucose,
+    /// Controller-internal variable.
+    Internal,
+}
+
+/// A lane's fault injector with its target's route and legitimate
+/// bounds, resolved once per run: the cycle compares no strings.
+struct Fault<'a> {
+    injector: &'a mut FaultInjector,
+    route: FaultRoute,
+    lo: f64,
+    hi: f64,
+}
+
+/// One attached monitor and its preallocated verdict stream.
+struct Tracked<'a> {
+    monitor: &'a mut dyn HazardMonitor,
+    alerts: Vec<Option<Hazard>>,
+}
+
+/// One closed-loop run minus its physics: the per-lane state of
+/// [`run_lanes`].
+pub(crate) struct Lane<'a> {
+    controller: &'a mut dyn Controller,
+    /// Primary first: its verdicts drive mitigation and fill
+    /// [`StepRecord::alert`].
+    monitors: Vec<Tracked<'a>>,
+    fault: Option<Fault<'a>>,
+    config: &'a LoopConfig,
+    observer: Option<&'a mut dyn FnMut(&StepRecord)>,
+    cgm: Cgm,
+    pump: Pump,
+    ctx_mitigator: Option<ContextMitigator>,
+    trace: SimTrace,
+    /// Action classification compares against the previous
+    /// *commanded* rate (the paper's u1..u4 alphabet is over the
+    /// controller's command stream). Comparing against the previous
+    /// *delivered* rate let pump quantization (4.29 commanded vs 4.30
+    /// delivered) misclassify a steady max-rate fault as
+    /// `DecreaseInsulin` every cycle, so no SCS rule could ever fire.
+    prev_commanded: UnitsPerHour,
+    dead: Option<SimError>,
+}
+
+impl<'a> Lane<'a> {
+    /// Sets up one run of `patient`: resets the controller, monitors
+    /// and injector, builds the run's own sensor, pump and context
+    /// mitigator, resolves the fault route and bounds, and preallocates
+    /// the trace and verdict streams. The patient itself is the
+    /// caller's physics and is reset by the caller.
+    ///
+    /// A fault target the controller does not expose falls back to
+    /// unbounded injection (legacy behaviour of the positional API;
+    /// [`SessionBuilder`](crate::session::SessionBuilder) rejects such
+    /// targets before a run is built).
+    pub(crate) fn new(
+        patient: &str,
+        controller: &'a mut dyn Controller,
+        monitors: impl IntoIterator<Item = &'a mut dyn HazardMonitor>,
+        injector: Option<&'a mut FaultInjector>,
+        config: &'a LoopConfig,
+        observer: Option<&'a mut dyn FnMut(&StepRecord)>,
+    ) -> Lane<'a> {
+        let steps = config.steps as usize;
+        controller.reset();
+        let monitors: Vec<Tracked<'a>> = monitors
+            .into_iter()
+            .map(|monitor| {
+                monitor.reset();
+                Tracked {
+                    monitor,
+                    alerts: Vec::with_capacity(steps),
+                }
+            })
+            .collect();
+        let mut meta = TraceMeta {
+            patient: patient.to_owned(),
+            initial_bg: config.initial_bg,
+            ..TraceMeta::default()
+        };
+        let fault = injector.map(|injector| {
+            injector.reset();
+            let scenario = injector.scenario();
+            meta.fault_name = scenario.name();
+            meta.fault_start = Some(scenario.start);
+            let route = match scenario.target.as_str() {
+                "rate" => FaultRoute::Rate,
+                "glucose" => FaultRoute::Glucose,
+                _ => FaultRoute::Internal,
+            };
+            let (lo, hi) = controller
+                .state_vars()
+                .iter()
+                .find(|v| v.name == scenario.target)
+                .map(|v| (v.min, v.max))
+                .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+            Fault {
+                injector,
+                route,
+                lo,
+                hi,
+            }
+        });
+        let prev_commanded = UnitsPerHour(controller.basal_rate().value());
+        Lane {
+            controller,
+            monitors,
+            fault,
+            config,
+            observer,
+            // Configs are `Copy` scalars: no heap allocation here.
+            cgm: Cgm::new(config.cgm),
+            pump: Pump::new(config.pump),
+            ctx_mitigator: config.context_mitigation.map(ContextMitigator::new),
+            trace: SimTrace::with_capacity(meta, steps),
+            prev_commanded,
+            dead: None,
+        }
+    }
+
+    /// The run's result: its first non-finite cycle, or the trace with
+    /// one [`AlertTrack`] per monitor, hazard-labelled.
+    pub(crate) fn finish(self) -> Result<SimTrace, SimError> {
+        if let Some(e) = self.dead {
+            return Err(e);
+        }
+        let mut trace = self.trace;
+        trace.monitor_tracks = self
+            .monitors
+            .into_iter()
+            .map(|t| AlertTrack {
+                monitor: t.monitor.name().to_owned(),
+                alerts: t.alerts,
+            })
+            .collect();
+        aps_risk::label_trace(&mut trace, &self.config.labels);
+        Ok(trace)
+    }
+}
+
+/// Runs `lanes` (at most `L`, all with the same step count) through
+/// their closed loops in lockstep, lane `l` on physics lane `l`.
+///
+/// Lanes are independent: nothing crosses lanes but the batched
+/// physics step, whose arithmetic is per lane. Padding lanes (beyond
+/// `lanes.len()`) and dead lanes infuse nothing. A lane whose state
+/// turns non-finite dies with [`SimError::NonFinite`] at that cycle
+/// (non-finite state is absorbing, so it cannot recover and never
+/// poisons its lane-mates); the loop stops once every lane is dead.
+///
+/// Each cycle makes two passes over the lanes, split at the pump: the
+/// first runs every lane up to its delivery, the second observes the
+/// delivery and records. Per lane that is the order of the cycle; across
+/// a block it keeps each half's code hot for all lanes, which measured
+/// about 5% faster at `L = 8` than one pass per lane (2-core x86-64,
+/// Glucosym cohort).
+pub(crate) fn run_lanes<const L: usize>(
+    physics: &mut dyn BatchedPatientSim<L>,
+    lanes: &mut [Lane<'_>],
+) {
+    debug_assert!(lanes.len() <= L, "{} lanes exceed {L}", lanes.len());
+    let steps = lanes.first().map_or(0, |lane| lane.config.steps);
+    for s in 0..steps {
+        let step = Step(s);
+        // What each lane's pump delivers this cycle (the physics
+        // input), and its step record up to the delivery observation.
+        let mut rates = [UnitsPerHour(0.0); L];
+        let mut staged: [Option<StepRecord>; L] = [None; L];
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if lane.dead.is_some() {
+                continue;
+            }
+            let config = lane.config;
+            for meal in config.meals.iter().filter(|m| m.step == step) {
+                physics.ingest(l, meal.carbs_g);
+                if meal.announced {
+                    lane.controller.announce_meal(meal.carbs_g);
+                }
+            }
+            for bout in config.exercise.iter().filter(|b| b.step == step) {
+                physics.exert(l, bout.intensity, bout.duration_min);
+            }
+            let true_bg = physics.bg(l);
+            let reading = lane.cgm.sample(true_bg);
+
+            // Fault injection on the controller's input/internal
+            // variables; output faults are applied after the decision.
+            if let Some(f) = lane.fault.as_mut() {
+                let (inj, lo, hi) = (&mut *f.injector, f.lo, f.hi);
+                match f.route {
+                    FaultRoute::Rate => {}
+                    FaultRoute::Glucose => {
+                        let faulty = inj.perturb_target(step, reading.value(), lo, hi);
+                        if inj.is_active(step) {
+                            lane.controller.set_state("glucose", faulty);
+                        }
+                    }
+                    FaultRoute::Internal if inj.is_active(step) => {
+                        // Perturb last cycle's value (the freshest
+                        // observable) and force it for this decision.
+                        let base = lane
+                            .controller
+                            .get_state(&inj.scenario().target)
+                            .unwrap_or(0.5 * (lo + hi));
+                        let faulty = inj.perturb_target(step, base, lo, hi);
+                        lane.controller.set_state(&inj.scenario().target, faulty);
+                    }
+                    FaultRoute::Internal => {
+                        // Keep the injector's Hold history fresh
+                        // pre-activation.
+                        if let Some(base) = lane.controller.get_state(&inj.scenario().target) {
+                            inj.perturb_target(step, base, lo, hi);
+                        }
+                    }
+                }
+            }
+
+            let mut commanded = lane.controller.decide(step, reading);
+            if let Some(Fault {
+                injector,
+                route: FaultRoute::Rate,
+                lo,
+                hi,
+            }) = lane.fault.as_mut()
+            {
+                commanded =
+                    UnitsPerHour(injector.perturb_target(step, commanded.value(), *lo, *hi));
+            }
+            let action = ControlAction::classify(commanded, lane.prev_commanded);
+
+            // Every monitor sees the same input; the primary's verdict
+            // feeds mitigation and the alert column.
+            let input = MonitorInput {
+                step,
+                bg: reading,
+                commanded,
+                previous_rate: lane.prev_commanded,
+            };
+            let mut alert = None;
+            for (i, t) in lane.monitors.iter_mut().enumerate() {
+                let verdict = t.monitor.check(&input);
+                t.alerts.push(verdict);
+                if i == 0 {
+                    alert = verdict;
+                }
+            }
+
+            let mitigated = if let Some(cm) = lane.ctx_mitigator.as_mut() {
+                let mit_ctx = cm.observe_bg(reading);
+                cm.mitigate(alert, &mit_ctx, commanded)
+            } else {
+                match (&config.mitigator, alert) {
+                    (Some(mit), Some(_)) => mit.mitigate(alert, commanded),
+                    _ => commanded,
+                }
+            };
+
+            let delivered = lane.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
+            rates[l] = delivered;
+            staged[l] = Some(StepRecord {
+                step,
+                bg: reading,
+                bg_true: true_bg,
+                iob: Units(0.0), // read once the delivery is observed
+                commanded,
+                delivered,
+                action,
+                fault_active: lane
+                    .fault
+                    .as_ref()
+                    .is_some_and(|f| f.injector.is_active(step)),
+                hazard: None,
+                alert,
+            });
+        }
+
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let Some(mut rec) = staged[l] else { continue };
+            lane.controller.observe_delivery(rec.delivered);
+            for t in lane.monitors.iter_mut() {
+                t.monitor.observe_delivery(rec.delivered);
+            }
+            if let Some(cm) = lane.ctx_mitigator.as_mut() {
+                cm.observe_delivery(rec.delivered);
+            }
+            rec.iob = lane.controller.iob();
+            lane.trace.push(rec);
+            if let Some(obs) = lane.observer.as_mut() {
+                obs(&rec);
+            }
+            lane.prev_commanded = rec.commanded;
+        }
+
+        physics.step_all(&rates, CONTROL_CYCLE_MINUTES);
+
+        let mut live = false;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if lane.dead.is_none() {
+                if physics.lane_is_finite(l) {
+                    live = true;
+                } else {
+                    lane.dead = Some(SimError::NonFinite { cycle: s });
+                }
+            }
+        }
+        if !live {
+            break;
+        }
+    }
+}
+
+/// A scalar patient as a one-lane physics bank.
+struct OneLane<'p>(&'p mut dyn PatientSim);
+
+impl BatchedPatientSim<1> for OneLane<'_> {
+    fn bg(&self, _lane: usize) -> MgDl {
+        self.0.bg()
+    }
+
+    fn step_all(&mut self, rates: &[UnitsPerHour; 1], minutes: f64) {
+        self.0.step(rates[0], minutes);
+    }
+
+    fn ingest(&mut self, _lane: usize, carbs_g: f64) {
+        self.0.ingest(carbs_g);
+    }
+
+    fn exert(&mut self, _lane: usize, intensity: f64, duration_min: f64) {
+        self.0.exert(intensity, duration_min);
+    }
+
+    fn lane_is_finite(&self, _lane: usize) -> bool {
+        self.0.state_is_finite()
+    }
+}
+
+/// Runs one closed loop on `patient` (reset to the configured initial
+/// glucose first): the one-lane instance of [`run_lanes`].
+///
+/// The run is *checked*: a patient state that turns non-finite (NaN/∞)
+/// ends it with [`SimError::NonFinite`] instead of letting NaN poison
+/// the rest of the trace (physiological floors are `f64::max`-style
+/// and would silently absorb it).
+pub(crate) fn run_one<'a>(
+    patient: &mut dyn PatientSim,
+    controller: &'a mut dyn Controller,
+    monitors: impl IntoIterator<Item = &'a mut dyn HazardMonitor>,
+    injector: Option<&'a mut FaultInjector>,
+    config: &'a LoopConfig,
+    observer: Option<&'a mut dyn FnMut(&StepRecord)>,
+) -> Result<SimTrace, SimError> {
+    patient.reset(MgDl(config.initial_bg));
+    let mut lane = Lane::new(
+        patient.name(),
+        controller,
+        monitors,
+        injector,
+        config,
+        observer,
+    );
+    run_lanes::<1>(&mut OneLane(patient), std::slice::from_mut(&mut lane));
+    lane.finish()
+}

@@ -11,14 +11,19 @@
 //!   per-step observer), and a serde
 //!   [`SessionSpec`](session::SessionSpec) describes runs as data;
 //! * [`closed_loop::run`] — the legacy positional wrapper over the
-//!   same engine, one optional monitor;
+//!   same cycle, one optional monitor;
+//! * the private `engine` module — the one closed-loop cycle every run
+//!   executes, generic over its lane count: sessions, positional runs
+//!   and scalar campaign jobs are its one-lane instance, a batched
+//!   block its [`batch::BATCH_LANES`]-lane instance;
 //! * [`platform::Platform`] — the two evaluation platforms (OpenAPS +
 //!   Glucosym-style, Basal-Bolus + UVA-Padova-style);
 //! * [`batch`] — the batched lockstep campaign engine: blocks of
 //!   [`batch::BATCH_LANES`] jobs share one structure-of-arrays
-//!   physics bank ([`batch::run_block`]) and workers claim whole
-//!   blocks ([`batch::run_campaign_batched_with`]), bit-identical to
-//!   the scalar executors;
+//!   physics bank ([`batch::run_block`]) and run the same cycle with
+//!   one lane per job; workers claim whole blocks
+//!   ([`batch::run_campaign_batched_with`]), bit-identical to the
+//!   scalar executors;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
 //!   patients × initial BG × scenarios, multi-threaded), with
 //!   bounded-memory streaming sinks ([`campaign::run_campaign_with`])
@@ -61,6 +66,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod closed_loop;
 pub mod dataset;
+mod engine;
 pub mod exec;
 pub mod io;
 pub mod outcome;

@@ -45,9 +45,9 @@ impl Platform {
         (index < cohort.len()).then(|| cohort.swap_remove(index))
     }
 
-    /// One cohort member by index without type erasure — the form the
-    /// batched lockstep engine needs to load a lane into the matching
-    /// structure-of-arrays bank. Indexing matches
+    /// One cohort member by index without type erasure — the form a
+    /// campaign job holds, so the batched lockstep engine can load it
+    /// into the matching structure-of-arrays bank. Indexing matches
     /// [`patients`](Platform::patients) order (the order campaign jobs
     /// reference by `patient_idx`).
     pub fn concrete_patient(&self, index: usize) -> Option<patients::CohortPatient> {

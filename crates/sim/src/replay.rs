@@ -6,7 +6,7 @@
 //! campaign be evaluated against any number of monitors — the paper's
 //! Table V/VI/Fig. 9 comparisons — at a fraction of the cost of
 //! re-simulating. (For *live* multi-monitor scoring in a single
-//! physics pass, see the session engine's
+//! physics pass, see a session's
 //! [`MonitorBank`](aps_core::monitors::MonitorBank).)
 //!
 //! Campaign-scale replay is parallel ([`replay_campaign`]) and can

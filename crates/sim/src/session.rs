@@ -29,10 +29,14 @@
 //! [`Session::from_spec`] turns it into a runnable session (the
 //! `repro run --spec file.json` subcommand is exactly this).
 //!
-//! The legacy positional entry point [`closed_loop::run`] is a thin
-//! wrapper over the same engine and remains supported; new code should
-//! prefer the builder, which validates the fault target at build time
-//! instead of silently treating an unknown variable as unbounded.
+//! This module only assembles runs; it holds no control loop. A session
+//! runs as the one-lane instance of the closed-loop cycle every engine
+//! shares, the same cycle a lockstep block of the
+//! [batched engine](crate::batch) runs with one lane per job. The
+//! legacy positional entry point [`closed_loop::run`] runs that cycle
+//! too and remains supported; new code should prefer the builder, which
+//! validates the fault target at build time instead of silently
+//! treating an unknown variable as unbounded.
 //!
 //! [`closed_loop::run`]: crate::closed_loop::run
 
@@ -40,20 +44,14 @@ use crate::closed_loop::LoopConfig;
 use crate::outcome::SimError;
 use crate::platform::Platform;
 use aps_controllers::Controller;
-use aps_core::hms::ContextMitigator;
 use aps_core::monitors::{
     CawMonitor, ForecastBand, ForecastMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor,
-    MonitorBank, MonitorInput, MpcMonitor, NullMonitor, RiskIndexMonitor,
+    MonitorBank, MpcMonitor, NullMonitor, RiskIndexMonitor,
 };
 use aps_core::scs::Scs;
 use aps_fault::{FaultInjector, FaultScenario};
-use aps_glucose::pump::Pump;
-use aps_glucose::sensor::Cgm;
 use aps_glucose::{BoxedPatient, PatientSim};
-use aps_types::{
-    AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, UnitsPerHour,
-    CONTROL_CYCLE_MINUTES,
-};
+use aps_types::{SimTrace, StepRecord};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -470,7 +468,7 @@ impl<'obs> Session<'obs> {
 
     /// Executes the closed loop once: a single physics pass, however
     /// many monitors are attached. Produces the labeled trace, with one
-    /// [`AlertTrack`] per monitor in `monitor_tracks`.
+    /// [`AlertTrack`](aps_types::AlertTrack) per monitor in `monitor_tracks`.
     ///
     /// # Panics
     ///
@@ -493,11 +491,10 @@ impl<'obs> Session<'obs> {
     /// finiteness guard plus the engine's per-cycle
     /// [`PatientSim::state_is_finite`] check).
     pub fn try_run(&mut self) -> Result<SimTrace, SimError> {
-        let mut refs = self.monitors.as_dyn_mut();
-        run_engine(
+        crate::engine::run_one(
             self.patient.as_mut(),
             self.controller.as_mut(),
-            &mut refs,
+            self.monitors.as_dyn_mut(),
             self.injector.as_mut(),
             &self.config,
             self.observer
@@ -522,243 +519,12 @@ impl fmt::Debug for Session<'_> {
     }
 }
 
-/// Where the scenario's target variable sits in the control loop.
-/// Shared with the batched lockstep engine ([`crate::batch`]), which
-/// resolves each lane's route exactly like the scalar engine does.
-pub(crate) enum FaultRoute {
-    /// Actuator command, perturbed after the controller decision.
-    Rate,
-    /// CGM input, perturbed before the decision.
-    Glucose,
-    /// Controller-internal variable.
-    Internal,
-}
-
-/// The closed-loop engine every public entry point funnels into:
-/// [`Session::run`], the legacy positional
-/// [`closed_loop::run`](crate::closed_loop::run), and (through them)
-/// the campaign executors.
-///
-/// The monitors slice is ordered: index 0 is the primary monitor whose
-/// verdicts drive mitigation and fill [`StepRecord::alert`]; every
-/// monitor's full verdict stream is recorded as an [`AlertTrack`].
-/// With an empty slice the loop is monitor-free and `monitor_tracks`
-/// stays empty — bit-identical to the pre-bank harness.
-///
-/// An unknown fault-target name falls back to unbounded injection here
-/// (legacy behavior, kept for the positional API); [`SessionBuilder`]
-/// validates the target before the engine ever sees it.
-///
-/// The engine is *checked*: after every patient step it verifies
-/// [`PatientSim::state_is_finite`] and returns
-/// [`SimError::NonFinite`] instead of letting NaN poison the rest of
-/// the trace (physiological floors are `f64::max`-style and would
-/// silently absorb it). The panicking wrappers ([`Session::run`],
-/// [`closed_loop::run`](crate::closed_loop::run)) keep their
-/// infallible signatures; the fault-tolerant campaign executor uses
-/// the checked path and ledgers the error.
-pub(crate) fn run_engine(
-    patient: &mut dyn PatientSim,
-    controller: &mut dyn Controller,
-    monitors: &mut [&mut dyn HazardMonitor],
-    mut injector: Option<&mut FaultInjector>,
-    config: &LoopConfig,
-    mut observer: Option<&mut dyn FnMut(&StepRecord)>,
-) -> Result<SimTrace, SimError> {
-    patient.reset(MgDl(config.initial_bg));
-    controller.reset();
-    for m in monitors.iter_mut() {
-        m.reset();
-    }
-    if let Some(inj) = injector.as_deref_mut() {
-        inj.reset();
-    }
-    // Configs are `Copy` scalars; constructing the per-run sensor and
-    // pump performs no heap allocation.
-    let mut cgm = Cgm::new(config.cgm);
-    let mut pump = Pump::new(config.pump);
-    let mut ctx_mitigator = config.context_mitigation.map(ContextMitigator::new);
-
-    let vars = controller.state_vars();
-    let var_bounds = |name: &str| -> (f64, f64) {
-        vars.iter()
-            .find(|v| v.name == name)
-            .map(|v| (v.min, v.max))
-            .unwrap_or((f64::NEG_INFINITY, f64::INFINITY))
-    };
-
-    // Resolve the fault target's route and legitimate bounds once per
-    // run; the step loop then performs no string comparison against
-    // the scenario and clones nothing.
-    let fault_plan = injector.as_deref().map(|inj| {
-        let target = &inj.scenario().target;
-        let route = match target.as_str() {
-            "rate" => FaultRoute::Rate,
-            "glucose" => FaultRoute::Glucose,
-            _ => FaultRoute::Internal,
-        };
-        (route, var_bounds(target), target.clone())
-    });
-
-    let mut meta = TraceMeta {
-        patient: patient.name().to_owned(),
-        initial_bg: config.initial_bg,
-        ..TraceMeta::default()
-    };
-    if let Some(inj) = injector.as_deref_mut() {
-        meta.fault_name = inj.scenario().name();
-        meta.fault_start = Some(inj.scenario().start);
-    }
-    // Preallocated records: the recording path never reallocates.
-    let mut trace = SimTrace::with_capacity(meta, config.steps as usize);
-    // One preallocated verdict stream per monitor.
-    let mut streams: Vec<Vec<Option<Hazard>>> = monitors
-        .iter()
-        .map(|_| Vec::with_capacity(config.steps as usize))
-        .collect();
-    // Action classification compares against the previous *commanded*
-    // rate (the paper's u1..u4 alphabet is over the controller's
-    // command stream). The seed compared against the previous
-    // *delivered* rate, so pump quantization (e.g. 4.29 commanded vs
-    // 4.30 delivered) misclassified a steady max-rate fault as
-    // `DecreaseInsulin` every cycle and no SCS rule could ever fire.
-    let mut prev_commanded = UnitsPerHour(controller.basal_rate().value());
-
-    for s in 0..config.steps {
-        let step = Step(s);
-        for meal in config.meals.iter().filter(|m| m.step == step) {
-            patient.ingest(meal.carbs_g);
-            if meal.announced {
-                controller.announce_meal(meal.carbs_g);
-            }
-        }
-        for bout in config.exercise.iter().filter(|b| b.step == step) {
-            patient.exert(bout.intensity, bout.duration_min);
-        }
-        let true_bg = patient.bg();
-        let reading = cgm.sample(true_bg);
-
-        // Fault injection on the controller's input/internal variables.
-        if let (Some(inj), Some((route, (lo, hi), target))) =
-            (injector.as_deref_mut(), fault_plan.as_ref())
-        {
-            match route {
-                // Output faults are applied after the decision below.
-                FaultRoute::Rate => {}
-                FaultRoute::Glucose => {
-                    let faulty = inj.perturb_target(step, reading.value(), *lo, *hi);
-                    if inj.is_active(step) {
-                        controller.set_state("glucose", faulty);
-                    }
-                }
-                FaultRoute::Internal if inj.is_active(step) => {
-                    // Internal variable: perturb last cycle's value (the
-                    // freshest observable) and force it for this decision.
-                    let base = controller.get_state(target).unwrap_or(0.5 * (lo + hi));
-                    let faulty = inj.perturb_target(step, base, *lo, *hi);
-                    controller.set_state(target, faulty);
-                }
-                FaultRoute::Internal => {
-                    // Keep the injector's Hold history fresh pre-activation.
-                    if let Some(base) = controller.get_state(target) {
-                        inj.perturb_target(step, base, *lo, *hi);
-                    }
-                }
-            }
-        }
-
-        let mut commanded = controller.decide(step, reading);
-
-        // Output (actuator-command) faults.
-        if let (Some(inj), Some((FaultRoute::Rate, (lo, hi), _))) =
-            (injector.as_deref_mut(), fault_plan.as_ref())
-        {
-            commanded = UnitsPerHour(inj.perturb_target(step, commanded.value(), *lo, *hi));
-        }
-
-        let action = ControlAction::classify(commanded, prev_commanded);
-
-        // Monitor bank check: every member sees the same input; the
-        // primary's verdict feeds mitigation and the alert column.
-        let input = MonitorInput {
-            step,
-            bg: reading,
-            commanded,
-            previous_rate: prev_commanded,
-        };
-        let mut alert = None;
-        for (i, m) in monitors.iter_mut().enumerate() {
-            let verdict = m.check(&input);
-            streams[i].push(verdict);
-            if i == 0 {
-                alert = verdict;
-            }
-        }
-
-        let mitigated = if let Some(cm) = ctx_mitigator.as_mut() {
-            let mit_ctx = cm.observe_bg(reading);
-            cm.mitigate(alert, &mit_ctx, commanded)
-        } else {
-            match (&config.mitigator, alert) {
-                (Some(mit), Some(_)) => mit.mitigate(alert, commanded),
-                _ => commanded,
-            }
-        };
-
-        let delivered = pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
-        controller.observe_delivery(delivered);
-        for m in monitors.iter_mut() {
-            m.observe_delivery(delivered);
-        }
-        if let Some(cm) = ctx_mitigator.as_mut() {
-            cm.observe_delivery(delivered);
-        }
-
-        let fault_active = injector
-            .as_deref()
-            .map(|i| i.is_active(step))
-            .unwrap_or(false);
-        trace.push(StepRecord {
-            step,
-            bg: reading,
-            bg_true: true_bg,
-            iob: controller.iob(),
-            commanded,
-            delivered,
-            action,
-            fault_active,
-            hazard: None,
-            alert,
-        });
-        if let (Some(obs), Some(rec)) = (observer.as_mut(), trace.records.last()) {
-            obs(rec);
-        }
-
-        patient.step(delivered, CONTROL_CYCLE_MINUTES);
-        if !patient.state_is_finite() {
-            return Err(SimError::NonFinite { cycle: s });
-        }
-        prev_commanded = commanded;
-    }
-
-    trace.monitor_tracks = monitors
-        .iter()
-        .zip(streams)
-        .map(|(m, alerts)| AlertTrack {
-            monitor: m.name().to_owned(),
-            alerts,
-        })
-        .collect();
-
-    aps_risk::label_trace(&mut trace, &config.labels);
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::closed_loop;
     use aps_fault::FaultKind;
+    use aps_types::Step;
 
     #[test]
     fn builder_run_matches_legacy_monitorless_run() {

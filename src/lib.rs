@@ -81,25 +81,27 @@
 //!   ODE compartment) integrated by a single
 //!   [`glucose::ode::BatchedRk4Scratch`] pass whose stage math is
 //!   per-lane loops over flat arrays. Three properties make the lanes
-//!   autovectorize *and* stay bit-identical to the scalar engine:
+//!   autovectorize *and* stay bit-identical to a scalar run:
 //!   (1) lanes are arithmetically independent — no horizontal
 //!   reductions, so lane `l` of a batch op is exactly the scalar op on
-//!   lane `l`'s data; (2) every per-lane expression mirrors its scalar
-//!   counterpart expression for expression, and IEEE-754 `f64`
-//!   arithmetic is deterministic per operation (rustc neither
-//!   reassociates nor contracts `a * b + c` into FMA, even with AVX2
-//!   enabled via `.cargo/config.toml`'s `target-cpu=x86-64-v3`); (3)
-//!   sensor, pump, and controller per-cycle updates have batched
-//!   bank variants that loop the identical scalar update per lane.
+//!   lane `l`'s data; (2) IEEE-754 `f64` arithmetic is deterministic
+//!   per operation (rustc neither reassociates nor contracts
+//!   `a * b + c` into FMA, even with AVX2 enabled via
+//!   `.cargo/config.toml`'s `target-cpu=x86-64-v3`); (3) only the
+//!   physics is batched — sensor, fault routing, controller, monitors,
+//!   mitigation, pump and recording run per lane in the one
+//!   closed-loop cycle function every engine shares, of which a scalar
+//!   run is the one-lane instance, so there is no second copy of them
+//!   to drift.
 //!   8 lanes = two AVX2 (or one AVX-512) f64 vectors per compartment
 //!   row — wide enough to saturate 256-bit units, small enough that a
 //!   ragged final block wastes at most 7 lanes. Bit-identity against
 //!   [`sim::campaign::run_campaign_serial`] across both patient
-//!   models, the full fault alphabet, and ragged tails is pinned by
-//!   `tests/batched_equivalence.rs`; a lane that diverges to NaN
-//!   free-runs harmlessly (non-finite is absorbing under RK4) and
-//!   surfaces as that job's typed `NonFinite` error without poisoning
-//!   its lane-mates.
+//!   models, the full fault alphabet, mitigation, sensor noise and
+//!   ragged tails is pinned by `tests/batched_equivalence.rs`; a lane
+//!   that diverges to NaN free-runs harmlessly (non-finite is absorbing
+//!   under RK4) and surfaces as that job's typed `NonFinite` error
+//!   without poisoning its lane-mates.
 //! * **Allocation-free integration** — the patient models integrate
 //!   with a const-generic stack scratch
 //!   ([`glucose::ode::Rk4Scratch`]); no heap allocation occurs inside

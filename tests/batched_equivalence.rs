@@ -7,7 +7,8 @@
 //! executor emits, bit for bit. These tests pin that down:
 //!
 //! * full quick-campaign corpora on **both** platforms (Bergman and
-//!   Dalla Man), with and without a monitor factory;
+//!   Dalla Man), with and without a monitor factory, and with
+//!   alert-driven mitigation (both policies) or a noisy CGM;
 //! * the **extended fault alphabet** (every injectable target ×
 //!   fault kind the campaign generator knows);
 //! * **ragged tails** — corpus sizes that are not a multiple of the
@@ -17,6 +18,7 @@
 //!   [`SimError::NonFinite`] (same cycle index) as the scalar
 //!   executor, without perturbing its lane-mates.
 
+use aps_repro::glucose::sensor::CgmConfig;
 use aps_repro::prelude::*;
 use aps_repro::sim::campaign::run_campaign_serial;
 use proptest::prelude::*;
@@ -60,6 +62,38 @@ fn batched_campaign_equals_serial_on_both_platforms() {
         let serial_m = run_campaign_serial(&spec, Some(factory.as_ref()));
         let batched_m = run_campaign_batched(&spec, Some(factory.as_ref()));
         assert_eq!(serial_m, batched_m, "monitored engines diverged");
+
+        // Alert-driven mitigation (fixed Algorithm-1 and context-aware
+        // policies) and a noisy CGM: the per-lane branches a clean,
+        // unmitigated corpus never reaches.
+        let variants = [
+            CampaignSpec {
+                mitigate: true,
+                ..spec.clone()
+            },
+            CampaignSpec {
+                mitigate: true,
+                context_mitigate: true,
+                ..spec.clone()
+            },
+            CampaignSpec {
+                cgm: CgmConfig {
+                    noise_sd: 4.0,
+                    ..CgmConfig::default()
+                },
+                ..spec.clone()
+            },
+        ];
+        for variant in &variants {
+            let serial_v = run_campaign_serial(variant, Some(factory.as_ref()));
+            assert_ne!(serial_v, serial_m, "variant must change the corpus");
+            let batched_v = run_campaign_batched(variant, Some(factory.as_ref()));
+            assert_eq!(
+                serial_v, batched_v,
+                "batched engine diverged on {platform:?} (mitigate {}, context {}, noise {})",
+                variant.mitigate, variant.context_mitigate, variant.cgm.noise_sd
+            );
+        }
     }
 }
 

@@ -8,19 +8,17 @@
 //!   integrator and a per-step parameter clone, executed by the seed's
 //!   mutex-funneled worker loop (one global
 //!   `Mutex<Vec<Option<SimTrace>>>` behind an atomic job counter);
-//! * **optimized** — the current scalar stack: stack-scratch RK4,
-//!   clone-free closed loop, and the lock-free executor of
-//!   [`aps_sim::campaign::run_campaign`];
-//! * **batched** — the lockstep executor of
-//!   [`aps_sim::batch::run_campaign_batched`]: blocks of
+//! * **optimized** — the current stack: stack-scratch RK4, clone-free
+//!   closed loop, and the campaign executor of
+//!   [`aps_sim::campaign::run_campaign`], whose blocks of
 //!   [`BATCH_LANES`](aps_sim::batch::BATCH_LANES) jobs share one
-//!   structure-of-arrays physics bank, bit-identical to the scalar
-//!   paths.
+//!   structure-of-arrays physics bank, bit-identical to
+//!   [`aps_sim::campaign::run_campaign_serial`].
 //!
-//! All run the identical job grid (2 patients × 1 initial BG ×
+//! Both run the identical job grid (2 patients × 1 initial BG ×
 //! {fault-free + quick fault grid} × 150 steps). With `sweep_workers`
-//! the scalar and batched executors are additionally timed at pinned
-//! worker counts (1, 2, 4, …) to record the scaling curve. The report
+//! the campaign executor is additionally timed at pinned worker counts
+//! (1, 2, 4, …) to record the scaling curve. The report
 //! is written to `BENCH_campaign.json` so later PRs can show a
 //! trajectory; see the "Performance" section of the `aps_repro` crate
 //! docs for how to regenerate it.
@@ -29,10 +27,9 @@ use crate::report::Table;
 use aps_glucose::ode::Dynamics;
 use aps_glucose::patients::glucosym_params;
 use aps_glucose::PatientSim;
-use aps_sim::batch::{run_campaign_batched, run_campaign_batched_with_workers};
 use aps_sim::campaign::{
-    campaign_size, run_campaign, run_campaign_with_workers, worker_count, worker_count_from,
-    CampaignSpec, WorkerSource,
+    campaign_size, run_campaign, run_campaign_serial, run_campaign_with_workers, worker_count,
+    worker_count_from, CampaignSpec, WorkerSource,
 };
 use aps_sim::closed_loop::{run, LoopConfig};
 use aps_sim::platform::Platform;
@@ -75,17 +72,16 @@ impl Throughput {
     }
 }
 
-/// One point of the workers-scaling sweep: the scalar and batched
-/// executors timed at the same pinned worker count.
+/// One point of the workers-scaling sweep: the campaign executor
+/// timed at a pinned worker count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct WorkerSweepPoint {
-    /// Pinned worker-thread count for both measurements.
+    /// Pinned worker-thread count.
     pub workers: usize,
-    /// Scalar lock-free executor at this worker count.
+    /// The campaign executor at this worker count (the key keeps the
+    /// name of the one-job-at-a-time executor it used to time).
     pub scalar: Throughput,
-    /// Batched lockstep executor at this worker count.
-    pub batched: Throughput,
 }
 
 /// The `BENCH_campaign.json` document.
@@ -109,37 +105,33 @@ pub struct CampaignBenchReport {
     pub reps: usize,
     /// Seed-faithful pre-optimization measurement.
     pub baseline: Throughput,
-    /// Current scalar implementation.
+    /// Current implementation ([`run_campaign`]).
     pub optimized: Throughput,
-    /// Batched lockstep implementation.
-    pub batched: Throughput,
     /// `baseline.secs / optimized.secs`.
     pub speedup: f64,
-    /// `baseline.secs / batched.secs` — the headline speedup over the
-    /// seed, guarded by CI like `speedup`.
+    /// The lockstep executor's speedup from reports recorded while a
+    /// separate one existed; a fresh run leaves it 0. The guard
+    /// holds `speedup` to the larger of the two committed values.
     pub batched_speedup: f64,
-    /// `optimized.secs / batched.secs` — what lockstep batching buys
-    /// over the already-optimized scalar path.
-    pub batched_vs_optimized: f64,
     /// Workers-scaling curve (empty unless the benchmark ran with
     /// `sweep_workers`).
     pub sweep: Vec<WorkerSweepPoint>,
 }
 
 /// Runs the benchmark and returns the report. With `sweep_workers` the
-/// scalar and batched executors are additionally timed at pinned
-/// worker counts 1, 2, 4, … (doubling up to the detected ambient
-/// parallelism, minimum 2) to record the scaling curve.
+/// campaign executor is additionally timed at pinned worker counts
+/// 1, 2, 4, … (doubling up to the detected ambient parallelism,
+/// minimum 2) to record the scaling curve.
 pub fn run_campaign_bench(reps: usize, sweep_workers: bool) -> CampaignBenchReport {
     let reps = reps.max(1);
     let spec = CampaignSpec::quick(Platform::GlucosymOref0);
     let runs = campaign_size(&spec);
     let (workers, worker_source) = bench_workers();
 
-    // Warm-up + correctness guards: all paths must produce the same
-    // number of traces; the batched engine must agree with the scalar
-    // one bit for bit (that is its contract), the seed baseline on at
-    // least 90% of hazard labels.
+    // Warm-up + correctness guards: both paths must produce the same
+    // number of traces; the executor must agree with the serial
+    // reference bit for bit (that is its contract), the seed baseline
+    // on at least 90% of hazard labels.
     let opt_traces = run_campaign(&spec, None);
     let base_traces = seed_baseline::run_campaign(&spec);
     assert_eq!(
@@ -147,10 +139,10 @@ pub fn run_campaign_bench(reps: usize, sweep_workers: bool) -> CampaignBenchRepo
         base_traces.len(),
         "executor grid mismatch"
     );
-    let batched_traces = run_campaign_batched(&spec, None);
     assert_eq!(
-        batched_traces, opt_traces,
-        "batched executor diverged from the scalar path"
+        opt_traces,
+        run_campaign_serial(&spec, None),
+        "campaign executor diverged from the serial reference"
     );
     let agree = opt_traces
         .iter()
@@ -177,7 +169,6 @@ pub fn run_campaign_bench(reps: usize, sweep_workers: bool) -> CampaignBenchRepo
 
     let base_secs = time_best(&|| seed_baseline::run_campaign(&spec).len());
     let opt_secs = time_best(&|| run_campaign(&spec, None).len());
-    let batched_secs = time_best(&|| run_campaign_batched(&spec, None).len());
 
     let mut sweep = Vec::new();
     if sweep_workers {
@@ -197,20 +188,14 @@ pub fn run_campaign_bench(reps: usize, sweep_workers: bool) -> CampaignBenchRepo
         .0;
         let mut w = 1;
         while w <= detected.max(2) {
-            let scalar_secs = time_best(&|| {
+            let secs = time_best(&|| {
                 let mut n = 0;
                 run_campaign_with_workers(&spec, None, Some(w), |_, _| n += 1);
                 n
             });
-            let lane_secs = time_best(&|| {
-                let mut n = 0;
-                run_campaign_batched_with_workers(&spec, None, Some(w), |_, _| n += 1);
-                n
-            });
             sweep.push(WorkerSweepPoint {
                 workers: w,
-                scalar: Throughput::from_secs(scalar_secs, runs, spec.steps),
-                batched: Throughput::from_secs(lane_secs, runs, spec.steps),
+                scalar: Throughput::from_secs(secs, runs, spec.steps),
             });
             w *= 2;
         }
@@ -225,10 +210,8 @@ pub fn run_campaign_bench(reps: usize, sweep_workers: bool) -> CampaignBenchRepo
         reps,
         baseline: Throughput::from_secs(base_secs, runs, spec.steps),
         optimized: Throughput::from_secs(opt_secs, runs, spec.steps),
-        batched: Throughput::from_secs(batched_secs, runs, spec.steps),
         speedup: base_secs / opt_secs,
-        batched_speedup: base_secs / batched_secs,
-        batched_vs_optimized: opt_secs / batched_secs,
+        batched_speedup: 0.0,
         sweep,
     }
 }
@@ -247,30 +230,22 @@ pub fn bench_campaign(reps: usize, out_path: &str, sweep_workers: bool) -> Campa
     };
     let mut base_row = vec!["baseline (seed-faithful)".to_owned()];
     base_row.extend(fmt(&report.baseline));
-    let mut opt_row = vec!["optimized (scalar)".to_owned()];
+    let mut opt_row = vec!["optimized".to_owned()];
     opt_row.extend(fmt(&report.optimized));
-    let mut lane_row = vec!["batched (lockstep)".to_owned()];
-    lane_row.extend(fmt(&report.batched));
     table.row(&base_row);
     table.row(&opt_row);
-    table.row(&lane_row);
     println!(
         "campaign throughput — {} runs x {} steps, {} worker(s), best of {}\n",
         report.runs, report.steps_per_run, report.workers, report.reps
     );
     println!("{}", table.render());
-    println!("speedup (scalar):  {:.2}x", report.speedup);
-    println!(
-        "speedup (batched): {:.2}x vs seed, {:.2}x vs scalar",
-        report.batched_speedup, report.batched_vs_optimized
-    );
+    println!("speedup: {:.2}x", report.speedup);
     if !report.sweep.is_empty() {
-        let mut sweep_table = Table::new(&["workers", "scalar runs/s", "batched runs/s"]);
+        let mut sweep_table = Table::new(&["workers", "runs/s"]);
         for point in &report.sweep {
             sweep_table.row(&[
                 point.workers.to_string(),
                 format!("{:.1}", point.scalar.runs_per_sec),
-                format!("{:.1}", point.batched.runs_per_sec),
             ]);
         }
         println!("\nworkers-scaling sweep\n\n{}", sweep_table.render());
@@ -294,8 +269,11 @@ pub const GUARD_MIN_FRACTION: f64 = 0.8;
 
 /// Perf-regression guard: compares a freshly measured report against
 /// the committed baseline report and returns `Err` when the fresh
-/// speedup fell below `min_fraction` of the committed one (CI uses
-/// [`GUARD_MIN_FRACTION`]). The speedup *ratio* is machine-portable —
+/// speedup fell below `min_fraction` of the committed one — the larger
+/// of its `speedup` and `batched_speedup`, so a report recorded while
+/// two executors existed holds the one left to the faster's figure
+/// (CI uses [`GUARD_MIN_FRACTION`]). The speedup *ratio* is
+/// machine-portable —
 /// both sides of it are measured on the same host in the same process
 /// — which is what makes this guard meaningful on arbitrary CI
 /// hardware where absolute wall times are not.
@@ -304,7 +282,8 @@ pub fn check_speedup_guard(
     committed: &CampaignBenchReport,
     min_fraction: f64,
 ) -> Result<(), String> {
-    let floor = committed.speedup * min_fraction;
+    let target = committed.speedup.max(committed.batched_speedup);
+    let floor = target * min_fraction;
     if !fresh.speedup.is_finite() || fresh.speedup < floor {
         return Err(format!(
             "campaign speedup regressed: fresh {:.2}x < {:.2}x \
@@ -312,24 +291,8 @@ pub fn check_speedup_guard(
             fresh.speedup,
             floor,
             (min_fraction * 100.0).round(),
-            committed.speedup,
+            target,
         ));
-    }
-    // The batched guard only arms once a batched speedup has been
-    // committed (serde defaults the field to 0 for reports recorded
-    // before the lockstep executor existed).
-    if committed.batched_speedup > 0.0 {
-        let floor = committed.batched_speedup * min_fraction;
-        if !fresh.batched_speedup.is_finite() || fresh.batched_speedup < floor {
-            return Err(format!(
-                "batched campaign speedup regressed: fresh {:.2}x < {:.2}x \
-                 ({}% of the committed {:.2}x)",
-                fresh.batched_speedup,
-                floor,
-                (min_fraction * 100.0).round(),
-                committed.batched_speedup,
-            ));
-        }
     }
     Ok(())
 }
@@ -359,13 +322,10 @@ pub fn bench_campaign_guarded(
     let fresh = bench_campaign(reps, out_path, sweep_workers);
     match check_speedup_guard(&fresh, &committed, GUARD_MIN_FRACTION) {
         Ok(()) => println!(
-            "perf guard ok: scalar {:.2}x, batched {:.2}x >= {}% of committed \
-             (scalar {:.2}x, batched {:.2}x)",
+            "perf guard ok: {:.2}x >= {}% of committed {:.2}x",
             fresh.speedup,
-            fresh.batched_speedup,
             (GUARD_MIN_FRACTION * 100.0).round(),
-            committed.speedup,
-            committed.batched_speedup
+            committed.speedup.max(committed.batched_speedup)
         ),
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -375,8 +335,8 @@ pub fn bench_campaign_guarded(
 }
 
 /// Multi-core scaling gate over a recorded workers sweep: the
-/// 2-worker scalar throughput must be at least `min_ratio` times the
-/// 1-worker throughput. Like the speedup guard, the *ratio* is
+/// campaign executor's 2-worker throughput must be at least
+/// `min_ratio` times its 1-worker throughput. Like the speedup guard, the *ratio* is
 /// machine-portable — both points come from the same host and process
 /// — so the gate is meaningful on arbitrary CI hardware. Returns a
 /// human-readable summary on success.
@@ -399,22 +359,20 @@ pub fn check_sweep_gate(report: &CampaignBenchReport, min_ratio: f64) -> Result<
     let ratio = two.scalar.runs_per_sec / one.scalar.runs_per_sec;
     if !ratio.is_finite() {
         return Err(format!(
-            "sweep gate: non-finite scalar ratio ({} / {} runs/s)",
+            "sweep gate: non-finite ratio ({} / {} runs/s)",
             two.scalar.runs_per_sec, one.scalar.runs_per_sec
         ));
     }
     if ratio < min_ratio {
         return Err(format!(
-            "multi-core scaling regressed: 2-worker scalar throughput is \
+            "multi-core scaling regressed: 2-worker throughput is \
              {ratio:.2}x the 1-worker throughput (< required {min_ratio:.2}x; \
              {:.1} vs {:.1} runs/s)",
             two.scalar.runs_per_sec, one.scalar.runs_per_sec
         ));
     }
-    let batched_ratio = two.batched.runs_per_sec / one.batched.runs_per_sec;
     Ok(format!(
-        "sweep gate ok: scalar 2-worker/1-worker = {ratio:.2}x (>= {min_ratio:.2}x); \
-         batched = {batched_ratio:.2}x (informative)"
+        "sweep gate ok: 2-worker/1-worker = {ratio:.2}x (>= {min_ratio:.2}x)"
     ))
 }
 
@@ -978,41 +936,36 @@ mod tests {
             batched_speedup,
             ..CampaignBenchReport::default()
         };
-        let committed = report(3.4, 6.0);
-        assert!(check_speedup_guard(&report(3.4, 6.0), &committed, 0.8).is_ok());
-        assert!(check_speedup_guard(&report(2.8, 4.9), &committed, 0.8).is_ok());
+        // A committed report without a lockstep figure (recorded
+        // before it existed, or by the one executor) guards `speedup`.
+        let committed = report(3.4, 0.0);
+        assert!(check_speedup_guard(&report(3.4, 0.0), &committed, 0.8).is_ok());
+        assert!(check_speedup_guard(&report(2.8, 0.0), &committed, 0.8).is_ok());
         // Below 80% of the committed value: regression.
-        assert!(check_speedup_guard(&report(2.6, 6.0), &committed, 0.8).is_err());
-        assert!(check_speedup_guard(&report(f64::NAN, 6.0), &committed, 0.8).is_err());
-        // The batched speedup is guarded independently.
-        assert!(check_speedup_guard(&report(3.4, 4.7), &committed, 0.8).is_err());
-        assert!(check_speedup_guard(&report(3.4, f64::NAN), &committed, 0.8).is_err());
+        assert!(check_speedup_guard(&report(2.6, 0.0), &committed, 0.8).is_err());
+        assert!(check_speedup_guard(&report(f64::NAN, 0.0), &committed, 0.8).is_err());
+        // A committed lockstep figure raises the bar for `speedup`; the
+        // fresh report's own `batched_speedup` is ignored.
+        let two_engines = report(3.4, 6.0);
+        assert!(check_speedup_guard(&report(4.9, 0.0), &two_engines, 0.8).is_ok());
+        assert!(check_speedup_guard(&report(4.7, 9.0), &two_engines, 0.8).is_err());
+        assert!(check_speedup_guard(&report(3.4, 6.0), &two_engines, 0.8).is_err());
         // A faster run always passes.
-        assert!(check_speedup_guard(&report(5.0, 9.0), &committed, 0.8).is_ok());
-        // Pre-batching committed reports (serde-default 0) leave the
-        // batched guard unarmed.
-        let legacy = report(3.4, 0.0);
-        assert!(check_speedup_guard(&report(3.4, 0.0), &legacy, 0.8).is_ok());
-        assert!(check_speedup_guard(&report(3.4, f64::NAN), &legacy, 0.8).is_ok());
+        assert!(check_speedup_guard(&report(9.0, 0.0), &two_engines, 0.8).is_ok());
     }
 
     #[test]
     fn sweep_gate_enforces_two_worker_ratio() {
-        let point = |workers: usize, scalar_rps: f64, batched_rps: f64| WorkerSweepPoint {
+        let point = |workers: usize, rps: f64| WorkerSweepPoint {
             workers,
             scalar: Throughput {
                 secs: 1.0,
-                runs_per_sec: scalar_rps,
-                steps_per_sec: scalar_rps * 150.0,
-            },
-            batched: Throughput {
-                secs: 1.0,
-                runs_per_sec: batched_rps,
-                steps_per_sec: batched_rps * 150.0,
+                runs_per_sec: rps,
+                steps_per_sec: rps * 150.0,
             },
         };
         let report = |two_rps: f64| CampaignBenchReport {
-            sweep: vec![point(1, 1000.0, 4000.0), point(2, two_rps, 6000.0)],
+            sweep: vec![point(1, 1000.0), point(2, two_rps)],
             ..CampaignBenchReport::default()
         };
         // 1.8x scaling clears the 1.3x bar.
@@ -1028,7 +981,7 @@ mod tests {
             .contains("--sweep-workers"));
         assert!(check_sweep_gate(&report(f64::NAN), 1.3).is_err());
         let zero_base = CampaignBenchReport {
-            sweep: vec![point(1, 0.0, 0.0), point(2, 1000.0, 1000.0)],
+            sweep: vec![point(1, 0.0), point(2, 1000.0)],
             ..CampaignBenchReport::default()
         };
         assert!(check_sweep_gate(&zero_base, 1.3).is_err());
@@ -1039,18 +992,12 @@ mod tests {
         let report = run_campaign_bench(1, true);
         assert_eq!(report.runs, 62);
         assert!(report.baseline.secs > 0.0 && report.optimized.secs > 0.0);
-        assert!(report.batched.secs > 0.0);
         assert!(report.speedup > 0.0);
-        assert!(report.batched_speedup > 0.0);
-        assert!(report.batched_vs_optimized > 0.0);
         // Sweep starts at one worker and doubles.
         assert!(report.sweep.len() >= 2);
         assert_eq!(report.sweep[0].workers, 1);
         assert_eq!(report.sweep[1].workers, 2);
-        assert!(report
-            .sweep
-            .iter()
-            .all(|p| p.scalar.secs > 0.0 && p.batched.secs > 0.0));
+        assert!(report.sweep.iter().all(|p| p.scalar.secs > 0.0));
         let json = serde_json::to_string(&report).unwrap();
         let back: CampaignBenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
@@ -1073,5 +1020,11 @@ mod tests {
         assert_eq!(report.batched_speedup, 0.0);
         assert!(report.sweep.is_empty());
         assert_eq!(report.worker_source, WorkerSource::Detected);
+
+        // The committed report, recorded while a separate lockstep
+        // executor existed, loads with its figure for the guard.
+        let committed: CampaignBenchReport =
+            serde_json::from_str(include_str!("../../../BENCH_campaign.json")).unwrap();
+        assert!(committed.speedup > 0.0);
     }
 }

@@ -505,11 +505,6 @@ mod tests {
                 runs_per_sec: rps,
                 steps_per_sec: rps * 150.0,
             },
-            batched: Throughput {
-                secs: 1.0,
-                runs_per_sec: rps,
-                steps_per_sec: rps * 150.0,
-            },
         };
         let report = CampaignBenchReport {
             sweep: vec![point(1, 1000.0), point(2, 1700.0)],

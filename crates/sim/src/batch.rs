@@ -1,9 +1,8 @@
 //! Batched lockstep campaign execution.
 //!
-//! The scalar executors run campaign jobs one closed loop at a time;
-//! every control cycle pays the full RK4 integration for a single
-//! patient. This module steps a *block* of up to [`BATCH_LANES`] jobs
-//! in lockstep instead: each job becomes a lane of a
+//! A job run on its own pays the full RK4 integration for a single
+//! patient every control cycle. This module steps a *block* of up to
+//! [`BATCH_LANES`] jobs in lockstep instead: each job becomes a lane of a
 //! structure-of-arrays patient bank
 //! ([`aps_glucose::bergman::BatchedBergman`] /
 //! [`aps_glucose::dalla_man::BatchedDallaMan`]), and the physics
@@ -16,6 +15,10 @@
 //! scalar run is that same cycle with one lane. Controller, CGM, pump,
 //! monitor, injector, mitigation and trace recording are each lane's
 //! own components, stepped by the same code in the same order.
+//!
+//! [`run_block`] is the unit of work of every campaign executor, which
+//! wraps each block in per-job fault isolation (see the
+//! [`campaign`](crate::campaign) module docs).
 //!
 //! # Bit-identity
 //!
@@ -31,18 +34,14 @@
 //! surfaces as that job's [`SimError::NonFinite`], and — because
 //! nothing crosses lanes — never poisons its lane-mates.
 
-use crate::campaign::{
-    campaign_jobs, worker_count, CampaignJob, CampaignSpec, JobRun, MonitorFactory,
-};
+use crate::campaign::{CampaignJob, CampaignSpec, JobRun, MonitorFactory};
 use crate::engine::{run_lanes, Lane};
-use crate::exec::ordered_par_map;
 use crate::outcome::SimError;
 use aps_glucose::bergman::BatchedBergman;
 use aps_glucose::dalla_man::BatchedDallaMan;
 use aps_glucose::patients::CohortPatient;
 use aps_glucose::BatchedPatientSim;
 use aps_types::{MgDl, SimTrace};
-use std::convert::Infallible;
 
 /// Lane width of the batched campaign executor.
 ///
@@ -120,83 +119,10 @@ fn run_jobs<const LANES: usize>(
     lanes.into_iter().map(Lane::finish).collect()
 }
 
-/// Runs the whole campaign through the batched lockstep engine,
-/// streaming each finished trace — **in deterministic job order** —
-/// into `sink(job_index, trace)`.
-///
-/// Each unit of the [ordered executor](crate::exec) is a block of
-/// [`BATCH_LANES`] consecutive jobs run in lockstep; the calling thread
-/// unpacks each block into its jobs' positions. Output is defined to
-/// equal
-/// [`run_campaign_serial`](crate::campaign::run_campaign_serial),
-/// bit for bit.
-///
-/// # Panics
-///
-/// Panics if any job fails mid-run (same contract as the scalar
-/// executors; the fault-tolerant path is
-/// [`run_campaign_resumable`](crate::campaign::run_campaign_resumable)).
-pub fn run_campaign_batched_with(
-    spec: &CampaignSpec,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-    sink: impl FnMut(usize, SimTrace),
-) {
-    run_campaign_batched_with_workers(spec, monitor_factory, None, sink);
-}
-
-/// [`run_campaign_batched_with`] with an explicit worker-count
-/// override (`None` = `APS_WORKERS` env, then detection). The
-/// workers-scaling sweep of `repro bench-campaign --sweep-workers`
-/// drives this directly so each sweep point runs at a pinned worker
-/// count.
-pub fn run_campaign_batched_with_workers(
-    spec: &CampaignSpec,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-    workers: Option<usize>,
-    mut sink: impl FnMut(usize, SimTrace),
-) {
-    let jobs = campaign_jobs(spec);
-    let n = jobs.len();
-    let Ok(_) = ordered_par_map(
-        n.div_ceil(BATCH_LANES),
-        worker_count(workers).0,
-        None,
-        |b| {
-            let lo = b * BATCH_LANES;
-            let hi = (lo + BATCH_LANES).min(n);
-            run_block::<BATCH_LANES>(spec, &jobs[lo..hi], monitor_factory)
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|e| panic!("campaign job failed: {e}")))
-                .collect::<Vec<_>>()
-        },
-        |b, traces| -> Result<(), Infallible> {
-            for (j, trace) in traces.into_iter().enumerate() {
-                sink(b * BATCH_LANES + j, trace);
-            }
-            Ok(())
-        },
-    );
-}
-
-/// [`run_campaign_batched_with`] collected into a `Vec` — the batched
-/// counterpart of [`run_campaign`](crate::campaign::run_campaign),
-/// defined to produce bit-identical output.
-pub fn run_campaign_batched(
-    spec: &CampaignSpec,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-) -> Vec<SimTrace> {
-    let mut out: Vec<SimTrace> = Vec::new();
-    run_campaign_batched_with(spec, monitor_factory, |i, trace| {
-        debug_assert_eq!(i, out.len(), "stream out of order");
-        out.push(trace);
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign_serial;
+    use crate::campaign::{campaign_jobs, run_campaign, run_campaign_serial};
     use crate::platform::Platform;
 
     #[test]
@@ -239,7 +165,7 @@ mod tests {
             ..CampaignSpec::quick(Platform::GlucosymOref0)
         };
         let serial = run_campaign_serial(&spec, None);
-        let batched = run_campaign_batched(&spec, None);
+        let batched = run_campaign(&spec, None);
         assert_eq!(batched, serial);
     }
 }

@@ -11,6 +11,16 @@
 //! [`run_campaign_serial`]) or streamed into a sink with bounded memory
 //! ([`run_campaign_with`], parallel).
 //!
+//! # One engine
+//!
+//! Every parallel executor claims blocks of up to [`BATCH_LANES`]
+//! pending jobs from the [ordered executor](crate::exec) and steps each
+//! in lockstep with [`run_block`]. A job a block cannot hold (invalid
+//! spec, chaos plan, per-job deadline), and every lane of a block that
+//! failed or panicked, runs on its own from attempt 1, so outcomes,
+//! ledger, digest and retries equal running each job alone, as
+//! [`run_campaign_serial`] does.
+//!
 //! # Fault tolerance
 //!
 //! [`run_campaign_resumable`] (and its collecting wrapper
@@ -28,14 +38,12 @@
 //! deterministic worker panics, delays, and poisoned specs to exercise
 //! all of the above.
 
+use crate::batch::{run_block, BATCH_LANES};
 use crate::chaos::{ChaosConfig, ChaosPlan};
-use crate::checkpoint::{
-    spec_hash, to_hex, AggregatePartials, CampaignCheckpoint, CheckpointError, JobBitmap,
-    CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{spec_hash, to_hex, CampaignCheckpoint, CheckpointError};
 use crate::closed_loop::LoopConfig;
 use crate::engine::{run_one, Lane};
-use crate::exec::ordered_par_map;
+use crate::exec::{is_cancelled, ordered_par_map};
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
 use crate::platform::Platform;
 use aps_controllers::Controller;
@@ -175,11 +183,6 @@ type Job = CampaignJob;
 /// initial BG: the fault-free run first, then every fault scenario).
 /// [`run_campaign`] executes exactly this list, in this order.
 pub fn campaign_jobs(spec: &CampaignSpec) -> Vec<CampaignJob> {
-    expand(spec)
-}
-
-/// Expands the spec into its job list (fault-free first, then faults).
-fn expand(spec: &CampaignSpec) -> Vec<Job> {
     let platform = spec.platform;
     let probe = platform.patients().remove(0);
     let all = if spec.extended_faults {
@@ -222,7 +225,7 @@ fn expand(spec: &CampaignSpec) -> Vec<Job> {
 
 /// Number of runs the spec will execute.
 pub fn campaign_size(spec: &CampaignSpec) -> usize {
-    expand(spec).len()
+    campaign_jobs(spec).len()
 }
 
 /// One campaign job's closed loop, set up from the spec: the same
@@ -244,7 +247,8 @@ impl JobRun {
     /// # Panics
     ///
     /// Panics when the job's patient index is outside the platform's
-    /// cohort ([`run_campaign_resumable`] validates it first).
+    /// cohort (the campaign executors validate every job first and
+    /// run an invalid one only on the per-job path, which reports it).
     pub(crate) fn new(
         spec: &CampaignSpec,
         job: &Job,
@@ -311,16 +315,6 @@ impl JobRun {
     }
 }
 
-fn run_job(
-    spec: &CampaignSpec,
-    job: &Job,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-) -> SimTrace {
-    JobRun::new(spec, job, monitor_factory)
-        .run()
-        .unwrap_or_else(|e| panic!("campaign job failed: {e}"))
-}
-
 /// Upper bound on the worker count, however it was requested. High
 /// enough for any machine this runs on, low enough that a typo'd
 /// `APS_WORKERS=2566` cannot fork-bomb the host.
@@ -329,9 +323,13 @@ pub const MAX_WORKERS: usize = 256;
 /// Where the executor's worker count came from — surfaced in the
 /// [`CampaignReport`] so a silent fallback to one worker (the old
 /// `available_parallelism().unwrap_or(1)` behavior) is visible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkerSource {
-    /// `std::thread::available_parallelism` succeeded.
+    /// `std::thread::available_parallelism` succeeded. The default:
+    /// the provenance every run has when nothing overrides detection,
+    /// and what a missing field in an older recorded report
+    /// deserializes to.
+    #[default]
     Detected,
     /// A valid `APS_WORKERS` environment override.
     Env,
@@ -350,15 +348,6 @@ pub enum WorkerSource {
         /// The detection error.
         detail: String,
     },
-}
-
-impl Default for WorkerSource {
-    /// [`WorkerSource::Detected`] — the provenance every run has when
-    /// nothing overrides detection (and what a missing field in an
-    /// older recorded report deserializes to).
-    fn default() -> WorkerSource {
-        WorkerSource::Detected
-    }
 }
 
 /// Resolves the worker count from an explicit override, the raw
@@ -409,9 +398,8 @@ pub struct CheckpointPolicy {
 
 /// Execution options for the fault-tolerant campaign path.
 ///
-/// The default is indistinguishable from the legacy executor on the
-/// clean path: one attempt, no deadline, no chaos, auto worker count,
-/// no checkpointing.
+/// The default: one attempt, no deadline, no chaos, auto worker
+/// count, no checkpointing.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
     /// Attempts per job and the backoff between them.
@@ -420,18 +408,21 @@ pub struct CampaignOptions {
     /// are not preempted), so an overrun fails the attempt
     /// deterministically in its effect but the *detection* depends on
     /// host timing — leave `None` (the default) for bit-reproducible
-    /// campaigns.
+    /// campaigns. With a deadline every job runs outside any block.
     pub deadline: Option<Duration>,
     /// Deterministic executor-fault injection (tests/hardening only).
     pub chaos: Option<ChaosConfig>,
     /// Explicit worker-count override (`None` = `APS_WORKERS` env,
-    /// then detection).
+    /// then detection), capped at the number of job blocks.
     pub workers: Option<usize>,
     /// Periodic checkpointing (`None` = never snapshot).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Cooperative cancellation: set the flag and workers stop
-    /// claiming new jobs; already-claimed jobs finish and emit, then
-    /// the executor returns with [`CampaignReport::cancelled`] set.
+    /// claiming new blocks. Outcomes not yet emitted when it is seen —
+    /// the rest of the current block and of any block already claimed
+    /// — are dropped: neither emitted nor marked done, so the emitted
+    /// jobs stay a prefix of the pending ones. The executor then
+    /// returns with [`CampaignReport::cancelled`] set.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -459,7 +450,7 @@ pub struct CampaignReport {
     /// Rolling digest over every outcome in job order (hex); equal
     /// digests witness bit-identical campaigns.
     pub digest: String,
-    /// Worker threads used.
+    /// Worker threads used (at most one per block of jobs).
     pub workers: usize,
     /// Where that worker count came from.
     pub worker_source: WorkerSource,
@@ -586,32 +577,95 @@ fn run_job_checked(
     }
 }
 
-/// Mutable in-order emission state of a resumable run: bitmap,
-/// ledger, partials, and periodic checkpointing.
+/// Runs one block of up to [`BATCH_LANES`] jobs (`block` indexes
+/// `jobs`) and returns each job's outcome, equal to what
+/// [`run_job_checked`] returns for it: jobs whose attempt 1 runs clean
+/// share one [`run_block`] call under one `catch_unwind`, and every
+/// other job, failed lane or lane of a panicked block goes through
+/// [`run_job_checked`] from attempt 1.
+fn run_block_checked(
+    spec: &CampaignSpec,
+    jobs: &[Job],
+    block: &[usize],
+    monitor_factory: Option<&MonitorFactory<'_>>,
+    options: &CampaignOptions,
+    cohort_size: usize,
+) -> Vec<JobOutcome> {
+    let clean = |i: usize| {
+        options.deadline.is_none()
+            && validate_job(&jobs[i], cohort_size).is_ok()
+            && options
+                .chaos
+                .as_ref()
+                .is_none_or(|c| c.plan(i, 1) == ChaosPlan::NONE)
+    };
+    let lanes: Vec<usize> = (0..block.len()).filter(|&k| clean(block[k])).collect();
+    let mut outcomes: Vec<Option<JobOutcome>> = block.iter().map(|_| None).collect();
+    if !lanes.is_empty() {
+        let lane_jobs: Vec<Job> = lanes.iter().map(|&k| jobs[block[k]].clone()).collect();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_block::<BATCH_LANES>(spec, &lane_jobs, monitor_factory)
+        }));
+        for (&k, result) in lanes.iter().zip(run.into_iter().flatten()) {
+            outcomes[k] = result.ok().map(JobOutcome::Completed);
+        }
+    }
+    outcomes
+        .into_iter()
+        .zip(block)
+        .map(|(outcome, &i)| {
+            outcome.unwrap_or_else(|| {
+                run_job_checked(spec, &jobs[i], monitor_factory, options, i, cohort_size)
+            })
+        })
+        .collect()
+}
+
+/// Runs the `pending` jobs in blocks of [`BATCH_LANES`] on the
+/// [ordered executor](crate::exec) and hands each outcome to
+/// `emit(job_index, outcome)` in job order. Once `options.cancel` is
+/// raised, outcomes not yet emitted are dropped.
+fn run_pending<E>(
+    spec: &CampaignSpec,
+    jobs: &[Job],
+    pending: &[usize],
+    monitor_factory: Option<&MonitorFactory<'_>>,
+    options: &CampaignOptions,
+    workers: usize,
+    mut emit: impl FnMut(usize, JobOutcome) -> Result<(), E>,
+) -> Result<(), E> {
+    let cohort_size = spec.platform.cohort_size();
+    let cancel = options.cancel.as_deref();
+    let blocks: Vec<&[usize]> = pending.chunks(BATCH_LANES).collect();
+    ordered_par_map(
+        blocks.len(),
+        workers,
+        cancel,
+        |b| run_block_checked(spec, jobs, blocks[b], monitor_factory, options, cohort_size),
+        |b, outcomes| {
+            for (&i, outcome) in blocks[b].iter().zip(outcomes) {
+                if is_cancelled(cancel) {
+                    break;
+                }
+                emit(i, outcome)?;
+            }
+            Ok(())
+        },
+    )
+    .map(drop)
+}
+
+/// Mutable in-order emission state of a resumable run: the
+/// checkpoint being built (bitmap, ledger, partials) and its periodic
+/// snapshots.
 struct EmitState<'a> {
     jobs: &'a [Job],
-    bitmap: JobBitmap,
-    ledger: ErrorLedger,
-    partials: AggregatePartials,
+    ckpt: CampaignCheckpoint,
     policy: Option<&'a CheckpointPolicy>,
-    spec_hash_hex: String,
-    chaos_seed: Option<u64>,
     emitted_this_segment: usize,
 }
 
 impl EmitState<'_> {
-    fn snapshot(&self) -> CampaignCheckpoint {
-        CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
-            spec_hash: self.spec_hash_hex.clone(),
-            chaos_seed: self.chaos_seed.map(to_hex),
-            total_jobs: self.jobs.len(),
-            completed: self.bitmap.clone(),
-            ledger: self.ledger.clone(),
-            partials: self.partials.clone(),
-        }
-    }
-
     /// Records one outcome (bitmap + partials + ledger), hands it to
     /// the sink, and checkpoints at the configured cadence.
     fn emit(
@@ -620,13 +674,15 @@ impl EmitState<'_> {
         outcome: JobOutcome,
         sink: &mut dyn FnMut(usize, JobOutcome),
     ) -> Result<(), CheckpointError> {
-        self.bitmap.set(job_index);
+        self.ckpt.completed.set(job_index);
         match &outcome {
-            JobOutcome::Completed(trace) => self.partials.fold_completed(trace),
+            JobOutcome::Completed(trace) => self.ckpt.partials.fold_completed(trace),
             JobOutcome::Failed { error, attempts } => {
-                self.partials.fold_failed(&error.to_string(), *attempts);
+                self.ckpt
+                    .partials
+                    .fold_failed(&error.to_string(), *attempts);
                 let job = &self.jobs[job_index];
-                self.ledger.push(LedgerEntry {
+                self.ckpt.ledger.push(LedgerEntry {
                     job_index,
                     patient_idx: job.patient_idx,
                     initial_bg: job.initial_bg,
@@ -643,7 +699,7 @@ impl EmitState<'_> {
                 .emitted_this_segment
                 .is_multiple_of(policy.every_jobs.max(1))
             {
-                self.snapshot().save(&policy.path)?;
+                self.ckpt.save(&policy.path)?;
             }
         }
         Ok(())
@@ -655,10 +711,12 @@ impl EmitState<'_> {
 /// Every job runs isolated (`catch_unwind` + spec validation +
 /// optional deadline) with retries under `options.retry`; outcomes —
 /// [`JobOutcome::Completed`] or [`JobOutcome::Failed`] — stream into
-/// `sink(job_index, outcome)` in **deterministic job order**. Each
-/// pending job is one unit of the [ordered executor](crate::exec), so
-/// cancelling leaves the emitted jobs a prefix of the pending ones and
-/// a failed checkpoint write stops the run. Failed jobs are final
+/// `sink(job_index, outcome)` in **deterministic job order**. Pending
+/// jobs run in lockstep blocks of [`BATCH_LANES`], falling back to one
+/// job at a time wherever a block cannot hold them (see the
+/// [module docs](self)). Cancelling leaves the emitted jobs a prefix
+/// of the pending ones, and a failed checkpoint write stops the run.
+/// Failed jobs are final
 /// after their attempt budget: they are ledgered, marked done, and
 /// never re-run by a resume (failures under a fixed seed/spec are
 /// deterministic).
@@ -681,55 +739,45 @@ pub fn run_campaign_resumable(
     resume: Option<&CampaignCheckpoint>,
     mut sink: impl FnMut(usize, JobOutcome),
 ) -> Result<CampaignReport, CheckpointError> {
-    let jobs = expand(spec);
+    let jobs = campaign_jobs(spec);
     let n = jobs.len();
-    let hash_hex = to_hex(spec_hash(spec));
     let chaos_seed = options.chaos.as_ref().map(|c| c.seed);
-
-    let (bitmap, ledger, partials) = match resume {
-        Some(ckpt) => {
-            ckpt.validate_for(&hash_hex, chaos_seed, n)?;
-            (
-                ckpt.completed.clone(),
-                ckpt.ledger.clone(),
-                ckpt.partials.clone(),
-            )
+    let fresh = CampaignCheckpoint::fresh(to_hex(spec_hash(spec)), chaos_seed, n);
+    let ckpt = match resume {
+        Some(saved) => {
+            saved.validate_for(&fresh.spec_hash, chaos_seed, n)?;
+            CampaignCheckpoint {
+                completed: saved.completed.clone(),
+                ledger: saved.ledger.clone(),
+                partials: saved.partials.clone(),
+                ..fresh
+            }
         }
-        None => (
-            JobBitmap::new(n),
-            ErrorLedger::new(),
-            AggregatePartials::default(),
-        ),
+        None => fresh,
     };
-    let pending: Vec<usize> = (0..n).filter(|&i| !bitmap.get(i)).collect();
+    let pending: Vec<usize> = (0..n).filter(|&i| !ckpt.completed.get(i)).collect();
     let skipped_resumed = n - pending.len();
     let m = pending.len();
 
     let (workers, worker_source) = worker_count(options.workers);
-    let workers = workers.min(m.max(1));
-    let cohort_size = spec.platform.cohort_size();
+    let workers = workers.min(m.div_ceil(BATCH_LANES).max(1));
     let mut state = EmitState {
         jobs: &jobs,
-        bitmap,
-        ledger,
-        partials,
+        ckpt,
         policy: options.checkpoint.as_ref(),
-        spec_hash_hex: hash_hex,
-        chaos_seed,
         emitted_this_segment: 0,
     };
-    let emitted = ordered_par_map(
-        m,
+    run_pending(
+        spec,
+        &jobs,
+        &pending,
+        monitor_factory,
+        options,
         workers,
-        options.cancel.as_deref(),
-        |k| {
-            let i = pending[k];
-            run_job_checked(spec, &jobs[i], monitor_factory, options, i, cohort_size)
-        },
-        |k, outcome| state.emit(pending[k], outcome, &mut sink),
+        |i, outcome| state.emit(i, outcome, &mut sink),
     )?;
 
-    let was_cancelled = emitted < m;
+    let was_cancelled = state.emitted_this_segment < m;
     // A final snapshot so the on-disk checkpoint always reflects the
     // end state (resuming a finished campaign is then a no-op).
     if let Some(policy) = options.checkpoint.as_ref() {
@@ -737,21 +785,22 @@ pub fn run_campaign_resumable(
             .emitted_this_segment
             .is_multiple_of(policy.every_jobs.max(1))
         {
-            state.snapshot().save(&policy.path)?;
+            state.ckpt.save(&policy.path)?;
         }
     }
 
+    let partials = state.ckpt.partials;
     Ok(CampaignReport {
         total_jobs: n,
         skipped_resumed,
-        completed_jobs: state.partials.completed_jobs,
-        failed_jobs: state.partials.failed_jobs,
-        hazardous_jobs: state.partials.hazardous_jobs,
-        digest: state.partials.digest.clone(),
+        completed_jobs: partials.completed_jobs,
+        failed_jobs: partials.failed_jobs,
+        hazardous_jobs: partials.hazardous_jobs,
+        digest: partials.digest,
         workers,
         worker_source,
         cancelled: was_cancelled,
-        ledger: state.ledger,
+        ledger: state.ckpt.ledger,
     })
 }
 
@@ -792,9 +841,10 @@ pub fn run_campaign_serial(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
 ) -> Vec<SimTrace> {
-    expand(spec)
+    campaign_jobs(spec)
         .iter()
-        .map(|j| run_job(spec, j, monitor_factory))
+        .map(|job| JobRun::new(spec, job, monitor_factory).run())
+        .map(|run| run.unwrap_or_else(|e| panic!("campaign job failed: {e}")))
         .collect()
 }
 
@@ -802,9 +852,10 @@ pub fn run_campaign_serial(
 /// deterministic job order** — into `sink(job_index, trace)` without
 /// ever materializing the full result vector.
 ///
-/// Jobs run on the [ordered executor](crate::exec), one job per unit,
-/// so peak buffering is O(workers), never O(campaign): paper-scale
-/// sweeps can score, aggregate, or persist traces as they arrive.
+/// Jobs run in lockstep blocks on the [ordered executor](crate::exec)
+/// (see the [module docs](self)), so peak buffering is O(workers),
+/// never O(campaign): paper-scale sweeps can score, aggregate, or
+/// persist traces as they arrive.
 ///
 /// [`run_campaign`] is a thin wrapper that collects this stream into a
 /// `Vec`; output order and contents are defined to equal
@@ -822,20 +873,31 @@ pub fn run_campaign_with(
 /// resolution). The workers-scaling sweep of `repro bench-campaign
 /// --sweep-workers` drives this directly so each sweep point runs at a
 /// pinned worker count.
+///
+/// # Panics
+///
+/// Panics on the calling thread when a job fails, after emitting the
+/// jobs before it; [`run_campaign_resumable`] reports failures instead.
 pub fn run_campaign_with_workers(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
     workers: Option<usize>,
     mut sink: impl FnMut(usize, SimTrace),
 ) {
-    let jobs = expand(spec);
-    let Ok(_) = ordered_par_map(
-        jobs.len(),
+    let jobs = campaign_jobs(spec);
+    let pending: Vec<usize> = (0..jobs.len()).collect();
+    let Ok(_) = run_pending(
+        spec,
+        &jobs,
+        &pending,
+        monitor_factory,
+        &CampaignOptions::default(),
         worker_count(workers).0,
-        None,
-        |i| run_job(spec, &jobs[i], monitor_factory),
-        |i, trace| -> Result<(), Infallible> {
-            sink(i, trace);
+        |i, outcome| -> Result<(), Infallible> {
+            match outcome {
+                JobOutcome::Completed(trace) => sink(i, trace),
+                JobOutcome::Failed { error, .. } => panic!("campaign job failed: {error}"),
+            }
             Ok(())
         },
     );
@@ -1155,5 +1217,224 @@ mod tests {
         assert!(report.cancelled);
         assert_eq!(seen, (0..5).collect::<Vec<_>>());
         assert_eq!(report.completed_jobs, 5);
+    }
+
+    /// Never alerts, like [`NullMonitor`] (whose name it takes, so its
+    /// traces equal a `NullMonitor` run), but panics at cycle 20 when
+    /// the commanded rate is pinned at `max`: the rate-max fault's
+    /// signature, so exactly one scenario per patient and BG panics.
+    struct PanicsOnMaxRate {
+        max: f64,
+    }
+
+    impl HazardMonitor for PanicsOnMaxRate {
+        fn name(&self) -> &str {
+            NullMonitor.name()
+        }
+
+        fn check(&mut self, input: &aps_core::monitors::MonitorInput) -> Option<aps_types::Hazard> {
+            assert!(
+                !(input.step == Step(20) && input.commanded.0 >= self.max),
+                "monitor failed at cycle 20"
+            );
+            None
+        }
+
+        fn observe_delivery(&mut self, _delivered: UnitsPerHour) {}
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn blocks_equal_the_per_job_reference() {
+        // Patient 12 is outside the cohort, and rate faults start at
+        // cycle 10, so the rate-max jobs (3 and 14) panic at cycle 20
+        // inside the first two blocks. Chaos perturbs a seeded share of
+        // the jobs; one attempt and two attempts both run, since a retry
+        // can hide a chaos plan mistaken for a clean lane.
+        let spec = CampaignSpec {
+            patient_indices: vec![0, 12],
+            initial_bgs: vec![120.0, 160.0],
+            faults: CampaignConfig {
+                starts: vec![10],
+                durations: vec![24],
+            },
+            fault_targets: vec!["rate".to_owned()],
+            steps: 40,
+            ..tiny_spec()
+        };
+        let platform = spec.platform;
+        let probe = platform.patients().remove(0);
+        let max = platform
+            .controller_for(probe.as_ref())
+            .state_vars()
+            .into_iter()
+            .find(|v| v.name == "rate")
+            .map(|v| v.max)
+            .unwrap();
+        let factory =
+            move |_: &ScenarioCtx| Box::new(PanicsOnMaxRate { max }) as Box<dyn HazardMonitor>;
+        let factory: &MonitorFactory<'_> = &factory;
+        let jobs = campaign_jobs(&spec);
+        let cohort_size = platform.cohort_size();
+        let max_rate = |i: &usize| {
+            let scenario = jobs[*i].scenario.as_ref();
+            scenario.is_some_and(|s| s.name().starts_with("max_rate"))
+        };
+        let panicking: Vec<usize> = (1..22).filter(max_rate).collect();
+        assert_eq!(panicking, [3, 14], "the rate-max lanes");
+
+        // Their lane-mates in the first two blocks equal the serial
+        // reference.
+        let serial = run_campaign_serial(
+            &CampaignSpec {
+                patient_indices: vec![0],
+                ..spec.clone()
+            },
+            Some(&|_: &ScenarioCtx| Box::new(NullMonitor) as Box<dyn HazardMonitor>),
+        );
+        let ft = run_campaign_ft(&spec, Some(factory), &CampaignOptions::default()).unwrap();
+        let mut lane_mates = 0;
+        for i in (0..2 * BATCH_LANES).filter(|i| !panicking.contains(i)) {
+            if let JobOutcome::Completed(trace) = &ft.outcomes[i] {
+                assert_eq!(trace, &serial[i], "lane-mate {i}");
+                lane_mates += 1;
+            }
+        }
+        assert_eq!(lane_mates, 2 * BATCH_LANES - 2);
+
+        for max_attempts in [1, 2] {
+            let base = CampaignOptions {
+                chaos: Some(ChaosConfig {
+                    max_delay_ms: 1,
+                    ..ChaosConfig::with_seed(9)
+                }),
+                retry: RetryPolicy {
+                    max_attempts,
+                    ..RetryPolicy::default()
+                },
+                ..CampaignOptions::default()
+            };
+
+            // The reference: every job on its own.
+            let reference: Vec<JobOutcome> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, job)| run_job_checked(&spec, job, Some(factory), &base, i, cohort_size))
+                .collect();
+            let mut ledger = ErrorLedger::new();
+            for (i, outcome) in reference.iter().enumerate() {
+                if let JobOutcome::Failed { error, attempts } = outcome {
+                    ledger.push(LedgerEntry {
+                        job_index: i,
+                        patient_idx: jobs[i].patient_idx,
+                        initial_bg: jobs[i].initial_bg,
+                        fault_name: jobs[i]
+                            .scenario
+                            .as_ref()
+                            .map(|s| s.name())
+                            .unwrap_or_default(),
+                        error: error.clone(),
+                        attempts: *attempts,
+                    });
+                }
+            }
+            let failed_with = |needle: &str| {
+                let mut errors = ledger.entries.iter().map(|e| e.error.to_string());
+                errors.any(|e| e.contains(needle))
+            };
+            assert!(failed_with("monitor failed at cycle 20"));
+            assert!(failed_with("out of range"));
+            assert!(failed_with(crate::chaos::INJECTED_PANIC_PREFIX));
+
+            for workers in [1, 2] {
+                let case = format!("attempts {max_attempts}, workers {workers}");
+                let options = CampaignOptions {
+                    workers: Some(workers),
+                    ..base.clone()
+                };
+                let ft = run_campaign_ft(&spec, Some(factory), &options).unwrap();
+                assert_eq!(ft.outcomes, reference, "{case}");
+                assert_eq!(ft.report.ledger, ledger, "{case}");
+                assert_eq!(ft.report.workers, workers);
+
+                // Kill at every checkpoint boundary (mid-block at every
+                // third job), resume, and get the uninterrupted run back.
+                let path = std::env::temp_dir().join(format!(
+                    "aps_block_ckpt_{}_{max_attempts}_{workers}.json",
+                    std::process::id()
+                ));
+                let options = CampaignOptions {
+                    checkpoint: Some(CheckpointPolicy {
+                        path: path.clone(),
+                        every_jobs: 3,
+                    }),
+                    ..options
+                };
+                for kill_at in (3..jobs.len()).step_by(3) {
+                    let cancel = Arc::new(AtomicBool::new(false));
+                    let killing = CampaignOptions {
+                        cancel: Some(Arc::clone(&cancel)),
+                        ..options.clone()
+                    };
+                    let mut emissions = Vec::new();
+                    let killed =
+                        run_campaign_resumable(&spec, Some(factory), &killing, None, |i, o| {
+                            emissions.push((i, o));
+                            if emissions.len() == kill_at {
+                                cancel.store(true, Ordering::Release);
+                            }
+                        })
+                        .unwrap();
+                    assert!(killed.cancelled, "{case}, kill at {kill_at}");
+                    assert_eq!(emissions.len(), kill_at, "{case}, kill at {kill_at}");
+                    let snapshot = CampaignCheckpoint::load(&path).unwrap();
+                    assert_eq!(snapshot.completed.count(), kill_at);
+                    let resumed = run_campaign_resumable(
+                        &spec,
+                        Some(factory),
+                        &options,
+                        Some(&snapshot),
+                        |i, o| emissions.push((i, o)),
+                    )
+                    .unwrap();
+                    let (order, outcomes): (Vec<usize>, Vec<JobOutcome>) =
+                        emissions.into_iter().unzip();
+                    assert_eq!(order, (0..jobs.len()).collect::<Vec<_>>());
+                    assert_eq!(outcomes, reference, "{case}, kill at {kill_at}");
+                    assert_eq!(resumed.ledger, ledger, "{case}, kill at {kill_at}");
+                    assert_eq!(
+                        resumed.digest, ft.report.digest,
+                        "{case}, kill at {kill_at}"
+                    );
+                }
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+
+        // Workers beyond the number of blocks are not started.
+        let options = CampaignOptions {
+            workers: Some(8),
+            ..CampaignOptions::default()
+        };
+        let wide = run_campaign_ft(&spec, Some(factory), &options).unwrap();
+        assert_eq!(wide.report.workers, jobs.len().div_ceil(BATCH_LANES));
+
+        // A deadline is a per-job clock: no job may share a block's.
+        let options = CampaignOptions {
+            deadline: Some(Duration::ZERO),
+            ..CampaignOptions::default()
+        };
+        let late = run_campaign_ft(&tiny_spec(), None, &options).unwrap();
+        assert_eq!(late.report.completed_jobs, 0);
+        let mut errors = late.report.ledger.entries.iter().map(|e| &e.error);
+        assert!(errors.all(|e| matches!(e, SimError::DeadlineExceeded { .. })));
+
+        // The non-resumable executor runs the same blocks and panics on
+        // the first failed job.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_campaign_with_workers(&spec, Some(factory), Some(2), |_, _| {});
+        }));
+        assert!(run.is_err(), "a failed job must panic");
     }
 }

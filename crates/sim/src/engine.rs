@@ -2,8 +2,8 @@
 //!
 //! Every run executes [`run_lanes`] over `L` lanes: a
 //! [`Session`](crate::session::Session), the positional
-//! [`closed_loop::run`](crate::closed_loop::run), and a scalar
-//! campaign job are its one-lane instance ([`run_one`] puts the patient
+//! [`closed_loop::run`](crate::closed_loop::run), and a campaign job
+//! run on its own are its one-lane instance ([`run_one`] puts the patient
 //! behind a [`BatchedPatientSim<1>`] adapter), and a lockstep block of
 //! [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs is its batched
 //! instance over a structure-of-arrays physics bank. Only physics is

@@ -1,12 +1,12 @@
 //! The ordered parallel executor behind every campaign and replay path.
 //!
-//! The scalar, batched and fault-tolerant campaign executors and the
-//! offline monitor replay all run on one crate-private helper,
-//! `ordered_par_map(n, workers, cancel, work, emit)`. It runs
-//! `work(k)` for every unit `k` in `0..n` on scoped worker threads and
-//! hands each result to `emit(k, result)` on the calling thread. A unit
-//! is whatever the caller makes it: a campaign job, a block of
-//! [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs, or a recorded trace.
+//! The campaign executor and the offline monitor replay both run on
+//! one crate-private helper, `ordered_par_map(n, workers, cancel, work,
+//! emit)`. It runs `work(k)` for every unit `k` in `0..n` on scoped
+//! worker threads and hands each result to `emit(k, result)` on the
+//! calling thread. A unit is whatever the caller makes it: a block of
+//! up to [`BATCH_LANES`](crate::batch::BATCH_LANES) campaign jobs, or a
+//! recorded trace.
 //! Every caller therefore shares one contract:
 //!
 //! * **Order.** `emit` sees the units strictly in index order, `0, 1,
@@ -53,6 +53,15 @@ impl Drop for StopOnPanic<'_> {
     }
 }
 
+/// Whether the cancel flag is present and raised.
+pub(crate) fn is_cancelled(cancel: Option<&AtomicBool>) -> bool {
+    // sound: Acquire pairs with the canceller's Release store, so a
+    // reader that sees the flag also sees what the canceller wrote
+    // before raising it; a stale read only lets one more unit be
+    // claimed or one more result be emitted, and both stay a prefix.
+    cancel.is_some_and(|c| c.load(Ordering::Acquire))
+}
+
 /// Runs `work(k)` for each unit `k` in `0..n` on up to `workers`
 /// threads and calls `emit(k, result)` on the calling thread in index
 /// order, under the ordering, bounded-memory, cancellation and abort
@@ -72,11 +81,7 @@ pub(crate) fn ordered_par_map<T: Send, E>(
     work: impl Fn(usize) -> T + Sync,
     mut emit: impl FnMut(usize, T) -> Result<(), E>,
 ) -> Result<usize, E> {
-    // sound: Acquire pairs with the canceller's Release store, so a
-    // worker that sees the flag also sees what the canceller wrote
-    // before raising it; a stale read only lets one more unit be
-    // claimed, and claims stay a prefix either way.
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Acquire));
+    let cancelled = || is_cancelled(cancel);
     let workers = workers.min(n);
     if workers <= 1 {
         for k in 0..n {

@@ -14,21 +14,22 @@
 //!   same cycle, one optional monitor;
 //! * the private `engine` module — the one closed-loop cycle every run
 //!   executes, generic over its lane count: sessions, positional runs
-//!   and scalar campaign jobs are its one-lane instance, a batched
-//!   block its [`batch::BATCH_LANES`]-lane instance;
+//!   and the serial reference's campaign jobs are its one-lane
+//!   instance, a campaign block its [`batch::BATCH_LANES`]-lane
+//!   instance;
 //! * [`platform::Platform`] — the two evaluation platforms (OpenAPS +
 //!   Glucosym-style, Basal-Bolus + UVA-Padova-style);
-//! * [`batch`] — the batched lockstep campaign engine: blocks of
-//!   [`batch::BATCH_LANES`] jobs share one structure-of-arrays
-//!   physics bank ([`batch::run_block`]) and run the same cycle with
-//!   one lane per job; workers claim whole blocks
-//!   ([`batch::run_campaign_batched_with`]), bit-identical to the
-//!   scalar executors;
+//! * [`batch`] — the batched lockstep engine: a block of
+//!   [`batch::BATCH_LANES`] jobs shares one structure-of-arrays
+//!   physics bank ([`batch::run_block`]) and runs the same cycle with
+//!   one lane per job, bit-identical to running each job alone;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
-//!   patients × initial BG × scenarios, multi-threaded), with
-//!   bounded-memory streaming sinks ([`campaign::run_campaign_with`])
+//!   patients × initial BG × scenarios, multi-threaded). Its one
+//!   engine claims blocks of jobs and runs each through
+//!   [`batch::run_block`] under per-job fault isolation, behind the
+//!   bounded-memory streaming sink ([`campaign::run_campaign_with`])
 //!   and the fault-tolerant path
-//!   ([`campaign::run_campaign_resumable`]): panic-isolated workers,
+//!   ([`campaign::run_campaign_resumable`]): panic-isolated jobs,
 //!   retry with bounded backoff, and checkpoint/resume;
 //! * [`exec`] — the one ordered parallel executor under every
 //!   campaign and replay path, and its ordering and bounded-memory

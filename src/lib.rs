@@ -73,10 +73,12 @@
 //! patient ODE and a monitor 150 times. The campaign hot path is
 //! engineered accordingly:
 //!
-//! * **Batched lockstep stepping (SoA lanes)** — the campaign inner
-//!   loop ([`sim::batch::run_campaign_batched`]) claims *blocks* of
-//!   [`sim::batch::BATCH_LANES`] = 8 scenario jobs and steps them in
-//!   lockstep through structure-of-arrays compartment banks
+//! * **Batched lockstep stepping (SoA lanes)** — every campaign
+//!   executor ([`sim::campaign::run_campaign_with`] and the
+//!   fault-tolerant [`sim::campaign::run_campaign_resumable`] alike)
+//!   claims *blocks* of [`sim::batch::BATCH_LANES`] = 8 scenario jobs
+//!   and steps them in lockstep ([`sim::batch::run_block`]) through
+//!   structure-of-arrays compartment banks
 //!   (`BatchedBergman` / `BatchedDallaMan`: one `[f64; LANES]` row per
 //!   ODE compartment) integrated by a single
 //!   [`glucose::ode::BatchedRk4Scratch`] pass whose stage math is
@@ -118,8 +120,8 @@
 //!   [`glucose::iob::IobEstimator::set_basal_baseline`] is cached
 //!   process-wide per curve (it used to dominate controller
 //!   construction at ~500 `exp` calls per job).
-//! * **One ordered streaming executor** — the scalar, batched and
-//!   fault-tolerant campaigns and offline monitor replay all run on
+//! * **One ordered streaming executor** — the campaign engine and
+//!   offline monitor replay both run on
 //!   [`sim::exec`], which emits results into a caller-supplied sink in
 //!   deterministic order with O(workers) memory, so paper-scale sweeps
 //!   stream ([`sim::campaign::run_campaign_with`]);
@@ -146,21 +148,24 @@
 //!
 //! The measured baseline lives in `BENCH_campaign.json` (quick
 //! campaign: 62 runs × 150 steps, one core; seed-faithful hot path vs
-//! current — ≈3.4× at PR 1, ≈4.8× at PR 2, and at PR 8 ≈10× for the
-//! scalar path and ≈15.3× for the batched engine, i.e. batched ≈1.55×
-//! over the optimized scalar path). The report also records a
-//! workers-scaling sweep (scalar and batched throughput at 1/2/4/…
-//! pinned workers). Regenerate it with:
+//! current). The committed report was recorded while two executors
+//! existed: ≈10× for one job at a time (`speedup`) and ≈15.3× for
+//! lockstep blocks (`batched_speedup`). Every executor now runs
+//! blocks, so `repro bench-campaign` times the one campaign executor
+//! ([`sim::campaign::run_campaign`]). The report also records a
+//! workers-scaling sweep (its throughput at 1/2/4/… pinned workers).
+//! Regenerate it with:
 //!
 //! ```text
 //! cargo run --release -p aps-bench --bin repro -- \
 //!     bench-campaign --sweep-workers
 //! ```
 //!
-//! CI re-measures this every run and **fails below 80% of the
-//! committed scalar *or* batched speedup** (`bench-campaign
-//! --sweep-workers --guard <committed.json>`). Compare executors and
-//! steppers microscopically with:
+//! CI re-measures this every run and **fails below 80% of the best
+//! committed speedup** — the larger of `speedup` and
+//! `batched_speedup` (`bench-campaign --sweep-workers --guard
+//! <committed.json>`). Compare executors and steppers microscopically
+//! with:
 //!
 //! ```text
 //! cargo bench -p aps-bench --bench campaign_throughput
@@ -173,13 +178,17 @@
 //! philosophy the paper applies to the APS control loop, applied to
 //! the harness itself. The hardened executor
 //! ([`sim::campaign::run_campaign_resumable`] and its collecting
-//! wrapper [`sim::campaign::run_campaign_ft`]) guarantees:
+//! wrapper [`sim::campaign::run_campaign_ft`]) runs the same lockstep
+//! blocks as every other campaign executor and guarantees, per job:
 //!
-//! * **Isolation** — every job runs behind `catch_unwind` with its
-//!   fault spec validated first ([`fault::FaultScenario::validate`])
-//!   and its ODE state checked for finiteness after every control
-//!   cycle ([`glucose::PatientSim::state_is_finite`]; the RK4 stepper
-//!   itself rejects non-finite states via
+//! * **Isolation** — every job is validated first
+//!   ([`fault::FaultScenario::validate`]) and runs behind
+//!   `catch_unwind`, as a lane of a block or, when the block cannot
+//!   hold it (invalid spec, chaos plan, deadline) or the block failed
+//!   or panicked, on its own from attempt 1, so the blame lands on the
+//!   exact job. Its ODE state is checked for finiteness after every
+//!   control cycle ([`glucose::PatientSim::state_is_finite`]; the RK4
+//!   stepper itself rejects non-finite states via
 //!   [`glucose::ode::Rk4Scratch::try_integrate`]). A panic, a
 //!   diverging model, an invalid spec, or a per-job deadline overrun
 //!   becomes a typed [`sim::outcome::SimError`], never a torn-down
@@ -514,9 +523,7 @@ pub mod prelude {
     };
     pub use aps_risk::{LabelConfig, RiskSample, RiskTracker};
     pub use aps_service::{Client, JobManifest, ServiceConfig};
-    pub use aps_sim::batch::{
-        run_block, run_campaign_batched, run_campaign_batched_with, BATCH_LANES,
-    };
+    pub use aps_sim::batch::{run_block, BATCH_LANES};
     pub use aps_sim::campaign::{
         campaign_jobs, campaign_size, run_campaign, run_campaign_ft, run_campaign_resumable,
         run_campaign_with, CampaignJob, CampaignOptions, CampaignReport, CampaignSpec,

@@ -55,12 +55,12 @@ fn batched_campaign_equals_serial_on_both_platforms() {
         );
 
         let serial = run_campaign_serial(&spec, None);
-        let batched = run_campaign_batched(&spec, None);
+        let batched = run_campaign(&spec, None);
         assert_eq!(serial, batched, "batched engine diverged on {platform:?}");
 
         let factory = caw_factory();
         let serial_m = run_campaign_serial(&spec, Some(factory.as_ref()));
-        let batched_m = run_campaign_batched(&spec, Some(factory.as_ref()));
+        let batched_m = run_campaign(&spec, Some(factory.as_ref()));
         assert_eq!(serial_m, batched_m, "monitored engines diverged");
 
         // Alert-driven mitigation (fixed Algorithm-1 and context-aware
@@ -87,7 +87,7 @@ fn batched_campaign_equals_serial_on_both_platforms() {
         for variant in &variants {
             let serial_v = run_campaign_serial(variant, Some(factory.as_ref()));
             assert_ne!(serial_v, serial_m, "variant must change the corpus");
-            let batched_v = run_campaign_batched(variant, Some(factory.as_ref()));
+            let batched_v = run_campaign(variant, Some(factory.as_ref()));
             assert_eq!(
                 serial_v, batched_v,
                 "batched engine diverged on {platform:?} (mitigate {}, context {}, noise {})",
@@ -109,7 +109,7 @@ fn batched_campaign_equals_serial_on_extended_fault_alphabet() {
             ..CampaignSpec::extended(platform)
         };
         let serial = run_campaign_serial(&spec, None);
-        let batched = run_campaign_batched(&spec, None);
+        let batched = run_campaign(&spec, None);
         assert_eq!(
             serial, batched,
             "extended-fault batched engine diverged on {platform:?}"
@@ -130,7 +130,7 @@ fn batched_streaming_sink_preserves_job_order() {
     let serial = run_campaign_serial(&spec, None);
     let mut indices = Vec::new();
     let mut traces = Vec::new();
-    run_campaign_batched_with(&spec, None, |i, trace| {
+    run_campaign_with(&spec, None, |i, trace| {
         indices.push(i);
         traces.push(trace);
     });
@@ -221,7 +221,7 @@ proptest! {
                 ..CampaignSpec::quick(platform)
             };
             let serial = run_campaign_serial(&spec, None);
-            let batched = run_campaign_batched(&spec, None);
+            let batched = run_campaign(&spec, None);
             prop_assert_eq!(&serial, &batched, "diverged on {:?}", platform);
         }
     }

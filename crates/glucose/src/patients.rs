@@ -103,7 +103,7 @@ pub fn t1ds_cohort() -> Vec<BoxedPatient> {
 // per job and steps it in place; the size skew is a few hundred stack
 // bytes, while a Box would put a pointer-chase in the scalar hot path.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CohortPatient {
     /// A Glucosym-style Bergman/GIM patient.
     Bergman(BergmanPatient),
@@ -127,22 +127,6 @@ impl CohortPatient {
             CohortPatient::DallaMan(p) => p,
         }
     }
-}
-
-/// [`glucosym_cohort`] without type erasure.
-pub fn glucosym_cohort_concrete() -> Vec<CohortPatient> {
-    glucosym_params()
-        .into_iter()
-        .map(|p| CohortPatient::Bergman(BergmanPatient::new(p)))
-        .collect()
-}
-
-/// [`t1ds_cohort`] without type erasure.
-pub fn t1ds_cohort_concrete() -> Vec<CohortPatient> {
-    t1ds_params()
-        .into_iter()
-        .map(|p| CohortPatient::DallaMan(DallaManPatient::new(p)))
-        .collect()
 }
 
 /// Looks up a patient by qualified name (e.g. `"glucosym/patientC"`).

@@ -10,7 +10,9 @@
 //! the auto-vectorizer turns into SIMD).
 //!
 //! Only the physics is batched. [`run_block`] sets each job up exactly
-//! as a scalar run is set up, loads the patients into the bank, and
+//! as a scalar run is set up — cloning its patient and basal rate from
+//! the campaign's [`Cohort`] template, where the serial reference
+//! builds them afresh — loads the patients into the bank, and
 //! hands the bank to the closed-loop cycle every engine shares; a
 //! scalar run is that same cycle with one lane. Controller, CGM, pump,
 //! monitor, injector, mitigation and trace recording are each lane's
@@ -34,7 +36,7 @@
 //! surfaces as that job's [`SimError::NonFinite`], and — because
 //! nothing crosses lanes — never poisons its lane-mates.
 
-use crate::campaign::{CampaignJob, CampaignSpec, JobRun, MonitorFactory};
+use crate::campaign::{CampaignJob, CampaignSpec, Cohort, JobRun, MonitorFactory};
 use crate::engine::{run_lanes, Lane};
 use crate::outcome::SimError;
 use aps_glucose::bergman::BatchedBergman;
@@ -55,7 +57,8 @@ pub const BATCH_LANES: usize = 8;
 /// Runs a block of up to `LANES` campaign jobs in lockstep, returning
 /// one result per job in job order — each bit-identical to what the
 /// scalar [`run_campaign_serial`](crate::campaign::run_campaign_serial)
-/// path produces for that job.
+/// path produces for that job. Each job's patient and basal rate are
+/// copied from `cohort`, the template of `spec.platform`'s cohort.
 ///
 /// Ragged blocks (fewer jobs than lanes) pad the unused lanes with a
 /// copy of the first job's patient under a zero insulin rate; padding
@@ -64,9 +67,11 @@ pub const BATCH_LANES: usize = 8;
 /// # Panics
 ///
 /// Panics when `jobs` is empty, longer than `LANES`, or names a
-/// patient index outside the platform's cohort.
+/// patient index outside the platform's cohort, or when `cohort`
+/// belongs to another platform than `spec`.
 pub fn run_block<const LANES: usize>(
     spec: &CampaignSpec,
+    cohort: &Cohort,
     jobs: &[CampaignJob],
     monitor_factory: Option<&MonitorFactory<'_>>,
 ) -> Vec<Result<SimTrace, SimError>> {
@@ -76,9 +81,14 @@ pub fn run_block<const LANES: usize>(
         "block of {} jobs exceeds {LANES} lanes",
         jobs.len()
     );
+    assert_eq!(
+        cohort.platform(),
+        spec.platform,
+        "cohort of another platform"
+    );
     let mut runs: Vec<JobRun> = jobs
         .iter()
-        .map(|job| JobRun::new(spec, job, monitor_factory))
+        .map(|job| JobRun::new(spec, job, cohort.member(job.patient_idx), monitor_factory))
         .collect();
     for run in &mut runs {
         run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
@@ -134,7 +144,8 @@ mod tests {
         };
         let jobs = campaign_jobs(&spec);
         let serial = run_campaign_serial(&spec, None);
-        let block = run_block::<4>(&spec, &jobs[..4], None);
+        let cohort = Cohort::new(spec.platform);
+        let block = run_block::<4>(&spec, &cohort, &jobs[..4], None);
         for (l, res) in block.into_iter().enumerate() {
             assert_eq!(res.unwrap(), serial[l], "lane {l} diverged");
         }
@@ -150,7 +161,8 @@ mod tests {
         let jobs = campaign_jobs(&spec);
         let serial = run_campaign_serial(&spec, None);
         // 3 jobs in an 8-lane block: 5 padding lanes.
-        let block = run_block::<8>(&spec, &jobs[..3], None);
+        let cohort = Cohort::new(spec.platform);
+        let block = run_block::<8>(&spec, &cohort, &jobs[..3], None);
         assert_eq!(block.len(), 3);
         for (l, res) in block.into_iter().enumerate() {
             assert_eq!(res.unwrap(), serial[l], "lane {l} diverged");

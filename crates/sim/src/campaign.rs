@@ -21,6 +21,16 @@
 //! ledger, digest and retries equal running each job alone, as
 //! [`run_campaign_serial`] does.
 //!
+//! # Job set-up
+//!
+//! A job's patient and its controller basal rate are a pure function
+//! of `(platform, patient_idx)`. Every executor therefore builds the
+//! platform's [`Cohort`] once per campaign segment — each member's
+//! patient, with its basal solved once — and sets each job up by
+//! cloning its member. The serial reference builds each job's patient,
+//! basal and controller afresh, so the equivalence suites compare a
+//! cloned template against an independent build.
+//!
 //! # Fault tolerance
 //!
 //! [`run_campaign_resumable`] (and its collecting wrapper
@@ -184,12 +194,18 @@ type Job = CampaignJob;
 /// [`run_campaign`] executes exactly this list, in this order.
 pub fn campaign_jobs(spec: &CampaignSpec) -> Vec<CampaignJob> {
     let platform = spec.platform;
-    let probe = platform.patients().remove(0);
-    let all = if spec.extended_faults {
-        platform.injection_targets_extended(probe.as_ref())
-    } else {
-        platform.injection_targets(probe.as_ref())
-    };
+    // The first cohort member probes the controller's injectable
+    // variables and their ranges.
+    let all = platform
+        .patient(0)
+        .map(|probe| {
+            if spec.extended_faults {
+                platform.injection_targets_extended(probe.as_ref())
+            } else {
+                platform.injection_targets(probe.as_ref())
+            }
+        })
+        .unwrap_or_default();
     let targets: Vec<_> = if spec.fault_targets.is_empty() {
         // The platform's primary input/state/output trio.
         all.into_iter()
@@ -228,6 +244,61 @@ pub fn campaign_size(spec: &CampaignSpec) -> usize {
     campaign_jobs(spec).len()
 }
 
+/// Every member of one platform's cohort, built once per campaign:
+/// the template campaign jobs are set up from.
+///
+/// A member is a concrete patient together with its controller basal
+/// rate, solved once ([`Platform::basal_for`]). Setting a job up clones
+/// its patient and builds the controller around the cached basal
+/// ([`Platform::controller_with_basal`]), which equals building both
+/// from scratch bit for bit. Every executor builds one per campaign
+/// segment; [`run_campaign_serial`] builds each job's patient, basal
+/// and controller afresh instead, so it stays an independent oracle.
+#[derive(Debug)]
+pub struct Cohort {
+    platform: Platform,
+    members: Vec<(CohortPatient, UnitsPerHour)>,
+}
+
+impl Cohort {
+    /// Builds every member of `platform`'s cohort and solves its basal.
+    pub fn new(platform: Platform) -> Cohort {
+        let members = (0..)
+            .map_while(|i| platform.concrete_patient(i))
+            .map(|p| {
+                let basal = platform.basal_for(p.as_dyn());
+                (p, basal)
+            })
+            .collect();
+        Cohort { platform, members }
+    }
+
+    /// The platform whose cohort this is.
+    pub(crate) fn platform(&self) -> Platform {
+        self.platform
+    }
+
+    /// Number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// A copy of member `index`'s patient, and its basal rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is outside the cohort (the campaign
+    /// executors validate every job first and run an invalid one only
+    /// on the per-job path, which reports it).
+    pub(crate) fn member(&self, index: usize) -> (CohortPatient, UnitsPerHour) {
+        let (patient, basal) = self
+            .members
+            .get(index)
+            .unwrap_or_else(|| panic!("patient index {index} out of cohort range"));
+        (patient.clone(), *basal)
+    }
+}
+
 /// One campaign job's closed loop, set up from the spec: the same
 /// setup whether the job runs alone ([`JobRun::run`]) or as a lane of
 /// a lockstep block ([`crate::batch::run_block`]).
@@ -241,27 +312,20 @@ pub(crate) struct JobRun {
 }
 
 impl JobRun {
-    /// Builds the job's patient, controller, monitor, injector and loop
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the job's patient index is outside the platform's
-    /// cohort (the campaign executors validate every job first and
-    /// run an invalid one only on the per-job path, which reports it).
+    /// Builds the job's controller, monitor, injector and loop
+    /// configuration around its patient and that patient's basal rate
+    /// (a [`Cohort`] member, or built afresh by the serial reference).
     pub(crate) fn new(
         spec: &CampaignSpec,
         job: &Job,
+        (patient, basal): (CohortPatient, UnitsPerHour),
         monitor_factory: Option<&MonitorFactory<'_>>,
     ) -> JobRun {
         let platform = spec.platform;
-        let patient = platform
-            .concrete_patient(job.patient_idx)
-            .unwrap_or_else(|| panic!("patient index {} out of cohort range", job.patient_idx));
         let p = patient.as_dyn();
         let ctx = ScenarioCtx {
             patient: p.name().to_owned(),
-            basal: platform.basal_for(p),
+            basal,
             target: platform.target(),
             max_rate: platform.max_mitigation_rate(p),
         };
@@ -276,7 +340,7 @@ impl JobRun {
             ..LoopConfig::default()
         };
         JobRun {
-            controller: platform.controller_for(p),
+            controller: platform.controller_with_basal(basal),
             monitor: monitor_factory.map(|f| f(&ctx)),
             injector: job.scenario.clone().map(FaultInjector::new),
             config,
@@ -478,8 +542,9 @@ fn poisoned_scenario() -> FaultScenario {
     FaultScenario::new("", FaultKind::Scale(f64::NAN), Step(0), 1)
 }
 
-/// Validates a job before simulation: a patient index inside the
-/// cohort, finite initial BG and a structurally valid scenario.
+/// Validates a job before simulation: a patient index inside a cohort
+/// of `cohort_size`, finite initial BG and a structurally valid
+/// scenario.
 fn validate_job(job: &Job, cohort_size: usize) -> Result<(), SimError> {
     if job.patient_idx >= cohort_size {
         return Err(SimError::InvalidSpec {
@@ -507,11 +572,11 @@ fn validate_job(job: &Job, cohort_size: usize) -> Result<(), SimError> {
 /// and retries under the options' [`RetryPolicy`].
 fn run_job_checked(
     spec: &CampaignSpec,
+    cohort: &Cohort,
     job: &Job,
     monitor_factory: Option<&MonitorFactory<'_>>,
     options: &CampaignOptions,
     job_index: usize,
-    cohort_size: usize,
 ) -> JobOutcome {
     let mut attempt: u32 = 1;
     loop {
@@ -541,8 +606,9 @@ fn run_job_checked(
                     crate::chaos::INJECTED_PANIC_PREFIX
                 );
             }
-            validate_job(job_ref, cohort_size)?;
-            JobRun::new(spec, job_ref, monitor_factory).run()
+            validate_job(job_ref, cohort.len())?;
+            let member = cohort.member(job_ref.patient_idx);
+            JobRun::new(spec, job_ref, member, monitor_factory).run()
         }))
         .unwrap_or_else(|payload| {
             Err(SimError::Panicked {
@@ -585,15 +651,15 @@ fn run_job_checked(
 /// [`run_job_checked`] from attempt 1.
 fn run_block_checked(
     spec: &CampaignSpec,
+    cohort: &Cohort,
     jobs: &[Job],
     block: &[usize],
     monitor_factory: Option<&MonitorFactory<'_>>,
     options: &CampaignOptions,
-    cohort_size: usize,
 ) -> Vec<JobOutcome> {
     let clean = |i: usize| {
         options.deadline.is_none()
-            && validate_job(&jobs[i], cohort_size).is_ok()
+            && validate_job(&jobs[i], cohort.len()).is_ok()
             && options
                 .chaos
                 .as_ref()
@@ -604,7 +670,7 @@ fn run_block_checked(
     if !lanes.is_empty() {
         let lane_jobs: Vec<Job> = lanes.iter().map(|&k| jobs[block[k]].clone()).collect();
         let run = catch_unwind(AssertUnwindSafe(|| {
-            run_block::<BATCH_LANES>(spec, &lane_jobs, monitor_factory)
+            run_block::<BATCH_LANES>(spec, cohort, &lane_jobs, monitor_factory)
         }));
         for (&k, result) in lanes.iter().zip(run.into_iter().flatten()) {
             outcomes[k] = result.ok().map(JobOutcome::Completed);
@@ -615,7 +681,7 @@ fn run_block_checked(
         .zip(block)
         .map(|(outcome, &i)| {
             outcome.unwrap_or_else(|| {
-                run_job_checked(spec, &jobs[i], monitor_factory, options, i, cohort_size)
+                run_job_checked(spec, cohort, &jobs[i], monitor_factory, options, i)
             })
         })
         .collect()
@@ -624,7 +690,8 @@ fn run_block_checked(
 /// Runs the `pending` jobs in blocks of [`BATCH_LANES`] on the
 /// [ordered executor](crate::exec) and hands each outcome to
 /// `emit(job_index, outcome)` in job order. Once `options.cancel` is
-/// raised, outcomes not yet emitted are dropped.
+/// raised, outcomes not yet emitted are dropped. Every job is set up
+/// from one [`Cohort`] template, built here.
 fn run_pending<E>(
     spec: &CampaignSpec,
     jobs: &[Job],
@@ -634,14 +701,14 @@ fn run_pending<E>(
     workers: usize,
     mut emit: impl FnMut(usize, JobOutcome) -> Result<(), E>,
 ) -> Result<(), E> {
-    let cohort_size = spec.platform.cohort_size();
+    let cohort = Cohort::new(spec.platform);
     let cancel = options.cancel.as_deref();
     let blocks: Vec<&[usize]> = pending.chunks(BATCH_LANES).collect();
     ordered_par_map(
         blocks.len(),
         workers,
         cancel,
-        |b| run_block_checked(spec, jobs, blocks[b], monitor_factory, options, cohort_size),
+        |b| run_block_checked(spec, &cohort, jobs, blocks[b], monitor_factory, options),
         |b, outcomes| {
             for (&i, outcome) in blocks[b].iter().zip(outcomes) {
                 if is_cancelled(cancel) {
@@ -837,13 +904,24 @@ pub fn run_campaign_ft(
 /// reference executor: [`run_campaign`] is defined to produce exactly
 /// this output. It is also the pre-optimization baseline measured by
 /// the `campaign_throughput` benchmark.
+///
+/// Every job builds its own patient, basal rate and controller from
+/// scratch instead of cloning a [`Cohort`] template, so the executors'
+/// shared set-up is checked against an independent one.
 pub fn run_campaign_serial(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
 ) -> Vec<SimTrace> {
+    let platform = spec.platform;
     campaign_jobs(spec)
         .iter()
-        .map(|job| JobRun::new(spec, job, monitor_factory).run())
+        .map(|job| {
+            let patient = platform
+                .concrete_patient(job.patient_idx)
+                .unwrap_or_else(|| panic!("patient index {} out of cohort range", job.patient_idx));
+            let basal = platform.basal_for(patient.as_dyn());
+            JobRun::new(spec, job, (patient, basal), monitor_factory).run()
+        })
         .map(|run| run.unwrap_or_else(|e| panic!("campaign job failed: {e}")))
         .collect()
 }
@@ -1054,6 +1132,41 @@ mod tests {
         });
         assert_eq!(indices, (0..serial.len()).collect::<Vec<_>>());
         assert_eq!(streamed, serial);
+    }
+
+    #[test]
+    fn cohort_template_equals_a_fresh_build() {
+        for platform in Platform::ALL {
+            let cohort = Cohort::new(platform);
+            assert_eq!(cohort.len(), platform.cohort_size());
+            for i in 0..cohort.len() {
+                let case = format!("{} patient {i}", platform.name());
+                let (template, basal) = cohort.member(i);
+                let fresh = platform.concrete_patient(i).unwrap();
+                let solved = platform.basal_for(fresh.as_dyn());
+                assert_eq!(basal.value().to_bits(), solved.value().to_bits(), "{case}");
+                for bg in [80.0, 120.0, 157.3, 200.0] {
+                    let (mut copy, mut built) = (template.clone(), fresh.clone());
+                    copy.as_dyn_mut().reset(MgDl(bg));
+                    built.as_dyn_mut().reset(MgDl(bg));
+                    assert_eq!(copy, built, "{case}, bg {bg}");
+                }
+                let mut cached = platform.controller_with_basal(basal);
+                let mut from_scratch = platform.controller_for(fresh.as_dyn());
+                for k in 0..20 {
+                    let bg = MgDl(70.0 + 9.5 * k as f64);
+                    let a = cached.decide(Step(k), bg);
+                    let b = from_scratch.decide(Step(k), bg);
+                    assert_eq!(
+                        a.value().to_bits(),
+                        b.value().to_bits(),
+                        "{case}, cycle {k}"
+                    );
+                    cached.observe_delivery(a);
+                    from_scratch.observe_delivery(b);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1276,7 +1389,7 @@ mod tests {
             move |_: &ScenarioCtx| Box::new(PanicsOnMaxRate { max }) as Box<dyn HazardMonitor>;
         let factory: &MonitorFactory<'_> = &factory;
         let jobs = campaign_jobs(&spec);
-        let cohort_size = platform.cohort_size();
+        let cohort = Cohort::new(platform);
         let max_rate = |i: &usize| {
             let scenario = jobs[*i].scenario.as_ref();
             scenario.is_some_and(|s| s.name().starts_with("max_rate"))
@@ -1320,7 +1433,7 @@ mod tests {
             let reference: Vec<JobOutcome> = jobs
                 .iter()
                 .enumerate()
-                .map(|(i, job)| run_job_checked(&spec, job, Some(factory), &base, i, cohort_size))
+                .map(|(i, job)| run_job_checked(&spec, &cohort, job, Some(factory), &base, i))
                 .collect();
             let mut ledger = ErrorLedger::new();
             for (i, outcome) in reference.iter().enumerate() {

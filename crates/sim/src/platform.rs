@@ -4,7 +4,10 @@ use aps_controllers::basal_bolus::{BasalBolusController, BasalBolusProfile};
 use aps_controllers::oref0::{Oref0Controller, Oref0Profile};
 use aps_controllers::Controller;
 use aps_fault::InjectionTarget;
-use aps_glucose::{patients, BoxedPatient, PatientSim};
+use aps_glucose::bergman::BergmanPatient;
+use aps_glucose::dalla_man::DallaManPatient;
+use aps_glucose::patients::{self, CohortPatient};
+use aps_glucose::{BoxedPatient, PatientSim};
 use aps_types::{MgDl, UnitsPerHour};
 use serde::{Deserialize, Serialize};
 
@@ -41,8 +44,10 @@ impl Platform {
 
     /// One cohort member by index (`None` when out of range).
     pub fn patient(&self, index: usize) -> Option<BoxedPatient> {
-        let mut cohort = self.patients();
-        (index < cohort.len()).then(|| cohort.swap_remove(index))
+        Some(match self.concrete_patient(index)? {
+            CohortPatient::Bergman(p) => Box::new(p),
+            CohortPatient::DallaMan(p) => Box::new(p),
+        })
     }
 
     /// One cohort member by index without type erasure — the form a
@@ -50,23 +55,37 @@ impl Platform {
     /// into the matching structure-of-arrays bank. Indexing matches
     /// [`patients`](Platform::patients) order (the order campaign jobs
     /// reference by `patient_idx`).
-    pub fn concrete_patient(&self, index: usize) -> Option<patients::CohortPatient> {
-        let mut cohort = match self {
-            Platform::GlucosymOref0 => patients::glucosym_cohort_concrete(),
-            Platform::T1dsBasalBolus => patients::t1ds_cohort_concrete(),
-        };
-        (index < cohort.len()).then(|| cohort.swap_remove(index))
+    ///
+    /// The cohort's parameter list is drawn in full (its seeded stream
+    /// is sequential), but only member `index` is built.
+    pub fn concrete_patient(&self, index: usize) -> Option<CohortPatient> {
+        match self {
+            Platform::GlucosymOref0 => patients::glucosym_params()
+                .into_iter()
+                .nth(index)
+                .map(|p| CohortPatient::Bergman(BergmanPatient::new(p))),
+            Platform::T1dsBasalBolus => patients::t1ds_params()
+                .into_iter()
+                .nth(index)
+                .map(|p| CohortPatient::DallaMan(DallaManPatient::new(p))),
+        }
     }
 
     /// Cohort size (every platform ships ten virtual patients).
     pub fn cohort_size(&self) -> usize {
-        self.patients().len()
+        patients::COHORT_SIZE
     }
 
     /// Builds the platform's controller tuned to a patient (basal rate
     /// from the patient's 120 mg/dL equilibrium).
     pub fn controller_for(&self, patient: &dyn PatientSim) -> Box<dyn Controller> {
-        let basal = patient.equilibrium_basal(MgDl(120.0)).value().max(0.05);
+        self.controller_with_basal(self.basal_for(patient))
+    }
+
+    /// Builds the platform's controller around a basal rate already
+    /// solved by [`basal_for`](Platform::basal_for).
+    pub fn controller_with_basal(&self, basal: UnitsPerHour) -> Box<dyn Controller> {
+        let basal = basal.value();
         match self {
             Platform::GlucosymOref0 => Box::new(Oref0Controller::new(Oref0Profile {
                 basal,

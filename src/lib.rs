@@ -145,6 +145,13 @@
 //!   PR 1, basal–bolus at PR 2) use `Copy` profiles and fixed-slot
 //!   variable arrays; no `HashMap` lookups or profile clones in
 //!   `decide`.
+//! * **Cohort template per campaign** — job set-up clones its patient
+//!   and basal rate from a [`sim::campaign::Cohort`] built once per
+//!   campaign (every member constructed, its equilibrium basal solved
+//!   once) instead of building all ten patients for every job, which
+//!   took about a third of a T1DS job's time.
+//!   [`sim::campaign::run_campaign_serial`], the oracle, still builds
+//!   each job's patient, basal and controller fresh.
 //!
 //! The measured baseline lives in `BENCH_campaign.json` (quick
 //! campaign: 62 runs × 150 steps, one core; seed-faithful hot path vs
@@ -527,7 +534,7 @@ pub mod prelude {
     pub use aps_sim::campaign::{
         campaign_jobs, campaign_size, run_campaign, run_campaign_ft, run_campaign_resumable,
         run_campaign_with, CampaignJob, CampaignOptions, CampaignReport, CampaignSpec,
-        CheckpointPolicy, FtCampaign, MonitorFactory, ScenarioCtx, WorkerSource,
+        CheckpointPolicy, Cohort, FtCampaign, MonitorFactory, ScenarioCtx, WorkerSource,
     };
     pub use aps_sim::chaos::ChaosConfig;
     pub use aps_sim::checkpoint::{CampaignCheckpoint, CheckpointError};

@@ -169,8 +169,9 @@ fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
     // Batched: run the same corpus block by block through run_block,
     // which exposes per-lane Results.
     let mut batched = Vec::with_capacity(jobs.len());
+    let cohort = Cohort::new(spec.platform);
     for block in jobs.chunks(BATCH_LANES) {
-        batched.extend(run_block::<BATCH_LANES>(&spec, block, None));
+        batched.extend(run_block::<BATCH_LANES>(&spec, &cohort, block, None));
     }
 
     let mut nonfinite_seen = 0;
@@ -195,6 +196,25 @@ fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
         nonfinite_seen < jobs.len(),
         "healthy lane-mates must survive"
     );
+}
+
+/// Patient indices that are neither contiguous nor distinct: each job
+/// is set up from its cohort index, not its position in the spec, and
+/// a member used twice starts both times from the untouched template.
+#[test]
+fn non_contiguous_patient_indices_match_serial() {
+    let spec = CampaignSpec {
+        patient_indices: vec![7, 2, 7],
+        steps: 30,
+        ..CampaignSpec::quick(Platform::T1dsBasalBolus)
+    };
+    let serial = run_campaign_serial(&spec, None);
+    let patients: Vec<&str> = serial.iter().map(|t| t.meta.patient.as_str()).collect();
+    let per_patient = serial.len() / 3;
+    assert_eq!(patients[0], "t1ds/patientH");
+    assert_eq!(patients[per_patient], "t1ds/patientC");
+    assert_eq!(patients[2 * per_patient], "t1ds/patientH");
+    assert_eq!(run_campaign(&spec, None), serial);
 }
 
 proptest! {
@@ -239,7 +259,8 @@ proptest! {
         let jobs = campaign_jobs(&spec);
         prop_assert!(jobs.len() >= BATCH_LANES);
         let serial = run_campaign_serial(&spec, None);
-        let block = run_block::<BATCH_LANES>(&spec, &jobs[..occupancy], None);
+        let cohort = Cohort::new(spec.platform);
+        let block = run_block::<BATCH_LANES>(&spec, &cohort, &jobs[..occupancy], None);
         prop_assert_eq!(block.len(), occupancy);
         for (i, r) in block.into_iter().enumerate() {
             match r {

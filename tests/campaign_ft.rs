@@ -208,6 +208,51 @@ fn chaos_is_deterministic_and_degrades_gracefully() {
     );
 }
 
+/// Non-contiguous, repeated patient indices on the Dalla Man cohort:
+/// lockstep blocks and the per-job path (which chaos sends jobs down)
+/// both set a job up from its cohort index, so every completed job
+/// equals the serial reference.
+#[test]
+fn non_contiguous_patients_match_serial_on_both_paths() {
+    let spec = CampaignSpec {
+        patient_indices: vec![7, 2, 7],
+        steps: 30,
+        ..CampaignSpec::quick(Platform::T1dsBasalBolus)
+    };
+    let reference = run_campaign_serial(&spec, None);
+    let chaos = ChaosConfig {
+        max_delay_ms: 1,
+        ..ChaosConfig::with_seed(9)
+    };
+    for chaos in [None, Some(chaos)] {
+        let clean = chaos.is_none();
+        let options = CampaignOptions {
+            chaos,
+            retry: RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            },
+            workers: Some(2),
+            ..CampaignOptions::default()
+        };
+        let ft = run_campaign_ft(&spec, None, &options).unwrap();
+        assert_eq!(ft.outcomes.len(), reference.len());
+        let mut completed = 0;
+        for (i, outcome) in ft.outcomes.iter().enumerate() {
+            if let JobOutcome::Completed(trace) = outcome {
+                assert_eq!(trace, &reference[i], "job {i} diverged (clean: {clean})");
+                completed += 1;
+            }
+        }
+        assert!(completed > 0, "no job completed (clean: {clean})");
+        if clean {
+            assert_eq!(completed, reference.len());
+        } else {
+            assert!(!ft.report.ledger.is_empty(), "chaos seed 9 failed no job");
+        }
+    }
+}
+
 #[test]
 fn chaos_failures_report_real_error_kinds() {
     // With one attempt, the ledger must contain the injected kinds.

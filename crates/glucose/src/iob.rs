@@ -101,7 +101,8 @@ pub struct IobEstimator {
     /// age is an exact multiple of the cycle length, so the window sum
     /// never needs to re-evaluate the (expensive, `exp`-heavy) curve —
     /// the table value at index `k` is the identical `f64` the direct
-    /// call would produce.
+    /// call would produce. Cloned from a process-wide per-curve cache
+    /// (the free function `remaining_table`).
     #[serde(default)]
     remaining_table: Vec<f64>,
 }
@@ -111,7 +112,7 @@ impl IobEstimator {
     /// cycle length.
     pub fn new(curve: IobCurve, cycle_minutes: f64) -> IobEstimator {
         assert!(cycle_minutes > 0.0, "cycle length must be positive");
-        let mut est = IobEstimator {
+        IobEstimator {
             curve,
             deliveries: VecDeque::new(),
             now: 0,
@@ -119,19 +120,8 @@ impl IobEstimator {
             last_iob: None,
             last_diob: 0.0,
             cycle_minutes,
-            remaining_table: Vec::new(),
-        };
-        est.build_remaining_table();
-        est
-    }
-
-    /// Precomputes `curve.remaining` on the cycle grid out to the
-    /// horizon (plus one slot for the pop boundary).
-    fn build_remaining_table(&mut self) {
-        let slots = (self.curve.horizon_minutes() / self.cycle_minutes).ceil() as usize + 2;
-        self.remaining_table = (0..slots)
-            .map(|k| self.curve.remaining(k as f64 * self.cycle_minutes))
-            .collect();
+            remaining_table: remaining_table(&curve, cycle_minutes),
+        }
     }
 
     /// Remaining fraction at an age of `k` whole cycles: a direct table
@@ -242,23 +232,67 @@ impl IobEstimator {
     }
 }
 
-/// Process-wide cache of `Σ curve.remaining(t)` over the 1-min grid
-/// `t = 0, 1, .. < horizon` — the basal-equilibrium integral used by
-/// [`IobEstimator::set_basal_baseline`]. A linear scan over a tiny Vec:
-/// real campaigns use one or two distinct curves, and `IobCurve` is
-/// `Copy + PartialEq`, so exact-match lookup is both cheap and — by
-/// reusing the identical cached `f64` — bit-identical to recomputing.
-fn basal_remaining_integral(curve: &IobCurve) -> f64 {
-    use std::sync::Mutex;
-    static CACHE: Mutex<Vec<(IobCurve, f64)>> = Mutex::new(Vec::new());
-    let mut cache = match CACHE.lock() {
+impl IobCurve {
+    /// Exact bit pattern of the curve, for cache lookups: unlike `==`
+    /// it tells `-0.0` from `0.0` and matches a NaN parameter to
+    /// itself, so a cache hit always returns what recomputing would.
+    fn bits_key(&self) -> [u64; 3] {
+        match *self {
+            IobCurve::Linear { dia_minutes } => [0, dia_minutes.to_bits(), 0],
+            IobCurve::BiExponential { tau1, tau2 } => [1, tau1.to_bits(), tau2.to_bits()],
+        }
+    }
+}
+
+/// Locks a process-wide append-only cache.
+fn lock_cache<T>(cache: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match cache.lock() {
         Ok(guard) => guard,
         // sound: a poisoned lock only means another thread panicked
         // mid-push; the Vec is append-only and every stored pair is
         // complete, so the data is still valid.
         Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(&(_, sum)) = cache.iter().find(|(c, _)| c == curve) {
+    }
+}
+
+/// `curve.remaining(k * cycle_minutes)` on the cycle grid out to the
+/// horizon (plus one slot for the pop boundary), from a process-wide
+/// cache keyed by the curve's and the cycle length's exact bits.
+///
+/// Every controller and every monitor context owns an estimator, and
+/// building the table costs two `exp` calls per slot — most of a
+/// campaign job's set-up — while a campaign uses one or two distinct
+/// curves. The cached values are the identical `f64`s a fresh
+/// computation produces.
+fn remaining_table(curve: &IobCurve, cycle_minutes: f64) -> Vec<f64> {
+    use std::sync::Mutex;
+    type Key = ([u64; 3], u64);
+    static CACHE: Mutex<Vec<(Key, Vec<f64>)>> = Mutex::new(Vec::new());
+    let key = (curve.bits_key(), cycle_minutes.to_bits());
+    let mut cache = lock_cache(&CACHE);
+    if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
+        return table.clone();
+    }
+    let slots = (curve.horizon_minutes() / cycle_minutes).ceil() as usize + 2;
+    let table: Vec<f64> = (0..slots)
+        .map(|k| curve.remaining(k as f64 * cycle_minutes))
+        .collect();
+    cache.push((key, table.clone()));
+    table
+}
+
+/// Process-wide cache of `Σ curve.remaining(t)` over the 1-min grid
+/// `t = 0, 1, .. < horizon` — the basal-equilibrium integral used by
+/// [`IobEstimator::set_basal_baseline`]. A linear scan over a tiny Vec:
+/// real campaigns use one or two distinct curves, so exact-bits lookup
+/// is both cheap and — by reusing the identical cached `f64` —
+/// bit-identical to recomputing.
+fn basal_remaining_integral(curve: &IobCurve) -> f64 {
+    use std::sync::Mutex;
+    static CACHE: Mutex<Vec<([u64; 3], f64)>> = Mutex::new(Vec::new());
+    let key = curve.bits_key();
+    let mut cache = lock_cache(&CACHE);
+    if let Some(&(_, sum)) = cache.iter().find(|(k, _)| *k == key) {
         return sum;
     }
     let horizon = curve.horizon_minutes();
@@ -268,7 +302,7 @@ fn basal_remaining_integral(curve: &IobCurve) -> f64 {
         sum += curve.remaining(t);
         t += 1.0;
     }
-    cache.push((*curve, sum));
+    cache.push((key, sum));
     sum
 }
 
@@ -361,6 +395,38 @@ mod tests {
         let mut est = IobEstimator::new(IobCurve::default_exponential(), 5.0);
         est.record(UnitsPerHour(-5.0));
         assert_eq!(est.iob(), Units(0.0));
+    }
+
+    #[test]
+    fn cached_remaining_table_matches_a_fresh_build() {
+        for curve in [
+            IobCurve::default_exponential(),
+            IobCurve::Linear { dia_minutes: 180.0 },
+        ] {
+            let cycle = 5.0;
+            let cached = remaining_table(&curve, cycle);
+            let slots = (curve.horizon_minutes() / cycle).ceil() as usize + 2;
+            assert_eq!(cached.len(), slots, "{curve:?}");
+            for (k, &r) in cached.iter().enumerate() {
+                let fresh = curve.remaining(k as f64 * cycle);
+                assert_eq!(r.to_bits(), fresh.to_bits(), "{curve:?} slot {k}");
+            }
+            // A second construction clones the cached table; after the
+            // same prefill it is indistinguishable from one whose table
+            // is built from scratch.
+            let mut fresh = IobEstimator::new(curve, cycle);
+            fresh.remaining_table = (0..slots)
+                .map(|k| curve.remaining(k as f64 * cycle))
+                .collect();
+            let mut cloned = IobEstimator::new(curve, cycle);
+            fresh.prefill_basal(UnitsPerHour(1.1));
+            cloned.prefill_basal(UnitsPerHour(1.1));
+            assert_eq!(cloned, fresh, "{curve:?}");
+            assert_eq!(
+                cloned.iob().value().to_bits(),
+                fresh.iob().value().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over a real Unix socket: kill/resume
-//! bit-identity, the content-addressed cache hit path, cancellation,
-//! and shutdown draining subscribers.
+//! bit-identity, the content-addressed cache hit path, refusal of
+//! pre-v2 shard checkpoints, cancellation, and shutdown draining
+//! subscribers.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -8,6 +9,7 @@ use std::time::Duration;
 use aps_service::daemon::{run_daemon, ServiceConfig};
 use aps_service::{CacheStats, Client, ServiceError};
 use aps_sim::campaign::{run_campaign_ft, CampaignOptions, CampaignSpec};
+use aps_sim::checkpoint::{to_hex, CampaignCheckpoint, CHECKPOINT_VERSION};
 use aps_sim::platform::Platform;
 use aps_tracestore::{read_store, TraceStoreReader};
 
@@ -172,6 +174,59 @@ fn kill_resume_is_bit_identical_and_resubmit_hits_cache() {
         .join()
         .expect("daemon3 thread")
         .expect("daemon3 run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pre_v2_shard_checkpoint_is_rerun_not_continued() {
+    let dir = scratch("v1ckpt");
+    let socket = dir.join("s1.sock");
+    let data = dir.join("data");
+    let spec = small_spec();
+    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
+
+    let mut config = ServiceConfig::new(&socket, &data);
+    config.checkpoint_every = 3;
+    config.interrupt_after = Some(40);
+    let daemon = std::thread::spawn(move || run_daemon(config));
+    let submitted = connect(&socket).submit(spec, 4, 0, "0").expect("submit");
+    let job = submitted.job.clone();
+    daemon.join().expect("daemon thread").expect("daemon run");
+
+    // Shard 0 finished before the kill. Make its checkpoint look like
+    // one written by a v1 build, with a digest from the old scheme.
+    let job_dir = data.join("jobs").join(&job);
+    let ckpt_path = aps_service::JobManifest::ckpt_path(&job_dir, 0);
+    let mut ckpt = CampaignCheckpoint::load(&ckpt_path).expect("shard 0 checkpoint");
+    assert_eq!(
+        ckpt.completed.count(),
+        ckpt.total_jobs,
+        "shard 0 should be complete at the kill"
+    );
+    ckpt.version = 1;
+    ckpt.partials.digest = to_hex(0x0123_4567_89AB_CDEF);
+    ckpt.save(&ckpt_path).expect("rewrite as v1");
+
+    let socket2 = dir.join("s2.sock");
+    let config2 = ServiceConfig::new(&socket2, &data);
+    let daemon2 = std::thread::spawn(move || run_daemon(config2));
+    let manifest = wait_done(&socket2, &job);
+    assert_eq!(manifest.state, "done");
+    assert_eq!(manifest.digest, reference.report.digest);
+    assert_eq!(manifest.completed_jobs, reference.report.total_jobs);
+
+    // The refused shard was re-run from scratch: a complete shard
+    // that had been honoured would have kept its v1 file untouched.
+    let rerun = CampaignCheckpoint::load(&ckpt_path).expect("re-run checkpoint");
+    assert_eq!(rerun.version, CHECKPOINT_VERSION);
+    assert_eq!(rerun.completed.count(), rerun.total_jobs);
+    assert_ne!(rerun.partials.digest, to_hex(0x0123_4567_89AB_CDEF));
+
+    connect(&socket2).shutdown().expect("shutdown");
+    daemon2
+        .join()
+        .expect("daemon2 thread")
+        .expect("daemon2 run");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

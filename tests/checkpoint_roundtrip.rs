@@ -9,9 +9,14 @@
 //!   container-level `#[serde(default)]`.
 //! * A checkpoint from a newer format version is rejected with
 //!   `CheckpointError::Version`, not misread.
+//! * A pre-v2 checkpoint (byte-wise trace digest) still loads but is
+//!   refused at resume with `CheckpointError::Mismatch`, so a rolling
+//!   digest never mixes the two digest schemes.
 
+use aps_repro::prelude::*;
+use aps_repro::sim::campaign::{run_campaign_ft, run_campaign_resumable, CampaignOptions};
 use aps_repro::sim::checkpoint::{
-    from_hex, to_hex, AggregatePartials, CampaignCheckpoint, CheckpointError, JobBitmap,
+    from_hex, spec_hash, to_hex, AggregatePartials, CampaignCheckpoint, CheckpointError, JobBitmap,
     CHECKPOINT_VERSION,
 };
 use aps_repro::sim::outcome::{ErrorLedger, LedgerEntry, SimError};
@@ -138,4 +143,67 @@ fn load_reports_missing_file_as_io_error() {
         CampaignCheckpoint::load(std::path::Path::new("/nonexistent/definitely/missing.json"))
             .unwrap_err();
     assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
+}
+
+#[test]
+fn pre_v2_checkpoint_is_refused_at_resume() {
+    let spec = CampaignSpec {
+        patient_indices: vec![0],
+        initial_bgs: vec![120.0],
+        steps: 30,
+        ..CampaignSpec::quick(Platform::GlucosymOref0)
+    };
+    let full = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
+    let total = full.report.total_jobs;
+
+    // A mid-campaign snapshot: the first two jobs done, their traces
+    // folded into the partials.
+    let mut current = CampaignCheckpoint::fresh(to_hex(spec_hash(&spec)), None, total);
+    for (i, outcome) in full.outcomes.iter().take(2).enumerate() {
+        current.completed.set(i);
+        current
+            .partials
+            .fold_completed(outcome.trace().expect("job completes"));
+    }
+    assert_ne!(current.partials, AggregatePartials::default());
+    let v1 = CampaignCheckpoint {
+        version: 1,
+        ..current.clone()
+    };
+
+    match v1.validate_for(&current.spec_hash, None, total) {
+        Err(CheckpointError::Mismatch { detail }) => {
+            assert!(detail.contains("digest"), "{detail}")
+        }
+        other => panic!("expected Mismatch for a v1 checkpoint, got {other:?}"),
+    }
+    let mut emitted = 0;
+    let err = run_campaign_resumable(
+        &spec,
+        None,
+        &CampaignOptions::default(),
+        Some(&v1),
+        |_, _| {
+            emitted += 1;
+        },
+    )
+    .unwrap_err();
+    assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+    assert_eq!(emitted, 0, "a refused checkpoint must not run any job");
+
+    // Control: the identical snapshot at the current version resumes
+    // to the uninterrupted digest.
+    assert!(current
+        .validate_for(&current.spec_hash, None, total)
+        .is_ok());
+    let report = run_campaign_resumable(
+        &spec,
+        None,
+        &CampaignOptions::default(),
+        Some(&current),
+        |_, _| {},
+    )
+    .expect("current-version resume");
+    assert_eq!(report.skipped_resumed, 2);
+    assert_eq!(report.digest, full.report.digest);
 }

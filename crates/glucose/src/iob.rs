@@ -2,13 +2,12 @@
 //!
 //! Both the OpenAPS-style controller and the paper's context-aware
 //! monitor estimate IOB "based on previous insulin deliveries". The
-//! estimator here keeps a sliding window of past micro-deliveries (one
-//! per control cycle) and sums the *remaining fraction* of each
+//! estimate is the sum, over a sliding window of past micro-deliveries
+//! (one per control cycle), of the *remaining fraction* of each
 //! according to an insulin activity curve.
 
 use aps_types::{Units, UnitsPerHour};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// An insulin activity curve: what fraction of a dose is still active
 /// `age` minutes after delivery.
@@ -74,64 +73,62 @@ impl IobCurve {
 /// [`record`](IobEstimator::record); read the current estimate with
 /// [`iob`](IobEstimator::iob) and its rate of change with
 /// [`diob_per_min`](IobEstimator::diob_per_min).
+///
+/// A delivery stays in the window for the `W` whole-cycle ages
+/// `0..W` with `age * cycle <= horizon`, so it contributes to exactly
+/// the next `W` window sums, and its term in each is known the moment
+/// it is recorded. The estimator keeps those sums *pending* instead of
+/// re-folding the window: [`record`](IobEstimator::record) scatters
+/// `amount * remaining(age)` into the `W` pending sums (independent
+/// adds, no dependent chain) and takes the one that is now complete.
+/// Every sum receives the same products, in the same oldest-first
+/// order, starting from the same `-0.0` seed as std's `f64` [`Sum`]
+/// over the window; rustc never contracts a multiply and an add into
+/// an FMA, so each value is bit-identical to that fold.
+///
+/// [`Sum`]: std::iter::Sum
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IobEstimator {
     curve: IobCurve,
-    /// (birth_cycle, amount_units) pairs, newest last. Each entry
-    /// remembers the [`now`](#structfield.now) tick at which it was
-    /// recorded; its age in cycles is `now - birth_cycle`. Keeping ages
-    /// implicit makes [`record`](IobEstimator::record) O(1) outside the
-    /// window sum (no per-entry aging pass), and keeping them as
-    /// *integer cycle counts* means an integer index addresses the
-    /// memoized activity table directly — no per-entry float division
-    /// or grid-alignment check in the window sum, which runs once per
-    /// control cycle and used to dominate the campaign's non-physics
-    /// time.
-    deliveries: VecDeque<(u32, f64)>,
-    /// Monotone cycle counter; advanced once per
-    /// [`record`](IobEstimator::record).
-    now: u32,
+    /// Ring of the next `W` window sums, without the baseline: the
+    /// sum completed by the `k`-th next [`record`](IobEstimator::record)
+    /// (`k = 0, 1, ..`) sits at `pending[(head + k) % W]`. A slot is
+    /// re-seeded with `-0.0` when its sum completes.
+    pending: Vec<f64>,
+    /// Ring index of the sum the next record completes.
+    head: usize,
     /// Basal-equilibrium IOB subtracted so that "IOB" means insulin
     /// *above* the steady basal background (0 disables).
     baseline: f64,
-    last_iob: Option<f64>,
+    /// Window sum of the last record or prefill, without the baseline;
+    /// `None` until the first one.
+    last_raw: Option<f64>,
     last_diob: f64,
     cycle_minutes: f64,
     /// Memoized `curve.remaining(k * cycle_minutes)`. Every delivery's
-    /// age is an exact multiple of the cycle length, so the window sum
-    /// never needs to re-evaluate the (expensive, `exp`-heavy) curve —
-    /// the table value at index `k` is the identical `f64` the direct
-    /// call would produce. Cloned from a process-wide per-curve cache
-    /// (the free function `remaining_table`).
-    #[serde(default)]
+    /// age is an exact multiple of the cycle length, so the estimator
+    /// never re-evaluates the (expensive, `exp`-heavy) curve — the
+    /// table value at index `k` is the identical `f64` the direct call
+    /// would produce. Cloned from a process-wide per-curve cache (the
+    /// free function `remaining_table`).
     remaining_table: Vec<f64>,
 }
 
 impl IobEstimator {
     /// Creates an estimator with the given activity curve and control
-    /// cycle length.
+    /// cycle length. The curve's horizon must be finite.
     pub fn new(curve: IobCurve, cycle_minutes: f64) -> IobEstimator {
         assert!(cycle_minutes > 0.0, "cycle length must be positive");
+        let window = window_len(curve.horizon_minutes(), cycle_minutes);
         IobEstimator {
             curve,
-            deliveries: VecDeque::new(),
-            now: 0,
+            pending: vec![-0.0; window],
+            head: 0,
             baseline: 0.0,
-            last_iob: None,
+            last_raw: None,
             last_diob: 0.0,
             cycle_minutes,
             remaining_table: remaining_table(&curve, cycle_minutes),
-        }
-    }
-
-    /// Remaining fraction at an age of `k` whole cycles: a direct table
-    /// index (the steady-state case), falling back to the curve for
-    /// ages past the table (only reachable with a hand-built table).
-    #[inline]
-    fn remaining_at_cycles(&self, k: u32) -> f64 {
-        match self.remaining_table.get(k as usize) {
-            Some(&r) => r,
-            None => self.curve.remaining(k as f64 * self.cycle_minutes),
         }
     }
 
@@ -143,13 +140,10 @@ impl IobEstimator {
         // integral depends only on the curve, and every controller
         // construction used to pay the full ~500-term `exp` sum — a
         // visible slice of campaign job setup — so it is computed once
-        // per distinct curve and cached process-wide.
+        // per distinct curve and cached process-wide. Reads subtract
+        // it from the last raw sum, so the current estimate follows.
         let per_min = basal.value() / 60.0;
         self.baseline = per_min * basal_remaining_integral(&self.curve);
-        // Keep the cached estimate consistent with the new baseline.
-        if self.last_iob.is_some() {
-            self.last_iob = Some(self.raw_iob());
-        }
     }
 
     /// Records one control cycle's delivery and ages the window.
@@ -158,30 +152,32 @@ impl IobEstimator {
             .max_zero()
             .over_minutes(self.cycle_minutes)
             .value();
-        self.now += 1;
-        self.deliveries.push_back((self.now, amount));
-        let horizon = self.curve.horizon_minutes();
-        while let Some(&(birth, _)) = self.deliveries.front() {
-            if f64::from(self.now - birth) * self.cycle_minutes > horizon {
-                self.deliveries.pop_front();
-            } else {
-                break;
-            }
+        // The pending sum `k` records ahead gets this delivery at age
+        // `k`: two contiguous runs of the ring, each an independent
+        // multiply-add per slot that vectorizes.
+        let window = self.pending.len();
+        let (wrapped, ahead) = self.pending.split_at_mut(self.head);
+        let (near, far) = self.remaining_table[..window].split_at(ahead.len());
+        for (sum, &r) in ahead.iter_mut().zip(near) {
+            *sum += amount * r;
         }
-        let iob = self.raw_iob();
-        if let Some(prev) = self.last_iob {
-            self.last_diob = (iob - prev) / self.cycle_minutes;
+        for (sum, &r) in wrapped.iter_mut().zip(far) {
+            *sum += amount * r;
         }
-        self.last_iob = Some(iob);
-    }
-
-    fn raw_iob(&self) -> f64 {
-        let total: f64 = self
-            .deliveries
-            .iter()
-            .map(|&(birth, amount)| amount * self.remaining_at_cycles(self.now - birth))
-            .sum();
-        total - self.baseline
+        let raw = match self.pending.get_mut(self.head) {
+            Some(done) => std::mem::replace(done, -0.0),
+            // An empty window (negative horizon) sums nothing.
+            None => -0.0,
+        };
+        self.head += 1;
+        if self.head >= window {
+            self.head = 0;
+        }
+        if let Some(prev) = self.last_raw {
+            let iob = raw - self.baseline;
+            self.last_diob = (iob - (prev - self.baseline)) / self.cycle_minutes;
+        }
+        self.last_raw = Some(raw);
     }
 
     /// Current IOB estimate (U), net of the basal baseline. Negative
@@ -189,16 +185,14 @@ impl IobEstimator {
     /// (matching oref0's net-IOB convention, where suspending insulin
     /// drives IOB negative).
     ///
-    /// O(1): the window sum is maintained by [`record`] /
+    /// O(1): the window sum is completed by [`record`] /
     /// [`prefill_basal`] and cannot change between deliveries (ages
-    /// only advance on `record`). The seed recomputed the full
-    /// `exp`-heavy window sum on every read — several times per
-    /// control cycle — which dominated campaign run time.
+    /// only advance on `record`).
     ///
     /// [`record`]: IobEstimator::record
     /// [`prefill_basal`]: IobEstimator::prefill_basal
     pub fn iob(&self) -> Units {
-        Units(self.last_iob.unwrap_or(0.0))
+        Units(self.last_raw.map_or(0.0, |raw| raw - self.baseline))
     }
 
     /// Rate of change of IOB between the last two cycles (U/min).
@@ -208,28 +202,51 @@ impl IobEstimator {
 
     /// Forgets all history (new simulation).
     pub fn reset(&mut self) {
-        self.deliveries.clear();
-        self.now = 0;
-        self.last_iob = None;
+        self.pending.fill(-0.0);
+        self.head = 0;
+        self.last_raw = None;
         self.last_diob = 0.0;
     }
 
     /// Pre-fills the window as if `basal` had been running forever, so
     /// a simulation starts at basal equilibrium instead of zero IOB.
+    ///
+    /// The prefill holds one delivery at each age `steps..=1` cycles,
+    /// `steps = ceil(horizon / cycle)`; the current estimate is their
+    /// oldest-first fold. By the `(m + 1)`-th record after the prefill
+    /// every prefill term has aged `m + 1` more cycles and those past
+    /// age `W - 1` have left the window, so pending sum `m` starts as
+    /// the fold of the prefill terms at ages (as of that record) `W - 1`
+    /// down to `m + 2`. Each such fold extends the next slot's by one
+    /// term, so one running chain fills the ring in place.
     pub fn prefill_basal(&mut self, basal: UnitsPerHour) {
         self.reset();
         let horizon = self.curve.horizon_minutes();
-        let steps = (horizon / self.cycle_minutes).ceil() as u32;
+        let steps = (horizon / self.cycle_minutes).ceil() as usize;
         let amount = basal.max_zero().over_minutes(self.cycle_minutes).value();
-        // Oldest first: ages `steps * cycle` down to `1 * cycle`
-        // (expressed as birth ticks relative to `now = steps`).
-        self.now = steps;
-        for k in (1..=steps).rev() {
-            self.deliveries.push_back((steps - k, amount));
+        let table = &self.remaining_table;
+        let window = self.pending.len();
+        debug_assert!(window <= steps + 2, "prefill must cover the window");
+        let mut chain = -0.0;
+        for age in (2..window).rev() {
+            chain += amount * table[age];
+            self.pending[age - 2] = chain;
         }
-        self.last_iob = Some(self.raw_iob());
+        let raw: f64 = table[1..=steps].iter().rev().map(|&r| amount * r).sum();
+        self.last_raw = Some(raw);
         self.last_diob = 0.0;
     }
+}
+
+/// Number of whole-cycle ages `0..W` a delivery stays in the window:
+/// those with `age * cycle_minutes <= horizon`. Zero for a negative
+/// horizon.
+fn window_len(horizon: f64, cycle_minutes: f64) -> usize {
+    let mut window = ((horizon / cycle_minutes).ceil() as usize).saturating_add(1);
+    while window > 0 && (window - 1) as f64 * cycle_minutes > horizon {
+        window -= 1;
+    }
+    window
 }
 
 impl IobCurve {

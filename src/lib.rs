@@ -111,12 +111,18 @@
 //!   [`glucose::ode::BatchedRk4Scratch`] across steps. The slice-based
 //!   `rk4_step`/`integrate` API survives as thin wrappers with
 //!   bit-identical results (see `tests/perf_equivalence.rs`).
-//! * **O(1) IOB reads, O(window) only on record** — the
-//!   insulin-on-board estimator stores deliveries as (birth-cycle,
-//!   amount) pairs: ages are integer cycle counts that index a
-//!   memoized activity table directly (no per-entry float division or
-//!   `exp`), aging is a counter bump instead of a per-entry pass, and
-//!   the basal-equilibrium integral behind
+//! * **O(1) IOB reads, no dependent add chain on record** — the
+//!   insulin-on-board estimator keeps the next `W` window sums pending
+//!   in a ring (`W` = whole-cycle ages within the curve's horizon).
+//!   Each record scatters `amount * remaining(age)` into all `W` of
+//!   them as two contiguous multiply-add loops that vectorize, and
+//!   takes the sum that is now complete; nothing re-folds the window.
+//!   The result is bit-identical to folding the window oldest first
+//!   with std's `f64` `Sum`: each sum gets the same products in the
+//!   same order from the same `-0.0` seed, and rustc never contracts
+//!   to FMA (see `tests/iob_equivalence.rs`). Ages are integer cycle
+//!   counts that index a memoized activity table, and the
+//!   basal-equilibrium integral behind
 //!   [`glucose::iob::IobEstimator::set_basal_baseline`] and the
 //!   activity table itself are cached process-wide per curve, so
 //!   building a controller or monitor context costs no `exp` calls

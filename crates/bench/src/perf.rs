@@ -529,6 +529,7 @@ pub mod seed_baseline {
     /// The seed's `IobEstimator`: recomputes the full `exp`-heavy
     /// activity-curve window sum on *every* read (the current one
     /// caches it and memoizes the curve on the cycle grid).
+    #[derive(Clone)]
     struct SeedIobEstimator {
         curve: IobCurve,
         deliveries: std::collections::VecDeque<(f64, f64)>,
@@ -616,6 +617,7 @@ pub mod seed_baseline {
     /// a `Vec`-collecting `avg_delta`, `HashMap`-backed variable
     /// state, and the recompute-per-read IOB estimator above. The
     /// decision *logic* is identical to the current controller.
+    #[derive(Clone)]
     pub struct SeedOref0Controller {
         profile: Oref0Profile,
         estimator: SeedIobEstimator,
@@ -729,6 +731,10 @@ pub mod seed_baseline {
             self.prev_rate = UnitsPerHour(self.profile.basal);
             self.overrides.clear();
             self.last_vars.clear();
+        }
+
+        fn fork(&self) -> Box<dyn Controller> {
+            Box::new(self.clone())
         }
 
         fn observe_delivery(&mut self, delivered: UnitsPerHour) {

@@ -62,6 +62,12 @@ pub trait Controller: Send {
     /// Returns to the initial state for a fresh simulation.
     fn reset(&mut self);
 
+    /// A copy of this controller in its current state, which then
+    /// decides exactly as this one would from here on. Campaign groups
+    /// fork their faulty runs from a fault-free run's controller at the
+    /// fault start.
+    fn fork(&self) -> Box<dyn Controller>;
+
     /// Informs the controller what was *actually* delivered this cycle
     /// (post-mitigation, post-pump); controllers track IOB from this.
     fn observe_delivery(&mut self, delivered: UnitsPerHour);

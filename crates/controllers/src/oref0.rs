@@ -224,6 +224,10 @@ impl Controller for Oref0Controller {
         self.last_vars = [None; N_VARS];
     }
 
+    fn fork(&self) -> Box<dyn Controller> {
+        Box::new(self.clone())
+    }
+
     fn observe_delivery(&mut self, delivered: UnitsPerHour) {
         self.estimator.record(delivered);
     }

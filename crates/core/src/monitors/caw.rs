@@ -122,6 +122,10 @@ impl HazardMonitor for CawMonitor {
         self.latched = None;
         self.last_rule = None;
     }
+
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

@@ -130,6 +130,10 @@ impl HazardMonitor for GuidelineMonitor {
         self.below_lambda10_cycles = 0;
         self.above_lambda90_cycles = 0;
     }
+
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

@@ -61,6 +61,16 @@ pub trait HazardMonitor: Send {
 
     /// Resets internal state for a fresh simulation.
     fn reset(&mut self);
+
+    /// A copy of this monitor in its current state, which then checks
+    /// exactly as this one would from here on; `None` when the monitor
+    /// cannot be copied (the default). Campaign groups fork their
+    /// faulty runs from a fault-free run at the fault start, and run
+    /// every job of a group whose monitor cannot fork from step 0
+    /// instead.
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        None
+    }
 }
 
 /// A monitor that never alerts (the "no monitor" baseline).
@@ -79,6 +89,10 @@ impl HazardMonitor for NullMonitor {
     fn observe_delivery(&mut self, _delivered: UnitsPerHour) {}
 
     fn reset(&mut self) {}
+
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        Some(Box::new(*self))
+    }
 }
 
 #[cfg(test)]

@@ -128,6 +128,10 @@ impl HazardMonitor for MpcMonitor {
         self.ip = ip;
         self.ieff = self.model.si * ip;
     }
+
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

@@ -66,6 +66,10 @@ impl HazardMonitor for RiskIndexMonitor {
         self.tracker.reset();
         self.last = None;
     }
+
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

@@ -145,6 +145,10 @@ impl HazardMonitor for StlCawMonitor {
         self.latched = None;
         self.last_rule = None;
     }
+
+    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

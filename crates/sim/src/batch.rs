@@ -18,9 +18,12 @@
 //! monitor, injector, mitigation and trace recording are each lane's
 //! own components, stepped by the same code in the same order.
 //!
-//! [`run_block`] is the unit of work of every campaign executor, which
-//! wraps each block in per-job fault isolation (see the
-//! [`campaign`](crate::campaign) module docs).
+//! A block need not start at step 0: the campaign executors run a
+//! group of jobs as blocks of the jobs that fork from the group's
+//! fault-free trunk at the same step (see the crate-private `fork`
+//! module). Such a block loads each job's copy of the trunk's patient
+//! and runs the steps after the fork. [`run_block`] is the block at
+//! fork step 0.
 //!
 //! # Bit-identity
 //!
@@ -54,11 +57,12 @@ use aps_types::{MgDl, SimTrace};
 /// lanes.
 pub const BATCH_LANES: usize = 8;
 
-/// Runs a block of up to `LANES` campaign jobs in lockstep, returning
-/// one result per job in job order — each bit-identical to what the
-/// scalar [`run_campaign_serial`](crate::campaign::run_campaign_serial)
-/// path produces for that job. Each job's patient and basal rate are
-/// copied from `cohort`, the template of `spec.platform`'s cohort.
+/// Runs a block of up to `LANES` campaign jobs in lockstep from step 0,
+/// returning one result per job in job order — each bit-identical to
+/// what the scalar
+/// [`run_campaign_serial`](crate::campaign::run_campaign_serial) path
+/// produces for that job. Each job's patient and basal rate are copied
+/// from `cohort`, the template of `spec.platform`'s cohort.
 ///
 /// Ragged blocks (fewer jobs than lanes) pad the unused lanes with a
 /// copy of the first job's patient under a zero insulin rate; padding
@@ -86,17 +90,33 @@ pub fn run_block<const LANES: usize>(
         spec.platform,
         "cohort of another platform"
     );
-    let mut runs: Vec<JobRun> = jobs
+    let runs = jobs
         .iter()
         .map(|job| JobRun::new(spec, job, cohort.member(job.patient_idx), monitor_factory))
         .collect();
-    for run in &mut runs {
-        run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
+    run_runs::<LANES>(runs)
+}
+
+/// Runs up to `LANES` job runs that all start at the same step in
+/// lockstep, returning one result per run in order.
+///
+/// Ragged blocks (fewer runs than lanes) pad the unused lanes with a
+/// copy of the first run's patient under a zero insulin rate; padding
+/// lanes have no closed loop and their physics is discarded.
+pub(crate) fn run_runs<const LANES: usize>(
+    mut runs: Vec<JobRun>,
+) -> Vec<Result<SimTrace, SimError>> {
+    let start = runs[0].start();
+    debug_assert!(runs.iter().all(|run| run.start() == start));
+    if start == 0 {
+        for run in &mut runs {
+            run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
+        }
     }
-    // Padding lanes load the first job's freshly reset patient again.
-    // A real parameter set (instead of the bank's zeroed defaults)
-    // keeps their ODE arithmetic finite, so no spurious NaNs ride
-    // along in the block.
+    // Padding lanes load the first run's patient again. A real
+    // parameter set at the block's step (instead of the bank's zeroed
+    // defaults) keeps their ODE arithmetic finite, so no spurious NaNs
+    // ride along in the block.
     let lane_patient = |l: usize| &runs.get(l).unwrap_or(&runs[0]).patient;
     if let CohortPatient::Bergman(_) = runs[0].patient {
         let mut bank = BatchedBergman::<LANES>::new();
@@ -106,7 +126,7 @@ pub fn run_block<const LANES: usize>(
                 CohortPatient::DallaMan(_) => unreachable!("one platform yields one patient model"),
             }
         }
-        run_jobs(&mut bank, &mut runs)
+        run_jobs(&mut bank, &mut runs, start)
     } else {
         let mut bank = BatchedDallaMan::<LANES>::new();
         for l in 0..LANES {
@@ -115,17 +135,20 @@ pub fn run_block<const LANES: usize>(
                 CohortPatient::Bergman(_) => unreachable!("one platform yields one patient model"),
             }
         }
-        run_jobs(&mut bank, &mut runs)
+        run_jobs(&mut bank, &mut runs, start)
     }
 }
 
-/// Runs the jobs' closed loops as the lanes of `physics`.
+/// Runs the jobs' closed loops as the lanes of `physics`, from step
+/// `start` to the end of the run.
 fn run_jobs<const LANES: usize>(
     physics: &mut dyn BatchedPatientSim<LANES>,
     runs: &mut [JobRun],
+    start: u32,
 ) -> Vec<Result<SimTrace, SimError>> {
-    let mut lanes: Vec<Lane<'_>> = runs.iter_mut().map(JobRun::lane).collect();
-    run_lanes(physics, &mut lanes);
+    let steps = runs[0].config.steps;
+    let mut lanes: Vec<Lane<'_>> = runs.iter_mut().map(|run| run.lane().1).collect();
+    run_lanes(physics, &mut lanes, start..steps);
     lanes.into_iter().map(Lane::finish).collect()
 }
 

@@ -3,8 +3,8 @@
 //! Expands a [`CampaignSpec`] into the grid of (patient × initial BG ×
 //! fault scenario) runs — plus optional fault-free runs — and executes
 //! them, optionally in parallel with scoped worker threads. Monitors
-//! are created per run through a [`MonitorFactory`], since a
-//! patient-specific monitor needs the run's basal/target context.
+//! are created through a [`MonitorFactory`], since a patient-specific
+//! monitor needs the run's basal/target context.
 //!
 //! Results can be consumed two ways, both in the same deterministic
 //! job order: materialized ([`run_campaign`] /
@@ -13,13 +13,20 @@
 //!
 //! # One engine
 //!
-//! Every parallel executor claims blocks of up to [`BATCH_LANES`]
-//! pending jobs from the [ordered executor](crate::exec) and steps each
-//! in lockstep with [`run_block`]. A job a block cannot hold (invalid
-//! spec, chaos plan, per-job deadline), and every lane of a block that
-//! failed or panicked, runs on its own from attempt 1, so outcomes,
-//! ledger, digest and retries equal running each job alone, as
-//! [`run_campaign_serial`] does.
+//! Every parallel executor claims *groups* of pending jobs from the
+//! [ordered executor](crate::exec): a group is the jobs of one
+//! (patient, initial BG) cell. Within a group the fault scenario is
+//! the only per-job input, so the group's fault-free loop runs once,
+//! alone, and every job forks from it at its fault start, as a lane of
+//! a lockstep block of up to [`BATCH_LANES`] jobs that fork at the same
+//! step ([`run_block`] is the block at step 0). Outcomes come back per
+//! job, in job order. A job a block cannot hold (invalid spec, chaos
+//! plan, per-job deadline), every lane of a block that failed or
+//! panicked, and every job whose fork was never made runs on its own
+//! from attempt 1, so outcomes, ledger, digest and retries equal
+//! running each job alone, as [`run_campaign_serial`] does.
+//!
+//! [`run_block`]: crate::batch::run_block
 //!
 //! # Job set-up
 //!
@@ -48,12 +55,13 @@
 //! deterministic worker panics, delays, and poisoned specs to exercise
 //! all of the above.
 
-use crate::batch::{run_block, BATCH_LANES};
+use crate::batch::BATCH_LANES;
 use crate::chaos::{ChaosConfig, ChaosPlan};
 use crate::checkpoint::{spec_hash, to_hex, CampaignCheckpoint, CheckpointError};
 use crate::closed_loop::LoopConfig;
 use crate::engine::{run_one, Lane};
 use crate::exec::{is_cancelled, ordered_par_map};
+use crate::fork::{run_group, Resume};
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
 use crate::platform::Platform;
 use aps_controllers::Controller;
@@ -85,7 +93,15 @@ pub struct ScenarioCtx {
     pub max_rate: UnitsPerHour,
 }
 
-/// Creates a fresh monitor for one run (monitors are stateful).
+/// Creates a fresh monitor for a run (monitors are stateful).
+///
+/// The campaign executors call it once per group of jobs sharing a
+/// patient and initial BG, for the group's fault-free trunk, and the
+/// group's jobs [fork](HazardMonitor::fork) that monitor; they call it
+/// once more per job that runs from step 0 (a fault that starts at
+/// once, or a monitor that cannot fork). The serial reference calls it
+/// once per job. It must therefore be a pure function of the
+/// [`ScenarioCtx`]: equal contexts, equal monitors.
 pub type MonitorFactory<'a> = dyn Fn(&ScenarioCtx) -> Box<dyn HazardMonitor> + Sync + 'a;
 
 /// What to simulate.
@@ -301,14 +317,17 @@ impl Cohort {
 
 /// One campaign job's closed loop, set up from the spec: the same
 /// setup whether the job runs alone ([`JobRun::run`]) or as a lane of
-/// a lockstep block ([`crate::batch::run_block`]).
+/// a lockstep block ([`crate::batch::run_block`]), from step 0 or
+/// forked from its group's trunk ([`crate::fork`]).
 pub(crate) struct JobRun {
     /// The job's patient; the caller's physics.
     pub(crate) patient: CohortPatient,
-    controller: Box<dyn Controller>,
-    monitor: Option<Box<dyn HazardMonitor>>,
-    injector: Option<FaultInjector>,
+    pub(crate) controller: Box<dyn Controller>,
+    pub(crate) monitor: Option<Box<dyn HazardMonitor>>,
+    pub(crate) injector: Option<FaultInjector>,
     pub(crate) config: LoopConfig,
+    /// Where a forked run resumes; `None` runs from step 0.
+    pub(crate) resume: Option<Resume>,
 }
 
 impl JobRun {
@@ -345,11 +364,19 @@ impl JobRun {
             injector: job.scenario.clone().map(FaultInjector::new),
             config,
             patient,
+            resume: None,
         }
     }
 
-    /// Runs the job alone, surfacing mid-run failures as a typed error.
+    /// The step the run starts at: 0, or its fork step.
+    pub(crate) fn start(&self) -> u32 {
+        self.resume.as_ref().map_or(0, |r| r.state.step())
+    }
+
+    /// Runs the job alone from step 0, surfacing mid-run failures as a
+    /// typed error.
     pub(crate) fn run(mut self) -> Result<SimTrace, SimError> {
+        debug_assert!(self.resume.is_none(), "a forked run runs in a block");
         run_one(
             self.patient.as_dyn_mut(),
             self.controller.as_mut(),
@@ -362,20 +389,37 @@ impl JobRun {
         )
     }
 
-    /// The job as a lane of a lockstep block. Its patient, reset to the
-    /// initial glucose, is loaded into the block's physics by the
-    /// caller.
-    pub(crate) fn lane(&mut self) -> Lane<'_> {
-        Lane::new(
-            self.patient.as_dyn().name(),
-            self.controller.as_mut(),
-            self.monitor
-                .as_deref_mut()
-                .map(|m| m as &mut dyn HazardMonitor),
-            self.injector.as_mut(),
-            &self.config,
-            None,
-        )
+    /// The job's patient and its closed loop as a lane, set up from
+    /// step 0 or resumed at its fork step. The caller puts the patient
+    /// (reset to the initial glucose when the run starts at step 0) in
+    /// the physics the lane runs on.
+    pub(crate) fn lane(&mut self) -> (&mut CohortPatient, Lane<'_>) {
+        let monitors = self
+            .monitor
+            .as_deref_mut()
+            .map(|m| m as &mut dyn HazardMonitor);
+        let lane = match self.resume.take() {
+            None => Lane::new(
+                self.patient.as_dyn().name(),
+                self.controller.as_mut(),
+                monitors,
+                self.injector.as_mut(),
+                &self.config,
+                None,
+            ),
+            Some(Resume {
+                state,
+                target_before,
+            }) => Lane::resume(
+                state,
+                target_before,
+                self.controller.as_mut(),
+                monitors,
+                self.injector.as_mut(),
+                &self.config,
+            ),
+        };
+        (&mut self.patient, lane)
     }
 }
 
@@ -472,18 +516,20 @@ pub struct CampaignOptions {
     /// are not preempted), so an overrun fails the attempt
     /// deterministically in its effect but the *detection* depends on
     /// host timing — leave `None` (the default) for bit-reproducible
-    /// campaigns. With a deadline every job runs outside any block.
+    /// campaigns. With a deadline every job runs on its own from step
+    /// 0, outside any block.
     pub deadline: Option<Duration>,
     /// Deterministic executor-fault injection (tests/hardening only).
     pub chaos: Option<ChaosConfig>,
     /// Explicit worker-count override (`None` = `APS_WORKERS` env,
-    /// then detection), capped at the number of job blocks.
+    /// then detection), capped at the number of groups (one per
+    /// patient and initial BG) with pending jobs.
     pub workers: Option<usize>,
     /// Periodic checkpointing (`None` = never snapshot).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Cooperative cancellation: set the flag and workers stop
-    /// claiming new blocks. Outcomes not yet emitted when it is seen —
-    /// the rest of the current block and of any block already claimed
+    /// claiming new groups. Outcomes not yet emitted when it is seen —
+    /// the rest of the current group and of any group already claimed
     /// — are dropped: neither emitted nor marked done, so the emitted
     /// jobs stay a prefix of the pending ones. The executor then
     /// returns with [`CampaignReport::cancelled`] set.
@@ -514,7 +560,9 @@ pub struct CampaignReport {
     /// Rolling digest over every outcome in job order (hex); equal
     /// digests witness bit-identical campaigns.
     pub digest: String,
-    /// Worker threads used (at most one per block of jobs).
+    /// Worker threads used: at most one per group (patient and
+    /// initial BG) with pending jobs, since a group is the executor's
+    /// unit of work.
     pub workers: usize,
     /// Where that worker count came from.
     pub worker_source: WorkerSource,
@@ -643,17 +691,17 @@ fn run_job_checked(
     }
 }
 
-/// Runs one block of up to [`BATCH_LANES`] jobs (`block` indexes
-/// `jobs`) and returns each job's outcome, equal to what
-/// [`run_job_checked`] returns for it: jobs whose attempt 1 runs clean
-/// share one [`run_block`] call under one `catch_unwind`, and every
-/// other job, failed lane or lane of a panicked block goes through
-/// [`run_job_checked`] from attempt 1.
-fn run_block_checked(
+/// Runs one group of jobs (`group` indexes `jobs`) and returns each
+/// job's outcome, equal to what [`run_job_checked`] returns for it:
+/// jobs whose attempt 1 runs clean fork from the group's fault-free
+/// trunk in lockstep blocks (the crate-private `fork` module), and
+/// every other job, failed lane, or job whose fork or block did not run
+/// goes through [`run_job_checked`] from attempt 1.
+fn run_group_checked(
     spec: &CampaignSpec,
     cohort: &Cohort,
     jobs: &[Job],
-    block: &[usize],
+    group: &[usize],
     monitor_factory: Option<&MonitorFactory<'_>>,
     options: &CampaignOptions,
 ) -> Vec<JobOutcome> {
@@ -665,20 +713,16 @@ fn run_block_checked(
                 .as_ref()
                 .is_none_or(|c| c.plan(i, 1) == ChaosPlan::NONE)
     };
-    let lanes: Vec<usize> = (0..block.len()).filter(|&k| clean(block[k])).collect();
-    let mut outcomes: Vec<Option<JobOutcome>> = block.iter().map(|_| None).collect();
-    if !lanes.is_empty() {
-        let lane_jobs: Vec<Job> = lanes.iter().map(|&k| jobs[block[k]].clone()).collect();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_block::<BATCH_LANES>(spec, cohort, &lane_jobs, monitor_factory)
-        }));
-        for (&k, result) in lanes.iter().zip(run.into_iter().flatten()) {
-            outcomes[k] = result.ok().map(JobOutcome::Completed);
-        }
+    let lanes: Vec<usize> = (0..group.len()).filter(|&k| clean(group[k])).collect();
+    let lane_jobs: Vec<&Job> = lanes.iter().map(|&k| &jobs[group[k]]).collect();
+    let mut outcomes: Vec<Option<JobOutcome>> = group.iter().map(|_| None).collect();
+    let results = run_group::<BATCH_LANES>(spec, cohort, &lane_jobs, monitor_factory);
+    for (&k, result) in lanes.iter().zip(results) {
+        outcomes[k] = result.and_then(Result::ok).map(JobOutcome::Completed);
     }
     outcomes
         .into_iter()
-        .zip(block)
+        .zip(group)
         .map(|(outcome, &i)| {
             outcome.unwrap_or_else(|| {
                 run_job_checked(spec, cohort, &jobs[i], monitor_factory, options, i)
@@ -687,15 +731,22 @@ fn run_block_checked(
         .collect()
 }
 
-/// Runs the `pending` jobs in blocks of [`BATCH_LANES`] on the
-/// [ordered executor](crate::exec) and hands each outcome to
-/// `emit(job_index, outcome)` in job order. Once `options.cancel` is
-/// raised, outcomes not yet emitted are dropped. Every job is set up
-/// from one [`Cohort`] template, built here.
+/// Splits the `pending` job indices into groups: runs of consecutive
+/// jobs of one patient and initial BG, the executor's unit of work.
+fn groups<'p>(jobs: &[Job], pending: &'p [usize]) -> Vec<&'p [usize]> {
+    let cell = |i: usize| (jobs[i].patient_idx, jobs[i].initial_bg.to_bits());
+    pending.chunk_by(|&a, &b| cell(a) == cell(b)).collect()
+}
+
+/// Runs the `groups` of pending jobs on the
+/// [ordered executor](crate::exec), one group per unit, and hands each
+/// outcome to `emit(job_index, outcome)` in job order. Once
+/// `options.cancel` is raised, outcomes not yet emitted are dropped.
+/// Every job is set up from one [`Cohort`] template, built here.
 fn run_pending<E>(
     spec: &CampaignSpec,
     jobs: &[Job],
-    pending: &[usize],
+    groups: &[&[usize]],
     monitor_factory: Option<&MonitorFactory<'_>>,
     options: &CampaignOptions,
     workers: usize,
@@ -703,14 +754,13 @@ fn run_pending<E>(
 ) -> Result<(), E> {
     let cohort = Cohort::new(spec.platform);
     let cancel = options.cancel.as_deref();
-    let blocks: Vec<&[usize]> = pending.chunks(BATCH_LANES).collect();
     ordered_par_map(
-        blocks.len(),
+        groups.len(),
         workers,
         cancel,
-        |b| run_block_checked(spec, &cohort, jobs, blocks[b], monitor_factory, options),
-        |b, outcomes| {
-            for (&i, outcome) in blocks[b].iter().zip(outcomes) {
+        |g| run_group_checked(spec, &cohort, jobs, groups[g], monitor_factory, options),
+        |g, outcomes| {
+            for (&i, outcome) in groups[g].iter().zip(outcomes) {
                 if is_cancelled(cancel) {
                     break;
                 }
@@ -779,8 +829,9 @@ impl EmitState<'_> {
 /// optional deadline) with retries under `options.retry`; outcomes —
 /// [`JobOutcome::Completed`] or [`JobOutcome::Failed`] — stream into
 /// `sink(job_index, outcome)` in **deterministic job order**. Pending
-/// jobs run in lockstep blocks of [`BATCH_LANES`], falling back to one
-/// job at a time wherever a block cannot hold them (see the
+/// jobs run in groups forked from one fault-free trunk, as lockstep
+/// blocks of up to [`BATCH_LANES`], falling back to one job at a time
+/// wherever a block cannot hold them (see the
 /// [module docs](self)). Cancelling leaves the emitted jobs a prefix
 /// of the pending ones, and a failed checkpoint write stops the run.
 /// Failed jobs are final
@@ -826,8 +877,9 @@ pub fn run_campaign_resumable(
     let skipped_resumed = n - pending.len();
     let m = pending.len();
 
+    let groups = groups(&jobs, &pending);
     let (workers, worker_source) = worker_count(options.workers);
-    let workers = workers.min(m.div_ceil(BATCH_LANES).max(1));
+    let workers = workers.min(groups.len().max(1));
     let mut state = EmitState {
         jobs: &jobs,
         ckpt,
@@ -837,7 +889,7 @@ pub fn run_campaign_resumable(
     run_pending(
         spec,
         &jobs,
-        &pending,
+        &groups,
         monitor_factory,
         options,
         workers,
@@ -930,8 +982,9 @@ pub fn run_campaign_serial(
 /// deterministic job order** — into `sink(job_index, trace)` without
 /// ever materializing the full result vector.
 ///
-/// Jobs run in lockstep blocks on the [ordered executor](crate::exec)
-/// (see the [module docs](self)), so peak buffering is O(workers),
+/// Jobs run in groups on the [ordered executor](crate::exec), forked
+/// from each group's fault-free trunk in lockstep blocks (see the
+/// [module docs](self)), so peak buffering is O(workers) groups,
 /// never O(campaign): paper-scale sweeps can score, aggregate, or
 /// persist traces as they arrive.
 ///
@@ -967,7 +1020,7 @@ pub fn run_campaign_with_workers(
     let Ok(_) = run_pending(
         spec,
         &jobs,
-        &pending,
+        &groups(&jobs, &pending),
         monitor_factory,
         &CampaignOptions::default(),
         worker_count(workers).0,
@@ -1362,7 +1415,8 @@ mod tests {
     fn blocks_equal_the_per_job_reference() {
         // Patient 12 is outside the cohort, and rate faults start at
         // cycle 10, so the rate-max jobs (3 and 14) panic at cycle 20
-        // inside the first two blocks. Chaos perturbs a seeded share of
+        // inside blocks of the first two groups. This monitor cannot
+        // fork, so those groups run from step 0. Chaos perturbs a seeded share of
         // the jobs; one attempt and two attempts both run, since a retry
         // can hide a chaos plan mistaken for a clean lane.
         let spec = CampaignSpec {
@@ -1397,7 +1451,7 @@ mod tests {
         let panicking: Vec<usize> = (1..22).filter(max_rate).collect();
         assert_eq!(panicking, [3, 14], "the rate-max lanes");
 
-        // Their lane-mates in the first two blocks equal the serial
+        // Their lane-mates among the first 16 jobs equal the serial
         // reference.
         let serial = run_campaign_serial(
             &CampaignSpec {
@@ -1525,13 +1579,15 @@ mod tests {
             }
         }
 
-        // Workers beyond the number of blocks are not started.
+        // Workers beyond the number of units, one per (patient, initial
+        // BG) group, are not started.
         let options = CampaignOptions {
             workers: Some(8),
             ..CampaignOptions::default()
         };
         let wide = run_campaign_ft(&spec, Some(factory), &options).unwrap();
-        assert_eq!(wide.report.workers, jobs.len().div_ceil(BATCH_LANES));
+        let groups = spec.patient_indices.len() * spec.initial_bgs.len();
+        assert_eq!(wide.report.workers, groups);
 
         // A deadline is a per-job clock: no job may share a block's.
         let options = CampaignOptions {

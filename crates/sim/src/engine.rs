@@ -17,6 +17,13 @@
 //! pump → observe delivery → record (+ observer); then the physics
 //! steps every lane at once and each lane's state is checked for
 //! finiteness.
+//!
+//! [`run_lanes`] runs a range of steps, so a run can pause at a step
+//! boundary. A campaign group's fault-free trunk ([`crate::fork`])
+//! pauses at each fault start, copies its lane's own state
+//! ([`LaneState`]), and every faulty run of the group resumes from that
+//! copy ([`Lane::resume`]) instead of re-running the steps before its
+//! fault.
 
 use crate::closed_loop::LoopConfig;
 use crate::outcome::SimError;
@@ -31,6 +38,7 @@ use aps_types::{
     AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, Units,
     UnitsPerHour, CONTROL_CYCLE_MINUTES,
 };
+use std::ops::Range;
 
 /// Where the scenario's target variable sits in the control loop.
 enum FaultRoute {
@@ -51,10 +59,79 @@ struct Fault<'a> {
     hi: f64,
 }
 
-/// One attached monitor and its preallocated verdict stream.
-struct Tracked<'a> {
-    monitor: &'a mut dyn HazardMonitor,
-    alerts: Vec<Option<Hazard>>,
+impl Fault<'_> {
+    /// Brings a fresh injector to the state it has after `step` steps
+    /// of a fault-free prefix, as recorded in `trace`: before its start
+    /// a fault only remembers the last value its route read (for a
+    /// later `Hold`), so this replays the last step's read.
+    /// `target_before` is the controller's value of the target as of
+    /// that step, read by an internal-variable route.
+    fn catch_up(&mut self, step: u32, trace: &SimTrace, target_before: Option<f64>) {
+        let Some(last) = step.checked_sub(1) else {
+            return;
+        };
+        let rec = &trace.records[last as usize];
+        let seen = match self.route {
+            FaultRoute::Rate => Some(rec.commanded.value()),
+            FaultRoute::Glucose => Some(rec.bg.value()),
+            FaultRoute::Internal => target_before,
+        };
+        if let Some(value) = seen {
+            self.injector
+                .perturb_target(Step(last), value, self.lo, self.hi);
+        }
+    }
+}
+
+/// What a lane owns of its run — every piece of loop state that is not
+/// a borrowed component. A lane paused at a step boundary copies it
+/// ([`Lane::state`], [`LaneState::fork`]) so other lanes can resume
+/// from there.
+pub(crate) struct LaneState {
+    cgm: Cgm,
+    pump: Pump,
+    ctx_mitigator: Option<ContextMitigator>,
+    /// One record per step run so far.
+    trace: SimTrace,
+    /// One verdict stream per monitor, primary first.
+    alerts: Vec<Vec<Option<Hazard>>>,
+    /// Action classification compares against the previous
+    /// *commanded* rate (the paper's u1..u4 alphabet is over the
+    /// controller's command stream). Comparing against the previous
+    /// *delivered* rate let pump quantization (4.29 commanded vs 4.30
+    /// delivered) misclassify a steady max-rate fault as
+    /// `DecreaseInsulin` every cycle, so no SCS rule could ever fire.
+    prev_commanded: UnitsPerHour,
+}
+
+impl LaneState {
+    /// Steps run so far.
+    pub(crate) fn step(&self) -> u32 {
+        self.trace.records.len() as u32
+    }
+
+    /// A copy with room for the rest of a `steps`-step run.
+    pub(crate) fn fork(&self, steps: u32) -> LaneState {
+        fn with_room<T: Copy>(prefix: &[T], steps: u32) -> Vec<T> {
+            let mut copy = Vec::with_capacity(prefix.len().max(steps as usize));
+            copy.extend_from_slice(prefix);
+            copy
+        }
+        let records = with_room(&self.trace.records, steps);
+        let alerts = self.alerts.iter().map(|a| with_room(a, steps)).collect();
+        LaneState {
+            cgm: self.cgm.clone(),
+            pump: self.pump.clone(),
+            ctx_mitigator: self.ctx_mitigator.clone(),
+            trace: SimTrace {
+                meta: self.trace.meta.clone(),
+                records,
+                monitor_tracks: Vec::new(),
+            },
+            alerts,
+            prev_commanded: self.prev_commanded,
+        }
+    }
 }
 
 /// One closed-loop run minus its physics: the per-lane state of
@@ -63,22 +140,47 @@ pub(crate) struct Lane<'a> {
     controller: &'a mut dyn Controller,
     /// Primary first: its verdicts drive mitigation and fill
     /// [`StepRecord::alert`].
-    monitors: Vec<Tracked<'a>>,
+    monitors: Vec<&'a mut dyn HazardMonitor>,
     fault: Option<Fault<'a>>,
     config: &'a LoopConfig,
     observer: Option<&'a mut dyn FnMut(&StepRecord)>,
-    cgm: Cgm,
-    pump: Pump,
-    ctx_mitigator: Option<ContextMitigator>,
-    trace: SimTrace,
-    /// Action classification compares against the previous
-    /// *commanded* rate (the paper's u1..u4 alphabet is over the
-    /// controller's command stream). Comparing against the previous
-    /// *delivered* rate let pump quantization (4.29 commanded vs 4.30
-    /// delivered) misclassify a steady max-rate fault as
-    /// `DecreaseInsulin` every cycle, so no SCS rule could ever fire.
-    prev_commanded: UnitsPerHour,
+    state: LaneState,
     dead: Option<SimError>,
+}
+
+/// Resets `injector` for a run of `controller`, names its scenario in
+/// `meta`, and resolves the target's route and legitimate bounds.
+///
+/// A fault target the controller does not expose falls back to
+/// unbounded injection (legacy behaviour of the positional API;
+/// [`SessionBuilder`](crate::session::SessionBuilder) rejects such
+/// targets before a run is built).
+fn attach<'a>(
+    injector: &'a mut FaultInjector,
+    controller: &dyn Controller,
+    meta: &mut TraceMeta,
+) -> Fault<'a> {
+    injector.reset();
+    let scenario = injector.scenario();
+    meta.fault_name = scenario.name();
+    meta.fault_start = Some(scenario.start);
+    let route = match scenario.target.as_str() {
+        "rate" => FaultRoute::Rate,
+        "glucose" => FaultRoute::Glucose,
+        _ => FaultRoute::Internal,
+    };
+    let (lo, hi) = controller
+        .state_vars()
+        .iter()
+        .find(|v| v.name == scenario.target)
+        .map(|v| (v.min, v.max))
+        .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+    Fault {
+        injector,
+        route,
+        lo,
+        hi,
+    }
 }
 
 impl<'a> Lane<'a> {
@@ -87,11 +189,6 @@ impl<'a> Lane<'a> {
     /// mitigator, resolves the fault route and bounds, and preallocates
     /// the trace and verdict streams. The patient itself is the
     /// caller's physics and is reset by the caller.
-    ///
-    /// A fault target the controller does not expose falls back to
-    /// unbounded injection (legacy behaviour of the positional API;
-    /// [`SessionBuilder`](crate::session::SessionBuilder) rejects such
-    /// targets before a run is built).
     pub(crate) fn new(
         patient: &str,
         controller: &'a mut dyn Controller,
@@ -102,59 +199,96 @@ impl<'a> Lane<'a> {
     ) -> Lane<'a> {
         let steps = config.steps as usize;
         controller.reset();
-        let monitors: Vec<Tracked<'a>> = monitors
-            .into_iter()
-            .map(|monitor| {
-                monitor.reset();
-                Tracked {
-                    monitor,
-                    alerts: Vec::with_capacity(steps),
-                }
-            })
-            .collect();
+        let mut monitors: Vec<&'a mut dyn HazardMonitor> = monitors.into_iter().collect();
+        for monitor in monitors.iter_mut() {
+            monitor.reset();
+        }
         let mut meta = TraceMeta {
             patient: patient.to_owned(),
             initial_bg: config.initial_bg,
             ..TraceMeta::default()
         };
-        let fault = injector.map(|injector| {
-            injector.reset();
-            let scenario = injector.scenario();
-            meta.fault_name = scenario.name();
-            meta.fault_start = Some(scenario.start);
-            let route = match scenario.target.as_str() {
-                "rate" => FaultRoute::Rate,
-                "glucose" => FaultRoute::Glucose,
-                _ => FaultRoute::Internal,
-            };
-            let (lo, hi) = controller
-                .state_vars()
-                .iter()
-                .find(|v| v.name == scenario.target)
-                .map(|v| (v.min, v.max))
-                .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-            Fault {
-                injector,
-                route,
-                lo,
-                hi,
-            }
-        });
-        let prev_commanded = UnitsPerHour(controller.basal_rate().value());
+        let fault = injector.map(|injector| attach(injector, controller, &mut meta));
+        let state = LaneState {
+            // Configs are `Copy` scalars: no heap allocation here.
+            cgm: Cgm::new(config.cgm),
+            pump: Pump::new(config.pump),
+            ctx_mitigator: config.context_mitigation.map(ContextMitigator::new),
+            trace: SimTrace::with_capacity(meta, steps),
+            alerts: monitors.iter().map(|_| Vec::with_capacity(steps)).collect(),
+            prev_commanded: UnitsPerHour(controller.basal_rate().value()),
+        };
         Lane {
             controller,
             monitors,
             fault,
             config,
             observer,
-            // Configs are `Copy` scalars: no heap allocation here.
-            cgm: Cgm::new(config.cgm),
-            pump: Pump::new(config.pump),
-            ctx_mitigator: config.context_mitigation.map(ContextMitigator::new),
-            trace: SimTrace::with_capacity(meta, steps),
-            prev_commanded,
+            state,
             dead: None,
         }
+    }
+
+    /// Resumes a run from `state`, a fault-free run's state after its
+    /// first `state.step()` steps, without resetting anything:
+    /// `controller` and `monitors` are that run's components as of the
+    /// same step (forks of them), and the injector, reset, is brought
+    /// to the state a run from step 0 has at that step.
+    /// `target_before` is the value the fault target read on the last
+    /// of those steps, when it is a controller-internal variable (the
+    /// fault-free controller's one step before `state`).
+    ///
+    /// The lane then runs, from `state.step()` on, exactly as the
+    /// faulty run would have from step 0 — provided its fault is not
+    /// active before `state.step()` and `config` equals the fault-free
+    /// run's.
+    pub(crate) fn resume(
+        mut state: LaneState,
+        target_before: Option<f64>,
+        controller: &'a mut dyn Controller,
+        monitors: impl IntoIterator<Item = &'a mut dyn HazardMonitor>,
+        injector: Option<&'a mut FaultInjector>,
+        config: &'a LoopConfig,
+    ) -> Lane<'a> {
+        let monitors: Vec<&'a mut dyn HazardMonitor> = monitors.into_iter().collect();
+        debug_assert_eq!(
+            monitors.len(),
+            state.alerts.len(),
+            "one verdict stream per monitor"
+        );
+        let fault = injector.map(|injector| {
+            let mut fault = attach(injector, controller, &mut state.trace.meta);
+            debug_assert!(
+                fault.injector.scenario().start.0 >= state.step(),
+                "a fault active before the fork step"
+            );
+            fault.catch_up(state.step(), &state.trace, target_before);
+            fault
+        });
+        Lane {
+            controller,
+            monitors,
+            fault,
+            config,
+            observer: None,
+            state,
+            dead: None,
+        }
+    }
+
+    /// The lane's own state, or `None` once the run has died.
+    pub(crate) fn state(&self) -> Option<&LaneState> {
+        self.dead.is_none().then_some(&self.state)
+    }
+
+    /// The lane's controller.
+    pub(crate) fn controller(&self) -> &dyn Controller {
+        &*self.controller
+    }
+
+    /// The lane's primary monitor, if it has any.
+    pub(crate) fn primary_monitor(&self) -> Option<&dyn HazardMonitor> {
+        self.monitors.first().map(|m| &**m)
     }
 
     /// The run's result: its first non-finite cycle, or the trace with
@@ -163,13 +297,14 @@ impl<'a> Lane<'a> {
         if let Some(e) = self.dead {
             return Err(e);
         }
-        let mut trace = self.trace;
+        let mut trace = self.state.trace;
         trace.monitor_tracks = self
             .monitors
             .into_iter()
-            .map(|t| AlertTrack {
-                monitor: t.monitor.name().to_owned(),
-                alerts: t.alerts,
+            .zip(self.state.alerts)
+            .map(|(monitor, alerts)| AlertTrack {
+                monitor: monitor.name().to_owned(),
+                alerts,
             })
             .collect();
         aps_risk::label_trace(&mut trace, &self.config.labels);
@@ -177,8 +312,10 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// Runs `lanes` (at most `L`, all with the same step count) through
-/// their closed loops in lockstep, lane `l` on physics lane `l`.
+/// Runs `lanes` (at most `L`) through `steps` of their closed loops in
+/// lockstep, lane `l` on physics lane `l`. Every lane has run exactly
+/// the steps before `steps.start`, and `physics` holds their state at
+/// that step boundary.
 ///
 /// Lanes are independent: nothing crosses lanes but the batched
 /// physics step, whose arithmetic is per lane. Padding lanes (beyond
@@ -196,10 +333,16 @@ impl<'a> Lane<'a> {
 pub(crate) fn run_lanes<const L: usize>(
     physics: &mut dyn BatchedPatientSim<L>,
     lanes: &mut [Lane<'_>],
+    steps: Range<u32>,
 ) {
     debug_assert!(lanes.len() <= L, "{} lanes exceed {L}", lanes.len());
-    let steps = lanes.first().map_or(0, |lane| lane.config.steps);
-    for s in 0..steps {
+    debug_assert!(
+        lanes
+            .iter()
+            .all(|lane| lane.dead.is_some() || lane.state.step() == steps.start),
+        "lanes out of step"
+    );
+    for s in steps {
         let step = Step(s);
         // What each lane's pump delivers this cycle (the physics
         // input), and its step record up to the delivery observation.
@@ -220,7 +363,7 @@ pub(crate) fn run_lanes<const L: usize>(
                 physics.exert(l, bout.intensity, bout.duration_min);
             }
             let true_bg = physics.bg(l);
-            let reading = lane.cgm.sample(true_bg);
+            let reading = lane.state.cgm.sample(true_bg);
 
             // Fault injection on the controller's input/internal
             // variables; output faults are applied after the decision.
@@ -265,7 +408,7 @@ pub(crate) fn run_lanes<const L: usize>(
                 commanded =
                     UnitsPerHour(injector.perturb_target(step, commanded.value(), *lo, *hi));
             }
-            let action = ControlAction::classify(commanded, lane.prev_commanded);
+            let action = ControlAction::classify(commanded, lane.state.prev_commanded);
 
             // Every monitor sees the same input; the primary's verdict
             // feeds mitigation and the alert column.
@@ -273,18 +416,19 @@ pub(crate) fn run_lanes<const L: usize>(
                 step,
                 bg: reading,
                 commanded,
-                previous_rate: lane.prev_commanded,
+                previous_rate: lane.state.prev_commanded,
             };
             let mut alert = None;
-            for (i, t) in lane.monitors.iter_mut().enumerate() {
-                let verdict = t.monitor.check(&input);
-                t.alerts.push(verdict);
+            let tracked = lane.monitors.iter_mut().zip(&mut lane.state.alerts);
+            for (i, (monitor, alerts)) in tracked.enumerate() {
+                let verdict = monitor.check(&input);
+                alerts.push(verdict);
                 if i == 0 {
                     alert = verdict;
                 }
             }
 
-            let mitigated = if let Some(cm) = lane.ctx_mitigator.as_mut() {
+            let mitigated = if let Some(cm) = lane.state.ctx_mitigator.as_mut() {
                 let mit_ctx = cm.observe_bg(reading);
                 cm.mitigate(alert, &mit_ctx, commanded)
             } else {
@@ -294,7 +438,7 @@ pub(crate) fn run_lanes<const L: usize>(
                 }
             };
 
-            let delivered = lane.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
+            let delivered = lane.state.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
             rates[l] = delivered;
             staged[l] = Some(StepRecord {
                 step,
@@ -316,18 +460,18 @@ pub(crate) fn run_lanes<const L: usize>(
         for (l, lane) in lanes.iter_mut().enumerate() {
             let Some(mut rec) = staged[l] else { continue };
             lane.controller.observe_delivery(rec.delivered);
-            for t in lane.monitors.iter_mut() {
-                t.monitor.observe_delivery(rec.delivered);
+            for monitor in lane.monitors.iter_mut() {
+                monitor.observe_delivery(rec.delivered);
             }
-            if let Some(cm) = lane.ctx_mitigator.as_mut() {
+            if let Some(cm) = lane.state.ctx_mitigator.as_mut() {
                 cm.observe_delivery(rec.delivered);
             }
             rec.iob = lane.controller.iob();
-            lane.trace.push(rec);
+            lane.state.trace.push(rec);
             if let Some(obs) = lane.observer.as_mut() {
                 obs(&rec);
             }
-            lane.prev_commanded = rec.commanded;
+            lane.state.prev_commanded = rec.commanded;
         }
 
         physics.step_all(&rates, CONTROL_CYCLE_MINUTES);
@@ -397,6 +541,13 @@ pub(crate) fn run_one<'a>(
         config,
         observer,
     );
-    run_lanes::<1>(&mut OneLane(patient), std::slice::from_mut(&mut lane));
+    run_alone(patient, &mut lane, 0..config.steps);
     lane.finish()
+}
+
+/// Runs one lane through `steps` on `patient` (the one-lane instance
+/// of [`run_lanes`]); the patient holds the lane's physics state at
+/// `steps.start`.
+pub(crate) fn run_alone(patient: &mut dyn PatientSim, lane: &mut Lane<'_>, steps: Range<u32>) {
+    run_lanes::<1>(&mut OneLane(patient), std::slice::from_mut(lane), steps);
 }

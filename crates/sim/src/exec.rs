@@ -4,9 +4,10 @@
 //! one crate-private helper, `ordered_par_map(n, workers, cancel, work,
 //! emit)`. It runs `work(k)` for every unit `k` in `0..n` on scoped
 //! worker threads and hands each result to `emit(k, result)` on the
-//! calling thread. A unit is whatever the caller makes it: a block of
-//! up to [`BATCH_LANES`](crate::batch::BATCH_LANES) campaign jobs, or a
-//! recorded trace.
+//! calling thread. A unit is whatever the caller makes it: a campaign
+//! group (the jobs of one patient and initial BG, forked from one
+//! fault-free trunk and stepped in lockstep blocks of up to
+//! [`BATCH_LANES`](crate::batch::BATCH_LANES)), or a recorded trace.
 //! Every caller therefore shares one contract:
 //!
 //! * **Order.** `emit` sees the units strictly in index order, `0, 1,

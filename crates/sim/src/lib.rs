@@ -16,7 +16,11 @@
 //!   executes, generic over its lane count: sessions, positional runs
 //!   and the serial reference's campaign jobs are its one-lane
 //!   instance, a campaign block its [`batch::BATCH_LANES`]-lane
-//!   instance;
+//!   instance, and it runs a step range, so a run can pause and be
+//!   resumed from a copy of its state;
+//! * the private `fork` module — a campaign group (the jobs of one
+//!   patient and initial BG) runs its fault-free loop once and forks
+//!   every faulty run from it at the fault start;
 //! * [`platform::Platform`] — the two evaluation platforms (OpenAPS +
 //!   Glucosym-style, Basal-Bolus + UVA-Padova-style);
 //! * [`batch`] — the batched lockstep engine: a block of
@@ -25,8 +29,9 @@
 //!   one lane per job, bit-identical to running each job alone;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
 //!   patients × initial BG × scenarios, multi-threaded). Its one
-//!   engine claims blocks of jobs and runs each through
-//!   [`batch::run_block`] under per-job fault isolation, behind the
+//!   engine claims groups of jobs, forks each group's jobs from its
+//!   fault-free trunk in lockstep blocks under per-job fault
+//!   isolation, behind the
 //!   bounded-memory streaming sink ([`campaign::run_campaign_with`])
 //!   and the fault-tolerant path
 //!   ([`campaign::run_campaign_resumable`]): panic-isolated jobs,
@@ -69,6 +74,7 @@ pub mod closed_loop;
 pub mod dataset;
 mod engine;
 pub mod exec;
+mod fork;
 pub mod io;
 pub mod outcome;
 pub mod platform;

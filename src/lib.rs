@@ -76,8 +76,8 @@
 //! * **Batched lockstep stepping (SoA lanes)** — every campaign
 //!   executor ([`sim::campaign::run_campaign_with`] and the
 //!   fault-tolerant [`sim::campaign::run_campaign_resumable`] alike)
-//!   claims *blocks* of [`sim::batch::BATCH_LANES`] = 8 scenario jobs
-//!   and steps them in lockstep ([`sim::batch::run_block`]) through
+//!   steps *blocks* of up to [`sim::batch::BATCH_LANES`] = 8 scenario
+//!   jobs in lockstep ([`sim::batch::run_block`]) through
 //!   structure-of-arrays compartment banks
 //!   (`BatchedBergman` / `BatchedDallaMan`: one `[f64; LANES]` row per
 //!   ODE compartment) integrated by a single
@@ -104,6 +104,25 @@
 //!   that diverges to NaN free-runs harmlessly (non-finite is absorbing
 //!   under RK4) and surfaces as that job's typed `NonFinite` error
 //!   without poisoning its lane-mates.
+//! * **Faulty runs fork from one fault-free trunk** — an executor's
+//!   unit of work is a *group*: the jobs of one (patient, initial BG)
+//!   cell, which differ only in their fault scenario, so every faulty
+//!   run repeats the group's fault-free run until its fault starts.
+//!   The group's fault-free loop runs once, alone, and pauses at each
+//!   distinct fault start to copy its state (patient, forks of the
+//!   controller and monitor via [`controllers::Controller::fork`] and
+//!   [`core::monitors::HazardMonitor::fork`], CGM with its RNG, pump,
+//!   mitigator, trace and verdict prefix). Each job then resumes from
+//!   the copy at its fault start, as a lane of a block of the jobs
+//!   that fork there, with its injector caught up to the state a run
+//!   from step 0 has at that step; the fault-free job forks with the
+//!   latest faulty one. On the paper grid (starts 20, 50 and 90 of 150
+//!   cycles) that cuts a group's lane-cycles from 40 650 to about
+//!   28 000, padding included. A group whose monitor cannot fork runs
+//!   every job from step 0. [`sim::campaign::run_campaign_serial`] and
+//!   the per-job isolation path still run every job from step 0, so
+//!   the equivalence suites check every fork against an independent
+//!   full run (`tests/fork_equivalence.rs`).
 //! * **Allocation-free integration** — the patient models integrate
 //!   with a const-generic stack scratch
 //!   ([`glucose::ode::Rk4Scratch`]); no heap allocation occurs inside
@@ -200,15 +219,17 @@
 //! philosophy the paper applies to the APS control loop, applied to
 //! the harness itself. The hardened executor
 //! ([`sim::campaign::run_campaign_resumable`] and its collecting
-//! wrapper [`sim::campaign::run_campaign_ft`]) runs the same lockstep
-//! blocks as every other campaign executor and guarantees, per job:
+//! wrapper [`sim::campaign::run_campaign_ft`]) runs the same forked
+//! lockstep blocks as every other campaign executor and guarantees,
+//! per job:
 //!
 //! * **Isolation** — every job is validated first
 //!   ([`fault::FaultScenario::validate`]) and runs behind
 //!   `catch_unwind`, as a lane of a block or, when the block cannot
-//!   hold it (invalid spec, chaos plan, deadline) or the block failed
-//!   or panicked, on its own from attempt 1, so the blame lands on the
-//!   exact job. Its ODE state is checked for finiteness after every
+//!   hold it (invalid spec, chaos plan, deadline), the block failed or
+//!   panicked, or its fork was never made (the group's fault-free
+//!   trunk panicked or diverged first), on its own from attempt 1, so
+//!   the blame lands on the exact job. Its ODE state is checked for finiteness after every
 //!   control cycle ([`glucose::PatientSim::state_is_finite`]; the RK4
 //!   stepper itself rejects non-finite states via
 //!   [`glucose::ode::Rk4Scratch::try_integrate`]). A panic, a

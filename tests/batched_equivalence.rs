@@ -157,14 +157,28 @@ fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
     let jobs = campaign_jobs(&spec);
     assert!(jobs.iter().any(|j| j.initial_bg == 1e308));
 
-    // Scalar reference: the fault-tolerant executor reports per-job
-    // outcomes (trace or typed error) without tearing down.
-    let options = CampaignOptions::default();
+    // Scalar reference: with a deadline the fault-tolerant executor
+    // runs every job on its own from step 0 (`run_job_checked`) and
+    // reports per-job outcomes (trace or typed error) without tearing
+    // down.
+    let per_job = CampaignOptions {
+        deadline: Some(std::time::Duration::from_secs(3600)),
+        ..CampaignOptions::default()
+    };
     let mut scalar: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-    run_campaign_resumable(&spec, None, &options, None, |i, outcome| {
+    run_campaign_resumable(&spec, None, &per_job, None, |i, outcome| {
         scalar[i] = Some(outcome);
     })
     .expect("no checkpointing configured");
+
+    // The default executor forks each group's jobs from its fault-free
+    // trunk. The 1e308 group's trunk diverges before its fork step, so
+    // its jobs fall back to running alone, with the same error.
+    let forked = run_campaign_ft(&spec, None, &CampaignOptions::default())
+        .expect("no checkpointing configured");
+    for (i, (s, f)) in scalar.iter().zip(&forked.outcomes).enumerate() {
+        assert_eq!(s.as_ref(), Some(f), "job {i}: forked executor diverged");
+    }
 
     // Batched: run the same corpus block by block through run_block,
     // which exposes per-lane Results.

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over a real Unix socket: kill/resume
-//! bit-identity, the content-addressed cache hit path, refusal of
-//! pre-v2 shard checkpoints, cancellation, and shutdown draining
-//! subscribers.
+//! bit-identity (also with failed jobs), the content-addressed cache
+//! hit path, refusal of pre-v2 shard checkpoints, cancellation, and
+//! shutdown draining subscribers.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -281,5 +281,58 @@ fn cancel_is_terminal_and_shutdown_drains_subscribers() {
         Err(other) => panic!("subscriber saw unexpected error: {other}"),
     }
     daemon.join().expect("daemon thread").expect("daemon run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_jobs_survive_kill_resume_and_fetch_refuses() {
+    let dir = scratch("failed");
+    let socket = dir.join("s1.sock");
+    let data = dir.join("data");
+    // Cohort index 12 does not exist: every job of that patient fails
+    // validation, so each shard interleaves failures with traces.
+    let mut spec = small_spec();
+    spec.patient_indices = vec![0, 12, 1];
+    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
+    assert_eq!(reference.report.total_jobs, 186);
+    assert_eq!(reference.report.failed_jobs, 62);
+
+    let mut config = ServiceConfig::new(&socket, &data);
+    config.checkpoint_every = 3;
+    config.interrupt_after = Some(90);
+    let daemon = std::thread::spawn(move || run_daemon(config));
+    let job = connect(&socket)
+        .submit(spec, 2, 0, "0")
+        .expect("submit")
+        .job;
+    daemon.join().expect("daemon thread").expect("daemon run");
+    let manifest = aps_service::JobManifest::load(&data.join("jobs").join(&job))
+        .expect("manifest survives the kill");
+    assert!(
+        !manifest.is_terminal(),
+        "job must not be terminal after kill"
+    );
+    assert!(manifest.executed_jobs < 186, "the kill lands mid-campaign");
+
+    let socket2 = dir.join("s2.sock");
+    let daemon2 = std::thread::spawn({
+        let config2 = ServiceConfig::new(&socket2, &data);
+        move || run_daemon(config2)
+    });
+    let manifest = wait_done(&socket2, &job);
+    assert_eq!(manifest.state, "done");
+    assert_eq!(manifest.digest, reference.report.digest);
+    assert_eq!(manifest.failed_jobs, reference.report.failed_jobs);
+    assert_eq!(manifest.completed_jobs, reference.report.completed_jobs);
+    match connect(&socket2).fetch(&job) {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, "has-failures"),
+        other => panic!("fetch of a job with failures must refuse, got {other:?}"),
+    }
+
+    connect(&socket2).shutdown().expect("shutdown");
+    daemon2
+        .join()
+        .expect("daemon2 thread")
+        .expect("daemon2 run");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,7 @@
 //! binary vs multi-class ML monitors, and ML overfitting on fault-free
 //! data.
 
-use crate::experiments::{fold_indices, replay_all, sample_counts, select};
+use crate::experiments::{fold_indices, sample_counts, select};
 use crate::opts::ExpOpts;
 use crate::report::{rate, write_json, Table};
 use crate::zoo::{MonitorKind, Zoo};
@@ -11,6 +11,7 @@ use aps_core::scs::{ActionCond, BgCond, IobCond, Scs};
 use aps_metrics::timing::early_detection_rate;
 use aps_sim::campaign::run_campaign;
 use aps_sim::platform::Platform;
+use aps_sim::replay::replay_campaign;
 use aps_types::{SimTrace, UnitsPerHour};
 use serde_json::json;
 
@@ -90,7 +91,7 @@ pub fn adversarial(opts: &ExpOpts) {
 
     // Adversarial: the standard CAWT pipeline.
     let zoo = Zoo::train(platform, opts, &train);
-    let adversarial = replay_all(&zoo, MonitorKind::Cawt, &test);
+    let adversarial = replay_campaign(&test, |t| zoo.make(MonitorKind::Cawt, &t.meta.patient));
 
     // Fault-free: thresholds pushed to the normal-behaviour boundary.
     let probe = platform.patients().remove(0);
@@ -163,7 +164,7 @@ pub fn multiclass(opts: &ExpOpts) {
         (MonitorKind::MlpMulti, "MLP", "3"),
         (MonitorKind::Cawt, "CAWT", "n/a (from SCS)"),
     ] {
-        let ts = replay_all(&zoo, kind, &test);
+        let ts = replay_campaign(&test, |t| zoo.make(kind, &t.meta.patient));
         let c = sample_counts(&ts);
         table.row(&[
             label.to_owned(),
@@ -216,7 +217,7 @@ pub fn fault_free_eval(opts: &ExpOpts) {
         MonitorKind::Mlp,
         MonitorKind::Lstm,
     ] {
-        let ts = replay_all(&zoo, kind, &fault_free);
+        let ts = replay_campaign(&fault_free, |t| zoo.make(kind, &t.meta.patient));
         let c = sample_counts(&ts);
         let alarmed = ts.iter().filter(|t| t.first_alert().is_some()).count();
         table.row(&[

@@ -1,13 +1,14 @@
 //! Table V (CAWT vs non-ML monitors), Table VI (CAWT vs ML monitors)
 //! and Fig. 9 (reaction time) — prediction-accuracy experiments.
 
-use crate::experiments::{fold_indices, replay_all, sample_counts, select, simulation_counts};
+use crate::experiments::{fold_indices, sample_counts, select, simulation_counts};
 use crate::opts::ExpOpts;
 use crate::report::{rate, write_json, Table};
 use crate::zoo::{MonitorKind, Zoo};
 use aps_metrics::timing::{early_detection_rate, reaction_time, TimingStats};
 use aps_sim::campaign::run_campaign;
 use aps_sim::platform::Platform;
+use aps_sim::replay::replay_campaign;
 use aps_types::SimTrace;
 use serde_json::json;
 use std::collections::HashMap;
@@ -32,7 +33,7 @@ pub fn cv_replay(
         for &kind in kinds {
             out.entry(kind)
                 .or_default()
-                .extend(replay_all(&zoo, kind, traces));
+                .extend(replay_campaign(traces, |t| zoo.make(kind, &t.meta.patient)));
         }
         return out;
     }
@@ -57,7 +58,7 @@ pub fn cv_replay(
         for &kind in kinds {
             out.entry(kind)
                 .or_default()
-                .extend(replay_all(&zoo, kind, &test));
+                .extend(replay_campaign(&test, |t| zoo.make(kind, &t.meta.patient)));
         }
     }
     out

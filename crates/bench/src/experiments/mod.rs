@@ -10,23 +10,10 @@ pub mod resilience;
 pub mod train;
 pub mod zoo_report;
 
-use crate::zoo::{MonitorKind, Zoo};
 use aps_metrics::simulation::campaign_simulation_counts;
 use aps_metrics::tolerance::{trace_tolerance_counts, DEFAULT_TOLERANCE};
 use aps_metrics::ConfusionCounts;
-use aps_sim::replay::replay_monitor;
 use aps_types::SimTrace;
-
-/// Replays one monitor kind over a set of traces.
-pub fn replay_all(zoo: &Zoo, kind: MonitorKind, traces: &[SimTrace]) -> Vec<SimTrace> {
-    traces
-        .iter()
-        .map(|t| {
-            let mut m = zoo.make(kind, &t.meta.patient);
-            replay_monitor(t, m.as_mut())
-        })
-        .collect()
-}
 
 /// Aggregated sample-level (tolerance-window) counts over traces that
 /// already carry alerts.

@@ -1,12 +1,13 @@
 //! Table VIII — patient-specific vs population-based thresholds.
 
-use crate::experiments::{replay_all, sample_counts};
+use crate::experiments::sample_counts;
 use crate::opts::ExpOpts;
 use crate::report::{rate, write_json, Table};
 use crate::zoo::{MonitorKind, Zoo};
 use aps_metrics::timing::early_detection_rate;
 use aps_sim::campaign::run_campaign;
 use aps_sim::platform::Platform;
+use aps_sim::replay::replay_campaign;
 use serde_json::json;
 
 /// Table VIII: for three named patients, compare a monitor with
@@ -58,7 +59,7 @@ pub fn table8(opts: &ExpOpts) {
             ("patient-specific", &zoo_specific, MonitorKind::Cawt),
             ("population", &zoo_population, MonitorKind::CawtPopulation),
         ] {
-            let replayed = replay_all(zoo, kind, own_test);
+            let replayed = replay_campaign(own_test, |t| zoo.make(kind, &t.meta.patient));
             let c = sample_counts(&replayed);
             let edr = early_detection_rate(replayed.iter());
             table.row(&[

@@ -67,10 +67,7 @@ impl ResultCache {
     /// Opens (creating if needed) the cache under `data_dir/cache`.
     pub fn open(data_dir: &Path) -> Result<ResultCache, ServiceError> {
         let dir = data_dir.join("cache");
-        std::fs::create_dir_all(&dir).map_err(|e| ServiceError::Io {
-            path: dir.display().to_string(),
-            detail: e.to_string(),
-        })?;
+        std::fs::create_dir_all(&dir).map_err(ServiceError::io(&dir))?;
         Ok(ResultCache { dir })
     }
 
@@ -114,21 +111,7 @@ impl ResultCache {
 
     /// Atomically persists stats to `<cache>/stats.json`.
     pub fn save_stats(&self, stats: &CacheStats) -> Result<(), ServiceError> {
-        let path = self.dir.join("stats.json");
-        let tmp = self.dir.join("stats.json.tmp");
-        let text = serde_json::to_string_pretty(stats).map_err(|e| ServiceError::Corrupt {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        let io = |p: &Path| {
-            let p = p.display().to_string();
-            move |e: std::io::Error| ServiceError::Io {
-                path: p.clone(),
-                detail: e.to_string(),
-            }
-        };
-        std::fs::write(&tmp, text).map_err(io(&tmp))?;
-        std::fs::rename(&tmp, &path).map_err(io(&path))
+        crate::save_json(stats, &self.dir.join("stats.json"))
     }
 }
 

@@ -34,10 +34,7 @@ pub struct Submitted {
 impl Client {
     /// Connects to the daemon socket.
     pub fn connect(socket: &Path) -> Result<Client, ServiceError> {
-        let stream = UnixStream::connect(socket).map_err(|e| ServiceError::Io {
-            path: socket.display().to_string(),
-            detail: e.to_string(),
-        })?;
+        let stream = UnixStream::connect(socket).map_err(ServiceError::io(socket))?;
         Ok(Client { stream })
     }
 

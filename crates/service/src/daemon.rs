@@ -15,13 +15,13 @@ use std::collections::BTreeMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::{cache_key, CacheStats, ResultCache};
 use crate::job::{
-    read_shard_log, truncate_shard_log, JobManifest, LogLine, ShardLogWriter, MANIFEST_VERSION,
-    STATE_CANCELLED, STATE_DONE, STATE_FAILED, STATE_QUEUED, STATE_RUNNING,
+    JobManifest, MANIFEST_VERSION, STATE_CANCELLED, STATE_DONE, STATE_FAILED, STATE_QUEUED,
+    STATE_RUNNING,
 };
 use crate::wire::{
     encode_event, encode_response, read_frame, write_frame, Event, Request, Response, WireError,
@@ -33,7 +33,9 @@ use aps_sim::campaign::{
 use aps_sim::checkpoint::{from_hex, spec_hash, to_hex, AggregatePartials, CampaignCheckpoint};
 use aps_sim::outcome::JobOutcome;
 use aps_sim::shard::plan_shards;
-use aps_tracestore::{code_version_hash, read_store, FileTraceWriter, StoreInfo, TraceStoreReader};
+use aps_tracestore::{
+    code_version_hash, FileTraceWriter, StoreInfo, TraceLogWriter, TraceStoreReader,
+};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -95,7 +97,22 @@ struct Shared {
     executed_total: AtomicUsize,
 }
 
-fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, Inner> {
+impl Inner {
+    /// Adds a job to the registry, after every job already in it.
+    fn register(&mut self, manifest: JobManifest) {
+        let seq = self.seq;
+        self.seq += 1;
+        let entry = JobEntry {
+            manifest,
+            cancel: Arc::new(AtomicBool::new(false)),
+            subscribers: Vec::new(),
+            seq,
+        };
+        self.jobs.insert(entry.manifest.job.clone(), entry);
+    }
+}
+
+fn lock(shared: &Shared) -> MutexGuard<'_, Inner> {
     shared.inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -120,10 +137,7 @@ enum RunEnd {
 /// failures are recorded in the job's manifest instead.
 pub fn run_daemon(config: ServiceConfig) -> Result<(), ServiceError> {
     let jobs = jobs_dir(&config);
-    std::fs::create_dir_all(&jobs).map_err(|e| ServiceError::Io {
-        path: jobs.display().to_string(),
-        detail: e.to_string(),
-    })?;
+    std::fs::create_dir_all(&jobs).map_err(ServiceError::io(&jobs))?;
     let cache = ResultCache::open(&config.data_dir)?;
 
     let mut inner = Inner {
@@ -133,10 +147,7 @@ pub fn run_daemon(config: ServiceConfig) -> Result<(), ServiceError> {
     rescan_jobs(&jobs, &mut inner);
 
     let _ = std::fs::remove_file(&config.socket);
-    let listener = UnixListener::bind(&config.socket).map_err(|e| ServiceError::Io {
-        path: config.socket.display().to_string(),
-        detail: e.to_string(),
-    })?;
+    let listener = UnixListener::bind(&config.socket).map_err(ServiceError::io(&config.socket))?;
 
     let shared = Arc::new(Shared {
         config,
@@ -208,17 +219,7 @@ fn rescan_jobs(jobs: &Path, inner: &mut Inner) {
             manifest.state = String::from(STATE_QUEUED);
             let _ = manifest.save(&dir);
         }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.jobs.insert(
-            manifest.job.clone(),
-            JobEntry {
-                manifest,
-                cancel: Arc::new(AtomicBool::new(false)),
-                subscribers: Vec::new(),
-                seq,
-            },
-        );
+        inner.register(manifest);
     }
 }
 
@@ -309,15 +310,17 @@ fn respond_error(stream: &mut UnixStream, e: &WireError) {
     );
 }
 
-/// Digest and trace count of a complete cached store, folded exactly
+/// Marks `manifest` done from a validated cache entry, folded exactly
 /// the way the campaign executor folds a zero-failure run.
-fn fold_store(reader: &TraceStoreReader) -> (String, usize) {
+fn serve_cached(manifest: &mut JobManifest, reader: &TraceStoreReader) {
     let mut partials = AggregatePartials::default();
-    let traces = read_store(reader);
-    for trace in &traces {
-        partials.fold_completed(trace);
+    for view in reader.iter() {
+        partials.fold_completed(&view.materialize());
     }
-    (partials.digest, traces.len())
+    manifest.state = String::from(STATE_DONE);
+    manifest.cached = true;
+    manifest.completed_jobs = partials.completed_jobs;
+    manifest.digest = partials.digest;
 }
 
 fn handle_submit(
@@ -350,7 +353,7 @@ fn handle_submit(
     if let Some(entry) = inner.jobs.get(&id) {
         let cached = entry.manifest.state == STATE_DONE;
         if cached {
-            bump_stats(shared, |s| s.hits += 1);
+            bump_stats(&shared.cache, &inner, |s| s.hits += 1);
         }
         return Response::Submitted {
             job: id,
@@ -381,15 +384,11 @@ fn handle_submit(
     // Content-addressed cache front: an existing, validated entry
     // makes the job terminal without ever touching the executor.
     let cached = if let Some(reader) = shared.cache.lookup(key, spec_hash_u64) {
-        let (digest, completed) = fold_store(&reader);
-        manifest.state = String::from(STATE_DONE);
-        manifest.cached = true;
-        manifest.completed_jobs = completed;
-        manifest.digest = digest;
-        bump_stats(shared, |s| s.hits += 1);
+        serve_cached(&mut manifest, &reader);
+        bump_stats(&shared.cache, &inner, |s| s.hits += 1);
         true
     } else {
-        bump_stats(shared, |s| s.misses += 1);
+        bump_stats(&shared.cache, &inner, |s| s.misses += 1);
         false
     };
 
@@ -400,17 +399,7 @@ fn handle_submit(
         };
     }
     let state = manifest.state.clone();
-    let seq = inner.seq;
-    inner.seq += 1;
-    inner.jobs.insert(
-        id.clone(),
-        JobEntry {
-            manifest,
-            cancel: Arc::new(AtomicBool::new(false)),
-            subscribers: Vec::new(),
-            seq,
-        },
-    );
+    inner.register(manifest);
     drop(inner);
     shared.cv.notify_all();
     log_line(
@@ -425,11 +414,15 @@ fn handle_submit(
     }
 }
 
-fn bump_stats(shared: &Shared, f: impl FnOnce(&mut crate::cache::CacheStats)) {
-    let mut stats = shared.cache.load_stats();
+/// Applies `f` to the persisted cache stats. Every caller must hold
+/// the registry lock (hence the unused guard argument): that is what
+/// serializes the load-modify-save of `stats.json` and its shared
+/// temp file.
+fn bump_stats(cache: &ResultCache, _held: &MutexGuard<'_, Inner>, f: impl FnOnce(&mut CacheStats)) {
+    let mut stats = cache.load_stats();
     stats.version = 1;
     f(&mut stats);
-    let _ = shared.cache.save_stats(&stats);
+    let _ = cache.save_stats(&stats);
 }
 
 fn handle_status(shared: &Shared, job: &str) -> Response {
@@ -683,16 +676,12 @@ fn run_one_job(shared: &Shared, id: &str) -> Result<RunEnd, ServiceError> {
     // Late cache check: another daemon sharing the data dir may have
     // published this key since submission.
     if let Some(reader) = shared.cache.lookup(key, spec_hash_u64) {
-        let (digest, completed) = fold_store(&reader);
         let mut inner = lock(shared);
         if let Some(entry) = inner.jobs.get_mut(id) {
-            entry.manifest.state = String::from(STATE_DONE);
-            entry.manifest.cached = true;
-            entry.manifest.completed_jobs = completed;
-            entry.manifest.digest = digest;
+            serve_cached(&mut entry.manifest, &reader);
             entry.manifest.save(&dir)?;
         }
-        bump_stats(shared, |s| s.hits += 1);
+        bump_stats(&shared.cache, &inner, |s| s.hits += 1);
         return Ok(RunEnd::Done);
     }
 
@@ -708,49 +697,58 @@ fn run_one_job(shared: &Shared, id: &str) -> Result<RunEnd, ServiceError> {
         }
         let ckpt_path = JobManifest::ckpt_path(&dir, plan.index);
         let log_path = JobManifest::log_path(&dir, plan.index);
-        let shard_hash_hex = to_hex(spec_hash(&plan.spec));
+        let shard_hash = spec_hash(&plan.spec);
 
-        // Recover the shard's resume state: a checkpoint is only
-        // honored when it validates against this shard's spec AND the
-        // result log covers at least its completed count (the sink
-        // flushes each line before the covering checkpoint can be
-        // written, so a shorter log means tampering/corruption —
-        // restart the shard from scratch rather than guess).
-        let mut resume: Option<CampaignCheckpoint> = None;
-        if ckpt_path.exists() {
-            let valid = CampaignCheckpoint::load(&ckpt_path).ok().filter(|c| {
-                c.validate_for(&shard_hash_hex, None, plan.job_count)
+        // Recover the shard's resume state. A checkpoint is honored
+        // only when it validates against this shard's spec AND the log
+        // holds a block for each completed job it covers (its count
+        // minus the ledgered failures, which get no block). The sink
+        // appends each block before a checkpoint covering it can be
+        // written, so a shorter log was lost or damaged: the shard
+        // re-runs from scratch rather than guess. Otherwise the log is
+        // cut back to exactly those blocks, dropping emissions past
+        // the checkpoint (they re-run) and any torn tail.
+        let resume = CampaignCheckpoint::load(&ckpt_path)
+            .ok()
+            .filter(|c| {
+                c.validate_for(&to_hex(shard_hash), None, plan.job_count)
                     .is_ok()
+            })
+            .and_then(|ckpt| {
+                let blocks = ckpt.completed.count().saturating_sub(ckpt.ledger.len());
+                let end = match blocks {
+                    0 => 0,
+                    k => TraceStoreReader::open_log(&log_path)
+                        .ok()
+                        .filter(|log| log.len() >= k)?
+                        .block_end(k - 1),
+                };
+                Some((ckpt, end))
             });
-            match valid {
-                Some(ckpt) => {
-                    let done = ckpt.completed.count();
-                    let lines = read_shard_log(&log_path)?;
-                    if lines.len() < done {
-                        let _ = std::fs::remove_file(&ckpt_path);
-                        let _ = std::fs::remove_file(&log_path);
-                    } else {
-                        if lines.len() > done {
-                            // Emissions past the checkpoint frontier
-                            // will re-run; drop them from the log so
-                            // the merge sees each job exactly once.
-                            truncate_shard_log(&log_path, &lines[..done])?;
-                        }
-                        resume = Some(ckpt);
-                    }
-                }
-                None => {
-                    let _ = std::fs::remove_file(&ckpt_path);
-                    let _ = std::fs::remove_file(&log_path);
-                }
+        let resume = match resume {
+            Some((ckpt, end)) => {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(&log_path)
+                    .and_then(|log| log.set_len(end))
+                    .map_err(ServiceError::io(&log_path))?;
+                Some(ckpt)
             }
-        }
+            None => {
+                let _ = std::fs::remove_file(&ckpt_path);
+                let _ = std::fs::remove_file(&log_path);
+                None
+            }
+        };
 
         let already_done = resume
             .as_ref()
             .is_some_and(|c| c.completed.count() == plan.job_count);
         if !already_done {
-            let mut log = ShardLogWriter::append(&log_path)?;
+            let mut log = TraceLogWriter::append(&log_path, shard_hash)
+                .map_err(ServiceError::io(&log_path))?;
             let run_cancel = Arc::new(AtomicBool::new(false));
             let options = CampaignOptions {
                 workers: shared.config.workers,
@@ -767,32 +765,22 @@ fn run_one_job(shared: &Shared, id: &str) -> Result<RunEnd, ServiceError> {
                 None,
                 &options,
                 resume.as_ref(),
-                |i, outcome| {
+                |_, outcome| {
                     if sink_err.is_some() {
                         run_cancel.store(true, Ordering::Release);
                         return;
                     }
-                    let line = match outcome {
-                        JobOutcome::Completed(trace) => LogLine {
-                            job_index: i,
-                            trace: Some(trace),
-                            error: String::new(),
-                            attempts: 0,
-                        },
-                        JobOutcome::Failed { error, attempts } => LogLine {
-                            job_index: i,
-                            trace: None,
-                            error: error.to_string(),
-                            attempts,
-                        },
-                    };
-                    // The log line must be durable before the executor
-                    // can write a checkpoint covering it — that
-                    // ordering is the resume-correctness invariant.
-                    if let Err(e) = log.push(&line) {
-                        sink_err = Some(e);
-                        run_cancel.store(true, Ordering::Release);
-                        return;
+                    // A completed job's block must reach the OS before
+                    // the executor can write a checkpoint covering it:
+                    // that ordering is the resume-correctness
+                    // invariant. A failed job needs no entry, since the
+                    // checkpoint's ledger records it.
+                    if let JobOutcome::Completed(trace) = &outcome {
+                        if let Err(e) = log.push(trace) {
+                            sink_err = Some(ServiceError::io(&log_path)(e));
+                            run_cancel.store(true, Ordering::Release);
+                            return;
+                        }
                     }
                     let executed = shared.executed_total.fetch_add(1, Ordering::AcqRel) + 1;
                     {
@@ -819,10 +807,7 @@ fn run_one_job(shared: &Shared, id: &str) -> Result<RunEnd, ServiceError> {
                     }
                 },
             )
-            .map_err(|e| ServiceError::Corrupt {
-                path: ckpt_path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+            .map_err(ServiceError::corrupt(&ckpt_path))?;
             if let Some(e) = sink_err {
                 return Err(e);
             }
@@ -855,9 +840,13 @@ fn run_one_job(shared: &Shared, id: &str) -> Result<RunEnd, ServiceError> {
     merge_job(shared, id, &dir, &plans, spec_hash_u64, key)
 }
 
-/// Merges the complete shard logs — in shard order — into the final
+/// Merges the complete shards, in shard order, into the final
 /// campaign aggregate, publishes the trace store to the cache when
 /// the campaign had zero failures, and marks the job done.
+///
+/// A shard's jobs are walked in order: an index in the checkpoint's
+/// ledger folds that failure, and every other index takes the log's
+/// next block.
 fn merge_job(
     shared: &Shared,
     id: &str,
@@ -868,59 +857,60 @@ fn merge_job(
 ) -> Result<RunEnd, ServiceError> {
     let mut partials = AggregatePartials::default();
     let entry_path = shared.cache.entry_path(key);
-    let mut writer = FileTraceWriter::create_unique(&entry_path, spec_hash_u64).map_err(|e| {
-        ServiceError::Io {
-            path: entry_path.display().to_string(),
-            detail: e.to_string(),
-        }
-    })?;
+    let mut writer = FileTraceWriter::create_unique(&entry_path, spec_hash_u64)
+        .map_err(ServiceError::io(&entry_path))?;
 
     for plan in plans {
+        let ckpt_path = JobManifest::ckpt_path(dir, plan.index);
         let log_path = JobManifest::log_path(dir, plan.index);
-        let lines = read_shard_log(&log_path)?;
-        if lines.len() != plan.job_count {
-            return Err(ServiceError::Corrupt {
-                path: log_path.display().to_string(),
-                detail: format!(
-                    "shard log has {} lines, expected {}",
-                    lines.len(),
-                    plan.job_count
-                ),
-            });
+        let ckpt =
+            CampaignCheckpoint::load(&ckpt_path).map_err(ServiceError::corrupt(&ckpt_path))?;
+        let log = TraceStoreReader::open_log(&log_path).map_err(ServiceError::io(&log_path))?;
+        let failures = &ckpt.ledger.entries;
+        let mismatch = || ServiceError::Corrupt {
+            path: log_path.display().to_string(),
+            detail: format!(
+                "shard log has {} blocks and the ledger {} failures, expected {} jobs",
+                log.len(),
+                failures.len(),
+                plan.job_count
+            ),
+        };
+        if log.len() + failures.len() != plan.job_count {
+            return Err(mismatch());
         }
-        for line in &lines {
-            match &line.trace {
-                Some(trace) => {
-                    partials.fold_completed(trace);
-                    writer.push(trace).map_err(|e| ServiceError::Io {
-                        path: entry_path.display().to_string(),
-                        detail: e.to_string(),
-                    })?;
-                }
-                None => partials.fold_failed(&line.error, line.attempts),
+        let mut failures = failures.iter().peekable();
+        let mut blocks = log.iter();
+        for i in 0..plan.job_count {
+            if let Some(f) = failures.next_if(|f| f.job_index == i) {
+                partials.fold_failed(&f.error.to_string(), f.attempts);
+            } else {
+                let trace = blocks.next().ok_or_else(mismatch)?.materialize();
+                partials.fold_completed(&trace);
+                writer.push(&trace).map_err(ServiceError::io(&entry_path))?;
             }
         }
     }
 
     // Only zero-failure campaigns are cached: the cache contract is
     // "these traces ARE the campaign", which failed jobs would break.
-    if partials.failed_jobs == 0 {
-        match writer.finalize_if_absent() {
-            Ok(Some(_)) => bump_stats(shared, |s| s.writes += 1),
-            Ok(None) => bump_stats(shared, |s| s.skipped_writes += 1),
-            Err(e) => {
-                return Err(ServiceError::Io {
-                    path: entry_path.display().to_string(),
-                    detail: e.to_string(),
-                })
-            }
-        }
+    // A dropped writer removes its unique temp file.
+    let published = if partials.failed_jobs == 0 {
+        Some(
+            writer
+                .finalize_if_absent()
+                .map_err(ServiceError::io(&entry_path))?,
+        )
     } else {
-        // Abandon the writer; its Drop removes the unique temp file.
-        drop(writer);
-    }
+        None
+    };
 
     let mut inner = lock(shared);
+    match published {
+        Some(Some(_)) => bump_stats(&shared.cache, &inner, |s| s.writes += 1),
+        Some(None) => bump_stats(&shared.cache, &inner, |s| s.skipped_writes += 1),
+        None => {}
+    }
     if let Some(entry) = inner.jobs.get_mut(id) {
         entry.manifest.state = String::from(STATE_DONE);
         entry.manifest.completed_jobs = partials.completed_jobs;

@@ -1,5 +1,5 @@
-//! On-disk job state: the per-job manifest and the per-shard result
-//! log.
+//! On-disk job state: the per-job manifest and the paths of each
+//! shard's checkpoint and trace log.
 //!
 //! A job directory (`<data>/jobs/<id>/`) holds:
 //!
@@ -9,22 +9,26 @@
 //! * `shard-<k>.ckpt.json` — the existing versioned
 //!   `CampaignCheckpoint` for shard `k`, written by
 //!   `run_campaign_resumable` itself (the service invents no new
-//!   checkpoint format);
-//! * `shard-<k>.log.jsonl` — one [`LogLine`] per emitted job outcome,
-//!   flushed from the emission sink *before* the checkpoint that
-//!   covers it can be written. The sink runs ahead of the checkpoint,
-//!   so the log always holds at least as many lines as the
-//!   checkpoint's completed count — resume truncates the log to the
-//!   checkpoint and re-runs the remainder, keeping the merged result
-//!   bit-identical to an uninterrupted run.
+//!   checkpoint format). Its `ledger` is the only record of the
+//!   shard's failed jobs;
+//! * `shard-<k>.log` — an append-only trace log in the trace store's
+//!   own encoding (`aps_tracestore::TraceLogWriter`): the 32-byte
+//!   store header, then one trace block per *completed* job in job
+//!   order, with no footer. Each block reaches the OS from the
+//!   emission sink *before* the checkpoint that covers it can be
+//!   written, so the log always holds at least the checkpoint's
+//!   completed count minus its ledgered failures. Resume cuts the log
+//!   back to exactly that many blocks (`File::set_len`) and re-runs
+//!   the remainder; merge walks the shard's job indices, folding a
+//!   ledger entry for each failed index and the next block for every
+//!   other, so the merged result is bit-identical to an
+//!   uninterrupted run.
 
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use crate::ServiceError;
 use aps_sim::campaign::CampaignSpec;
-use aps_types::SimTrace;
 
 /// Manifest schema version.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -94,23 +98,17 @@ impl JobManifest {
         dir.join(format!("shard-{shard}.ckpt.json"))
     }
 
-    /// Path of shard `k`'s result log.
+    /// Path of shard `k`'s trace log.
     pub fn log_path(dir: &Path, shard: usize) -> PathBuf {
-        dir.join(format!("shard-{shard}.log.jsonl"))
+        dir.join(format!("shard-{shard}.log"))
     }
 
     /// Loads a manifest from `dir/manifest.json`.
     pub fn load(dir: &Path) -> Result<JobManifest, ServiceError> {
         let path = dir.join("manifest.json");
-        let text = std::fs::read_to_string(&path).map_err(|e| ServiceError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
+        let text = std::fs::read_to_string(&path).map_err(ServiceError::io(&path))?;
         let manifest: JobManifest =
-            serde_json::from_str(&text).map_err(|e| ServiceError::Corrupt {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+            serde_json::from_str(&text).map_err(ServiceError::corrupt(&path))?;
         if manifest.version > MANIFEST_VERSION {
             return Err(ServiceError::Corrupt {
                 path: path.display().to_string(),
@@ -126,25 +124,8 @@ impl JobManifest {
     /// Atomically writes the manifest to `dir/manifest.json`
     /// (tmp + rename, the checkpoint idiom).
     pub fn save(&self, dir: &Path) -> Result<(), ServiceError> {
-        std::fs::create_dir_all(dir).map_err(|e| ServiceError::Io {
-            path: dir.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        let path = dir.join("manifest.json");
-        let tmp = dir.join("manifest.json.tmp");
-        let text = serde_json::to_string_pretty(self).map_err(|e| ServiceError::Corrupt {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        let io = |p: &Path| {
-            let p = p.display().to_string();
-            move |e: std::io::Error| ServiceError::Io {
-                path: p.clone(),
-                detail: e.to_string(),
-            }
-        };
-        std::fs::write(&tmp, text).map_err(io(&tmp))?;
-        std::fs::rename(&tmp, &path).map_err(io(&path))
+        std::fs::create_dir_all(dir).map_err(ServiceError::io(dir))?;
+        crate::save_json(self, &dir.join("manifest.json"))
     }
 
     /// `true` for `done`/`failed`/`cancelled`.
@@ -154,119 +135,6 @@ impl JobManifest {
             STATE_DONE | STATE_FAILED | STATE_CANCELLED
         )
     }
-}
-
-/// One emitted job outcome in a shard result log. A completed job
-/// carries its full trace; a failed one carries the rendered error
-/// exactly as the campaign ledger/digest saw it, so replaying the log
-/// reproduces the campaign digest bit-identically.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct LogLine {
-    /// Index of the job within its shard.
-    pub job_index: usize,
-    /// The trace, for completed jobs.
-    pub trace: Option<SimTrace>,
-    /// Rendered error message, for failed jobs (empty otherwise).
-    pub error: String,
-    /// Attempts consumed, for failed jobs.
-    pub attempts: u32,
-}
-
-/// Append-mode shard log writer; every line is flushed before the
-/// write returns, so the log never lags the checkpoint.
-pub struct ShardLogWriter {
-    out: std::io::BufWriter<std::fs::File>,
-    path: PathBuf,
-}
-
-impl ShardLogWriter {
-    /// Opens `path` for appending (creating it if absent).
-    pub fn append(path: &Path) -> Result<ShardLogWriter, ServiceError> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| ServiceError::Io {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            })?;
-        Ok(ShardLogWriter {
-            out: std::io::BufWriter::new(file),
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// Appends one line and flushes it to the OS.
-    pub fn push(&mut self, line: &LogLine) -> Result<(), ServiceError> {
-        let io = |e: std::io::Error| ServiceError::Io {
-            path: self.path.display().to_string(),
-            detail: e.to_string(),
-        };
-        let text = serde_json::to_string(line).map_err(|e| ServiceError::Corrupt {
-            path: self.path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        self.out.write_all(text.as_bytes()).map_err(io)?;
-        self.out.write_all(b"\n").map_err(io)?;
-        self.out.flush().map_err(io)
-    }
-}
-
-/// Reads every parseable line of a shard log, stopping at the first
-/// torn/corrupt line (a crash can tear only the final line, because
-/// each push is flushed whole).
-pub fn read_shard_log(path: &Path) -> Result<Vec<LogLine>, ServiceError> {
-    let file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(ServiceError::Io {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            })
-        }
-    };
-    let mut lines = Vec::new();
-    for raw in std::io::BufReader::new(file).lines() {
-        let raw = match raw {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        if raw.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<LogLine>(&raw) {
-            Ok(line) => lines.push(line),
-            Err(_) => break,
-        }
-    }
-    Ok(lines)
-}
-
-/// Rewrites the shard log to exactly `lines` (atomic tmp + rename).
-/// Used on resume to drop emissions past the checkpoint frontier
-/// before the executor re-runs them.
-pub fn truncate_shard_log(path: &Path, lines: &[LogLine]) -> Result<(), ServiceError> {
-    let tmp = path.with_extension("jsonl.tmp");
-    let io = |p: &Path| {
-        let p = p.display().to_string();
-        move |e: std::io::Error| ServiceError::Io {
-            path: p.clone(),
-            detail: e.to_string(),
-        }
-    };
-    let mut text = String::new();
-    for line in lines {
-        let rendered = serde_json::to_string(line).map_err(|e| ServiceError::Corrupt {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        text.push_str(&rendered);
-        text.push('\n');
-    }
-    std::fs::write(&tmp, text).map_err(io(&tmp))?;
-    std::fs::rename(&tmp, path).map_err(io(path))
 }
 
 #[cfg(test)]
@@ -309,48 +177,5 @@ mod tests {
             Err(ServiceError::Corrupt { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_log_survives_a_torn_final_line() {
-        let dir = std::env::temp_dir().join("aps_service_log_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("shard-0.log.jsonl");
-        let mut w = ShardLogWriter::append(&path).unwrap();
-        for i in 0..3 {
-            w.push(&LogLine {
-                job_index: i,
-                error: format!("err {i}"),
-                attempts: 1,
-                ..LogLine::default()
-            })
-            .unwrap();
-        }
-        drop(w);
-        // Simulate a crash mid-append: a torn, unparseable last line.
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        file.write_all(b"{\"job_index\": 3, \"tr").unwrap();
-        drop(file);
-
-        let lines = read_shard_log(&path).unwrap();
-        assert_eq!(lines.len(), 3, "torn tail is dropped, prefix kept");
-
-        // Resume truncates to the checkpoint frontier (here: 2).
-        truncate_shard_log(&path, &lines[..2]).unwrap();
-        let lines = read_shard_log(&path).unwrap();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[1].error, "err 1");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_log_reads_as_empty() {
-        let path = std::env::temp_dir().join("aps_service_no_such_log.jsonl");
-        let _ = std::fs::remove_file(&path);
-        assert!(read_shard_log(&path).unwrap().is_empty());
     }
 }

@@ -29,6 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::Path;
+
 pub mod cache;
 pub mod client;
 pub mod daemon;
@@ -38,7 +40,7 @@ pub mod wire;
 pub use cache::{cache_key, CacheStats, ResultCache};
 pub use client::Client;
 pub use daemon::{run_daemon, ServiceConfig};
-pub use job::{JobManifest, LogLine};
+pub use job::JobManifest;
 pub use wire::{Event, Request, Response, WireError, MAX_FRAME, PROTOCOL_VERSION};
 
 /// Service-level failure (I/O, corrupt state, protocol errors).
@@ -85,6 +87,35 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+impl ServiceError {
+    /// `map_err` adapter: an [`Io`](Self::Io) error on `path`.
+    pub(crate) fn io<E: std::fmt::Display>(path: &Path) -> impl Fn(E) -> ServiceError + '_ {
+        move |e| ServiceError::Io {
+            path: path.display().to_string(),
+            detail: e.to_string(),
+        }
+    }
+
+    /// `map_err` adapter: a [`Corrupt`](Self::Corrupt) error on `path`.
+    pub(crate) fn corrupt<E: std::fmt::Display>(path: &Path) -> impl Fn(E) -> ServiceError + '_ {
+        move |e| ServiceError::Corrupt {
+            path: path.display().to_string(),
+            detail: e.to_string(),
+        }
+    }
+}
+
+/// Writes `value` as JSON to `path` atomically: to `<path>.tmp`, then
+/// a rename (the checkpoint idiom).
+pub(crate) fn save_json<T: serde::Serialize>(value: &T, path: &Path) -> Result<(), ServiceError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let text = serde_json::to_string_pretty(value).map_err(ServiceError::corrupt(path))?;
+    std::fs::write(&tmp, text).map_err(ServiceError::io(&tmp))?;
+    std::fs::rename(&tmp, path).map_err(ServiceError::io(path))
+}
 
 impl From<WireError> for ServiceError {
     fn from(e: WireError) -> ServiceError {

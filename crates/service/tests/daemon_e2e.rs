@@ -1,9 +1,12 @@
 //! End-to-end daemon tests over a real Unix socket: kill/resume
-//! bit-identity (also with failed jobs), the content-addressed cache
-//! hit path, refusal of pre-v2 shard checkpoints, cancellation, and
+//! bit-identity (also with failed jobs, and with a shard's log or
+//! checkpoint lost), the content-addressed cache hit path and its
+//! counters, refusal of pre-v2 shard checkpoints, cancellation, and
 //! shutdown draining subscribers.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use aps_service::daemon::{run_daemon, ServiceConfig};
@@ -334,5 +337,123 @@ fn failed_jobs_survive_kill_resume_and_fetch_refuses() {
         .join()
         .expect("daemon2 thread")
         .expect("daemon2 run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lost_shard_log_or_checkpoint_reruns_the_shard() {
+    let dir = scratch("lostlog");
+    let socket = dir.join("s1.sock");
+    let data = dir.join("data");
+    let spec = small_spec();
+    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
+    let total = reference.report.total_jobs;
+
+    let mut config = ServiceConfig::new(&socket, &data);
+    config.checkpoint_every = 3;
+    config.interrupt_after = Some(40);
+    let daemon = std::thread::spawn(move || run_daemon(config));
+    let job = connect(&socket)
+        .submit(spec, 4, 0, "0")
+        .expect("submit")
+        .job;
+    daemon.join().expect("daemon thread").expect("daemon run");
+
+    // Shard 0 finished before the kill and shard 1 started. Losing
+    // shard 0's log leaves a checkpoint the log cannot back; losing
+    // shard 1's checkpoint leaves blocks no checkpoint covers. Both
+    // shards must re-run from scratch.
+    let job_dir = data.join("jobs").join(&job);
+    let before = aps_service::JobManifest::load(&job_dir).expect("manifest");
+    let log0 = aps_service::JobManifest::log_path(&job_dir, 0);
+    let ckpt1 = aps_service::JobManifest::ckpt_path(&job_dir, 1);
+    assert!(CampaignCheckpoint::load(&ckpt1).is_ok(), "shard 1 started");
+    std::fs::remove_file(&log0).expect("shard 0 log");
+    std::fs::remove_file(&ckpt1).expect("shard 1 checkpoint");
+
+    let socket2 = dir.join("s2.sock");
+    let daemon2 = std::thread::spawn({
+        let config2 = ServiceConfig::new(&socket2, &data);
+        move || run_daemon(config2)
+    });
+    let manifest = wait_done(&socket2, &job);
+    assert_eq!(manifest.state, "done");
+    assert_eq!(manifest.digest, reference.report.digest);
+    assert_eq!(
+        manifest.executed_jobs - before.executed_jobs,
+        total,
+        "shards 0 and 1 re-ran in full and shards 2 and 3 ran once"
+    );
+    let (path, _) = connect(&socket2).fetch(&job).expect("fetch");
+    let merged = read_store(&TraceStoreReader::open(Path::new(&path)).expect("open store"));
+    let serial: Vec<_> = reference
+        .outcomes
+        .iter()
+        .filter_map(|o| o.trace().cloned())
+        .collect();
+    assert_eq!(merged, serial);
+
+    connect(&socket2).shutdown().expect("shutdown");
+    daemon2
+        .join()
+        .expect("daemon2 thread")
+        .expect("daemon2 run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cached_resubmits_racing_a_merge_count_exactly() {
+    let dir = scratch("statsrace");
+    let socket = dir.join("s.sock");
+    let data = dir.join("data");
+    let daemon = std::thread::spawn({
+        let config = ServiceConfig::new(&socket, &data);
+        move || run_daemon(config)
+    });
+
+    // A finished job whose resubmits are cache hits.
+    let cached_spec = small_spec();
+    let first = connect(&socket)
+        .submit(cached_spec.clone(), 1, 0, "0")
+        .expect("submit");
+    wait_done(&socket, &first.job);
+
+    // Hammer it with resubmits from several clients until a second
+    // job has run and merged.
+    let running = Arc::new(AtomicBool::new(true));
+    let hammers: Vec<_> = (0..4)
+        .map(|_| {
+            let (socket, spec, running) = (socket.clone(), cached_spec.clone(), running.clone());
+            std::thread::spawn(move || {
+                let mut client = connect(&socket);
+                let mut hits = 0;
+                while running.load(Ordering::Acquire) {
+                    let resubmit = client.submit(spec.clone(), 1, 0, "0").expect("resubmit");
+                    assert!(resubmit.cached);
+                    hits += 1;
+                }
+                hits
+            })
+        })
+        .collect();
+    let second = connect(&socket)
+        .submit(small_spec(), 2, 0, "1")
+        .expect("submit");
+    let manifest = wait_done(&socket, &second.job);
+    running.store(false, Ordering::Release);
+    let hits: usize = hammers.into_iter().map(|h| h.join().expect("hammer")).sum();
+    assert_eq!(manifest.state, "done");
+    assert!(hits > 0);
+
+    connect(&socket).shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread").expect("daemon run");
+    let stats: CacheStats = serde_json::from_str(
+        &std::fs::read_to_string(data.join("cache").join("stats.json")).expect("stats"),
+    )
+    .expect("parse stats");
+    assert_eq!(stats.hits, hits, "{stats:?}");
+    assert_eq!(stats.misses, 2, "{stats:?}");
+    assert_eq!(stats.writes, 2, "{stats:?}");
+    assert_eq!(stats.skipped_writes, 0, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

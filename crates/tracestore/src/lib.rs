@@ -37,6 +37,19 @@
 //! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! # Trace log (append-only variant)
+//!
+//! A trace log is the same header followed by whole trace blocks, with
+//! no offset index and no footer: `[header | block 0 | … | block N-1]`.
+//! [`TraceLogWriter`] appends one block per push (writing the header
+//! only into an empty file) and hands each block to the OS before the
+//! push returns. [`TraceStoreReader::open_log`] rebuilds the block
+//! offsets by validating blocks one after another from the header and
+//! stops at the first that does not validate, so a tail torn by a
+//! killed writer is dropped and every whole block before it is kept;
+//! [`TraceStoreReader::block_end`] gives the length to cut the file to.
+//! The campaign service writes each shard's results this way.
+//!
 //! # Compatibility
 //!
 //! - A reader rejects any file whose header version is **newer** than
@@ -77,7 +90,7 @@ pub mod writer;
 
 pub use format::{code_version_hash, StoreError, FORMAT_VERSION};
 pub use reader::{F64Column, RecordCursor, StoreHeader, TraceStoreReader, TraceView};
-pub use writer::{FileTraceWriter, StoreStats, TraceWriter};
+pub use writer::{FileTraceWriter, StoreStats, TraceLogWriter, TraceWriter};
 
 use aps_types::SimTrace;
 use serde::{Deserialize, Serialize};

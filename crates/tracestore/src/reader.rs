@@ -57,6 +57,10 @@ impl BlockLayout {
         self.cols_off + idx * 8 * self.n
     }
 
+    fn end(&self) -> usize {
+        self.tracks_off + self.tracks_len
+    }
+
     fn action_off(&self) -> usize {
         self.cols_off + 40 * self.n
     }
@@ -74,8 +78,9 @@ impl BlockLayout {
     }
 }
 
-/// Header fields of an open store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Header fields of an open store (all zero for a log cut inside its
+/// header).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreHeader {
     /// Format version found in the file (≤ [`FORMAT_VERSION`]).
     pub format_version: u32,
@@ -106,11 +111,7 @@ impl std::fmt::Debug for TraceStoreReader {
 impl TraceStoreReader {
     /// Reads `path` into memory and validates it end to end.
     pub fn open(path: &Path) -> Result<TraceStoreReader, StoreError> {
-        let buf = std::fs::read(path).map_err(|e| StoreError::Io {
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        TraceStoreReader::from_bytes(buf)
+        TraceStoreReader::from_bytes(read_file(path)?)
     }
 
     /// Validates an in-memory store image. Every structural check the
@@ -125,18 +126,7 @@ impl TraceStoreReader {
                 detail: String::from("file shorter than header + footer"),
             });
         }
-        let format_version = read_u32(&buf, 8);
-        if format_version > FORMAT_VERSION {
-            return Err(StoreError::Version {
-                found: format_version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let header = StoreHeader {
-            format_version,
-            code_version_hash: read_u64(&buf, 16),
-            spec_hash: read_u64(&buf, 24),
-        };
+        let header = read_header(&buf)?;
 
         let tail = buf.len() - FOOTER_TAIL_LEN;
         if buf[buf.len() - 8..] != END_MAGIC {
@@ -176,6 +166,51 @@ impl TraceStoreReader {
             header,
             blocks,
         })
+    }
+
+    /// Reads the append-only trace log at `path` (see
+    /// [`TraceLogWriter`](crate::TraceLogWriter)) and keeps its whole
+    /// blocks; see [`from_log_bytes`](Self::from_log_bytes).
+    pub fn open_log(path: &Path) -> Result<TraceStoreReader, StoreError> {
+        TraceStoreReader::from_log_bytes(read_file(path)?)
+    }
+
+    /// Scans a log image: the header, then blocks validated one after
+    /// another until the first that does not validate, which is the
+    /// torn tail a killed appender leaves. Bytes past the last whole
+    /// block are dropped, so [`block_end`](Self::block_end) of the
+    /// last block equals [`byte_len`](Self::byte_len). A log cut
+    /// inside its header holds no blocks and no bytes.
+    pub fn from_log_bytes(mut buf: Vec<u8>) -> Result<TraceStoreReader, StoreError> {
+        if !buf.starts_with(&MAGIC[..buf.len().min(MAGIC.len())]) {
+            return Err(StoreError::BadMagic);
+        }
+        if buf.len() < HEADER_LEN {
+            return Ok(TraceStoreReader {
+                buf: Vec::new(),
+                header: StoreHeader::default(),
+                blocks: Vec::new(),
+            });
+        }
+        let header = read_header(&buf)?;
+        let mut blocks = Vec::new();
+        let mut end = HEADER_LEN;
+        while let Ok(block) = validate_block(&buf, end, buf.len()) {
+            end = block.end();
+            blocks.push(block);
+        }
+        buf.truncate(end);
+        Ok(TraceStoreReader {
+            buf,
+            header,
+            blocks,
+        })
+    }
+
+    /// Byte offset just past trace `i`'s block. Panics if
+    /// `i >= len()`, like [`view`](Self::view).
+    pub fn block_end(&self, i: usize) -> u64 {
+        self.blocks[i].end() as u64
     }
 
     /// Number of traces in the store.
@@ -228,14 +263,38 @@ impl TraceStoreReader {
     }
 }
 
-/// Checks one trace block's framing and contents; returns its layout.
+fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
+    std::fs::read(path).map_err(|e| StoreError::Io {
+        path: path.display().to_string(),
+        detail: e.to_string(),
+    })
+}
+
+/// Parses the 32-byte header; the caller has checked magic and length.
+fn read_header(buf: &[u8]) -> Result<StoreHeader, StoreError> {
+    let format_version = read_u32(buf, 8);
+    if format_version > FORMAT_VERSION {
+        return Err(StoreError::Version {
+            found: format_version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    Ok(StoreHeader {
+        format_version,
+        code_version_hash: read_u64(buf, 16),
+        spec_hash: read_u64(buf, 24),
+    })
+}
+
+/// Checks the framing and contents of the block at `off`, which must
+/// end by `end`; returns its layout.
 fn validate_block(buf: &[u8], off: usize, end: usize) -> Result<BlockLayout, StoreError> {
     // Framing helper: ensure `want` bytes exist at `at` inside the block region.
     let need = |at: usize, want: usize| -> Result<(), StoreError> {
         match at.checked_add(want) {
             Some(e) if e <= end => Ok(()),
             _ => Err(StoreError::Truncated {
-                detail: format!("trace block at byte {off} overruns the index"),
+                detail: format!("trace block at byte {off} runs past byte {end}"),
             }),
         }
     };

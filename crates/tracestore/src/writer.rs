@@ -104,6 +104,40 @@ pub fn encode_tracks(tracks: &[AlertTrack], out: &mut Vec<u8>) {
     }
 }
 
+/// Encodes the 32-byte store header (magic, format version, reserved
+/// flags, code-version hash, `spec_hash`).
+pub fn encode_header(spec_hash: u64, out: &mut Vec<u8>) {
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
+    out.extend_from_slice(&code_version_hash().to_le_bytes());
+    out.extend_from_slice(&spec_hash.to_le_bytes());
+}
+
+/// Encodes one self-contained trace block onto `out`: the record
+/// count, the length-prefixed step column, the fixed-width columns,
+/// and the length-prefixed meta and track side tables. `side` is
+/// scratch reused across calls.
+pub fn encode_block(trace: &SimTrace, out: &mut Vec<u8>, side: &mut Vec<u8>) {
+    out.extend_from_slice(&(trace.records.len() as u32).to_le_bytes());
+    side.clear();
+    encode_steps(&trace.records, side);
+    push_framed(side, out);
+    encode_columns(&trace.records, out);
+    side.clear();
+    encode_meta(&trace.meta, side);
+    push_framed(side, out);
+    side.clear();
+    encode_tracks(&trace.monitor_tracks, side);
+    push_framed(side, out);
+}
+
+/// Appends `region` to `out` behind its `u32` byte length.
+fn push_framed(region: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(region.len() as u32).to_le_bytes());
+    out.extend_from_slice(region);
+}
+
 /// Summary of a finished store, returned by the finalizing calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
@@ -147,12 +181,7 @@ impl<W: Write> TraceWriter<W> {
             block: Vec::new(),
             side: Vec::new(),
         };
-        w.block.extend_from_slice(&MAGIC);
-        w.block.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        w.block.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-        w.block
-            .extend_from_slice(&code_version_hash().to_le_bytes());
-        w.block.extend_from_slice(&spec_hash.to_le_bytes());
+        encode_header(spec_hash, &mut w.block);
         w.flush_block()?;
         Ok(w)
     }
@@ -161,36 +190,7 @@ impl<W: Write> TraceWriter<W> {
     pub fn push(&mut self, trace: &SimTrace) -> Result<(), StoreError> {
         self.offsets.extend_from_slice(&[self.pos]);
         self.records += trace.records.len() as u64;
-        self.block.clear();
-        self.block
-            .extend_from_slice(&(trace.records.len() as u32).to_le_bytes());
-
-        self.side.clear();
-        encode_steps(&trace.records, &mut self.side);
-        self.block
-            .extend_from_slice(&(self.side.len() as u32).to_le_bytes());
-        let side = std::mem::take(&mut self.side);
-        self.block.extend_from_slice(&side);
-        self.side = side;
-
-        encode_columns(&trace.records, &mut self.block);
-
-        self.side.clear();
-        encode_meta(&trace.meta, &mut self.side);
-        self.block
-            .extend_from_slice(&(self.side.len() as u32).to_le_bytes());
-        let side = std::mem::take(&mut self.side);
-        self.block.extend_from_slice(&side);
-        self.side = side;
-
-        self.side.clear();
-        encode_tracks(&trace.monitor_tracks, &mut self.side);
-        self.block
-            .extend_from_slice(&(self.side.len() as u32).to_le_bytes());
-        let side = std::mem::take(&mut self.side);
-        self.block.extend_from_slice(&side);
-        self.side = side;
-
+        encode_block(trace, &mut self.block, &mut self.side);
         self.flush_block()
     }
 
@@ -261,9 +261,14 @@ pub struct FileTraceWriter {
 impl FileTraceWriter {
     /// Creates `<path>.tmp` and writes the store header to it.
     pub fn create(path: &Path, spec_hash: u64) -> Result<FileTraceWriter, StoreError> {
+        FileTraceWriter::create_as(path, ".tmp", spec_hash)
+    }
+
+    /// Creates `<path><suffix>` and writes the store header to it.
+    fn create_as(path: &Path, suffix: &str, spec_hash: u64) -> Result<FileTraceWriter, StoreError> {
         let dst = path.to_path_buf();
         let mut tmp = dst.clone().into_os_string();
-        tmp.push(".tmp");
+        tmp.push(suffix);
         let tmp = PathBuf::from(tmp);
         let file = std::fs::File::create(&tmp).map_err(|e| StoreError::Io {
             path: tmp.display().to_string(),
@@ -329,25 +334,9 @@ impl FileTraceWriter {
     /// destination name is derived from the content key and every
     /// racer is writing identical bytes.
     pub fn create_unique(path: &Path, spec_hash: u64) -> Result<FileTraceWriter, StoreError> {
-        let dst = path.to_path_buf();
         let tag = UNIQUE_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut tmp = dst.clone().into_os_string();
-        tmp.push(format!(".{}.{}.tmp", std::process::id(), tag));
-        let tmp = PathBuf::from(tmp);
-        let file = std::fs::File::create(&tmp).map_err(|e| StoreError::Io {
-            path: tmp.display().to_string(),
-            detail: e.to_string(),
-        })?;
-        let inner = TraceWriter::new(
-            std::io::BufWriter::new(file),
-            &dst.display().to_string(),
-            spec_hash,
-        )?;
-        Ok(FileTraceWriter {
-            inner: Some(inner),
-            tmp,
-            dst,
-        })
+        let suffix = format!(".{}.{}.tmp", std::process::id(), tag);
+        FileTraceWriter::create_as(path, &suffix, spec_hash)
     }
 
     /// Finalizes only if the destination does not exist yet: the
@@ -396,6 +385,66 @@ impl Drop for FileTraceWriter {
             // remove the temp file so nothing torn lingers on disk.
             let _ = std::fs::remove_file(&self.tmp);
         }
+    }
+}
+
+/// Append-only trace log: the store header, then one trace block per
+/// [`push`](Self::push), with no offset index and no footer (see the
+/// crate docs). Every push reaches the OS before it returns, so a
+/// killed writer leaves at most one torn block at the tail;
+/// [`TraceStoreReader::open_log`](crate::TraceStoreReader::open_log)
+/// reads the whole blocks before it.
+pub struct TraceLogWriter {
+    file: std::fs::File,
+    path: String,
+    block: Vec<u8>,
+    side: Vec<u8>,
+}
+
+impl TraceLogWriter {
+    /// Opens `path` for appending, creating it if absent. The header
+    /// (carrying `spec_hash`) is written only when the file is empty;
+    /// otherwise blocks go after the existing bytes.
+    pub fn append(path: &Path, spec_hash: u64) -> Result<TraceLogWriter, StoreError> {
+        let label = path.display().to_string();
+        let io = |e: std::io::Error| StoreError::Io {
+            path: label.clone(),
+            detail: e.to_string(),
+        };
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(io)?;
+        let empty = file.metadata().map_err(io)?.len() == 0;
+        let mut log = TraceLogWriter {
+            file,
+            path: label.clone(),
+            block: Vec::new(),
+            side: Vec::new(),
+        };
+        if empty {
+            encode_header(spec_hash, &mut log.block);
+            log.write_block()?;
+        }
+        Ok(log)
+    }
+
+    /// Appends one trace block and hands it to the OS.
+    pub fn push(&mut self, trace: &SimTrace) -> Result<(), StoreError> {
+        encode_block(trace, &mut self.block, &mut self.side);
+        self.write_block()
+    }
+
+    fn write_block(&mut self) -> Result<(), StoreError> {
+        // One unbuffered `write_all` per block: nothing is held back
+        // in user space once it returns.
+        let written = self.file.write_all(&self.block);
+        self.block.clear();
+        written.map_err(|e| StoreError::Io {
+            path: self.path.clone(),
+            detail: e.to_string(),
+        })
     }
 }
 
@@ -553,5 +602,79 @@ mod tests {
         assert!(w.finalize_if_absent().unwrap().is_none());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Writes `traces` as a fresh log at `path`; returns its bytes.
+    fn write_log(path: &Path, traces: &[SimTrace]) -> Vec<u8> {
+        let _ = std::fs::remove_file(path);
+        let mut log = TraceLogWriter::append(path, 9).unwrap();
+        for t in traces {
+            log.push(t).unwrap();
+        }
+        std::fs::read(path).unwrap()
+    }
+
+    #[test]
+    fn log_cut_anywhere_keeps_the_whole_blocks_before_the_cut() {
+        let dir = std::env::temp_dir().join("aps_tracestore_log_cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        let traces = [trace(5), trace(0), trace(7)];
+        let bytes = write_log(&dir.join("shard.log"), &traces);
+        let full = crate::TraceStoreReader::from_log_bytes(bytes.clone()).unwrap();
+        assert_eq!(full.read_all(), traces);
+        assert_eq!(full.header().spec_hash, 9);
+        let ends: Vec<u64> = (0..traces.len()).map(|i| full.block_end(i)).collect();
+        assert_eq!(ends[2], bytes.len() as u64);
+        // Every cut inside the header and inside the last block.
+        let cuts = (0..HEADER_LEN).chain(ends[1] as usize..bytes.len());
+        for cut in cuts {
+            let log = crate::TraceStoreReader::from_log_bytes(bytes[..cut].to_vec()).unwrap();
+            let whole = ends.iter().filter(|&&e| e as usize <= cut).count();
+            assert_eq!(log.read_all(), traces[..whole], "cut at byte {cut}");
+            let kept = if whole == 0 { 0 } else { ends[whole - 1] };
+            assert_eq!(log.byte_len(), kept, "cut at byte {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn log_truncated_then_appended_matches_an_uninterrupted_log() {
+        let dir = std::env::temp_dir().join("aps_tracestore_log_resume");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.log");
+        let traces = [trace(3), trace(9), trace(0), trace(4)];
+        let reference = write_log(&path, &traces);
+        for k in 0..=traces.len() {
+            write_log(&path, &traces);
+            let log = crate::TraceStoreReader::open_log(&path).unwrap();
+            let end = if k == 0 { 0 } else { log.block_end(k - 1) };
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.set_len(end).unwrap();
+            drop(file);
+            let mut w = TraceLogWriter::append(&path, 9).unwrap();
+            for t in &traces[k..] {
+                w.push(t).unwrap();
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                reference,
+                "resumed after {k}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn log_rejects_foreign_bytes() {
+        let not_a_log = b"{\"job_index\": 0}".to_vec();
+        assert_eq!(
+            crate::TraceStoreReader::from_log_bytes(not_a_log).unwrap_err(),
+            StoreError::BadMagic
+        );
+        let missing = std::env::temp_dir().join("aps_tracestore_no_such.log");
+        assert!(matches!(
+            crate::TraceStoreReader::open_log(&missing),
+            Err(StoreError::Io { .. })
+        ));
     }
 }

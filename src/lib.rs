@@ -478,10 +478,18 @@
 //! [`run_campaign_resumable`](sim::campaign::run_campaign_resumable)
 //! used by `--checkpoint`/`--resume`, persisting the versioned
 //! [`CampaignCheckpoint`](sim::checkpoint::CampaignCheckpoint) plus an
-//! append-only shard log (the sink fires *before* the checkpoint is
-//! saved, so the log can only run ahead of the bitmap — on restart the
-//! log is truncated back to the checkpoint, never the reverse). The
-//! shard is the unit of resume: a SIGKILLed daemon restarts, re-queues
+//! append-only shard log. The log is a [`tracestore`] trace log: the
+//! store header, then one trace block per completed job, with no
+//! footer; a failed job gets no block, because the checkpoint's
+//! ledger already records it. The sink appends each block *before*
+//! the checkpoint covering it is saved, so the log can only run ahead
+//! of the bitmap — on restart the log is cut back (`File::set_len`)
+//! to the blocks the checkpoint covers, never the reverse, and a
+//! shard whose log falls short, or that has no checkpoint, re-runs
+//! from scratch. Merge walks each shard's job indices, folding the
+//! ledger entry of a failed index and the next block of every other,
+//! so no trace is ever JSON-encoded on this path. The shard is the
+//! unit of resume: a SIGKILLed daemon restarts, re-queues
 //! every incomplete job, resumes each shard from its checkpoint, and
 //! the merged result set — traces *and* the order-sensitive campaign
 //! digest — is bit-identical to an uninterrupted serial run (pinned

@@ -170,18 +170,18 @@ impl TraceStoreReader {
 
     /// Reads the append-only trace log at `path` (see
     /// [`TraceLogWriter`](crate::TraceLogWriter)) and keeps its whole
-    /// blocks; see [`from_log_bytes`](Self::from_log_bytes).
-    pub fn open_log(path: &Path) -> Result<TraceStoreReader, StoreError> {
-        TraceStoreReader::from_log_bytes(read_file(path)?)
-    }
-
-    /// Scans a log image: the header, then blocks validated one after
+    /// blocks. It scans the header, then validates blocks one after
     /// another until the first that does not validate, which is the
     /// torn tail a killed appender leaves. Bytes past the last whole
     /// block are dropped, so [`block_end`](Self::block_end) of the
     /// last block equals [`byte_len`](Self::byte_len). A log cut
     /// inside its header holds no blocks and no bytes.
-    pub fn from_log_bytes(mut buf: Vec<u8>) -> Result<TraceStoreReader, StoreError> {
+    pub fn open_log(path: &Path) -> Result<TraceStoreReader, StoreError> {
+        TraceStoreReader::from_log_bytes(read_file(path)?)
+    }
+
+    /// [`open_log`](Self::open_log) over an in-memory log image.
+    pub(crate) fn from_log_bytes(mut buf: Vec<u8>) -> Result<TraceStoreReader, StoreError> {
         if !buf.starts_with(&MAGIC[..buf.len().min(MAGIC.len())]) {
             return Err(StoreError::BadMagic);
         }

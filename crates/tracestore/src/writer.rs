@@ -106,7 +106,7 @@ pub fn encode_tracks(tracks: &[AlertTrack], out: &mut Vec<u8>) {
 
 /// Encodes the 32-byte store header (magic, format version, reserved
 /// flags, code-version hash, `spec_hash`).
-pub fn encode_header(spec_hash: u64, out: &mut Vec<u8>) {
+pub(crate) fn encode_header(spec_hash: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
@@ -118,7 +118,7 @@ pub fn encode_header(spec_hash: u64, out: &mut Vec<u8>) {
 /// count, the length-prefixed step column, the fixed-width columns,
 /// and the length-prefixed meta and track side tables. `side` is
 /// scratch reused across calls.
-pub fn encode_block(trace: &SimTrace, out: &mut Vec<u8>, side: &mut Vec<u8>) {
+pub(crate) fn encode_block(trace: &SimTrace, out: &mut Vec<u8>, side: &mut Vec<u8>) {
     out.extend_from_slice(&(trace.records.len() as u32).to_le_bytes());
     side.clear();
     encode_steps(&trace.records, side);

@@ -844,9 +844,10 @@ fn run_one_job(shared: &Shared, id: &str) -> Result<RunEnd, ServiceError> {
 /// campaign aggregate, publishes the trace store to the cache when
 /// the campaign had zero failures, and marks the job done.
 ///
-/// A shard's jobs are walked in order: an index in the checkpoint's
-/// ledger folds that failure, and every other index takes the log's
-/// next block.
+/// Every shard's checkpoint is loaded first, and the cache entry is
+/// encoded only when no ledger holds a failure. A shard's jobs are
+/// then walked in order: an index in the checkpoint's ledger folds
+/// that failure, and every other index takes the log's next block.
 fn merge_job(
     shared: &Shared,
     id: &str,
@@ -855,16 +856,28 @@ fn merge_job(
     spec_hash_u64: u64,
     key: u64,
 ) -> Result<RunEnd, ServiceError> {
-    let mut partials = AggregatePartials::default();
+    let ckpts = plans
+        .iter()
+        .map(|plan| {
+            let ckpt_path = JobManifest::ckpt_path(dir, plan.index);
+            CampaignCheckpoint::load(&ckpt_path).map_err(ServiceError::corrupt(&ckpt_path))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // Only zero-failure campaigns are cached: the cache contract is
+    // "these traces ARE the campaign", which failed jobs would break.
     let entry_path = shared.cache.entry_path(key);
-    let mut writer = FileTraceWriter::create_unique(&entry_path, spec_hash_u64)
-        .map_err(ServiceError::io(&entry_path))?;
+    let mut writer = if ckpts.iter().all(|c| c.ledger.is_empty()) {
+        Some(
+            FileTraceWriter::create_unique(&entry_path, spec_hash_u64)
+                .map_err(ServiceError::io(&entry_path))?,
+        )
+    } else {
+        None
+    };
 
-    for plan in plans {
-        let ckpt_path = JobManifest::ckpt_path(dir, plan.index);
+    let mut partials = AggregatePartials::default();
+    for (plan, ckpt) in plans.iter().zip(&ckpts) {
         let log_path = JobManifest::log_path(dir, plan.index);
-        let ckpt =
-            CampaignCheckpoint::load(&ckpt_path).map_err(ServiceError::corrupt(&ckpt_path))?;
         let log = TraceStoreReader::open_log(&log_path).map_err(ServiceError::io(&log_path))?;
         let failures = &ckpt.ledger.entries;
         let mismatch = || ServiceError::Corrupt {
@@ -887,23 +900,18 @@ fn merge_job(
             } else {
                 let trace = blocks.next().ok_or_else(mismatch)?.materialize();
                 partials.fold_completed(&trace);
-                writer.push(&trace).map_err(ServiceError::io(&entry_path))?;
+                if let Some(writer) = writer.as_mut() {
+                    writer.push(&trace).map_err(ServiceError::io(&entry_path))?;
+                }
             }
         }
     }
 
-    // Only zero-failure campaigns are cached: the cache contract is
-    // "these traces ARE the campaign", which failed jobs would break.
     // A dropped writer removes its unique temp file.
-    let published = if partials.failed_jobs == 0 {
-        Some(
-            writer
-                .finalize_if_absent()
-                .map_err(ServiceError::io(&entry_path))?,
-        )
-    } else {
-        None
-    };
+    let published = writer
+        .map(|w| w.finalize_if_absent())
+        .transpose()
+        .map_err(ServiceError::io(&entry_path))?;
 
     let mut inner = lock(shared);
     match published {

@@ -3,14 +3,14 @@
 //!
 //! A job directory (`<data>/jobs/<id>/`) holds:
 //!
-//! * `manifest.json` — the versioned [`JobManifest`], written with the
-//!   same atomic tmp+rename idiom as campaign checkpoints, so a killed
-//!   daemon always restarts from a coherent view;
+//! * `manifest.json` — the versioned [`JobManifest`], replaced whole
+//!   by a temp file and a rename, so a killed daemon always restarts
+//!   from a coherent view;
 //! * `shard-<k>.ckpt.json` — the existing versioned
-//!   `CampaignCheckpoint` for shard `k`, written by
-//!   `run_campaign_resumable` itself (the service invents no new
-//!   checkpoint format). Its `ledger` is the only record of the
-//!   shard's failed jobs;
+//!   `CampaignCheckpoint` log for shard `k` (one snapshot per line),
+//!   written by `run_campaign_resumable` itself (the service invents
+//!   no new checkpoint format). Its last complete snapshot's `ledger`
+//!   is the only record of the shard's failed jobs;
 //! * `shard-<k>.log` — an append-only trace log in the trace store's
 //!   own encoding (`aps_tracestore::TraceLogWriter`): the 32-byte
 //!   store header, then one trace block per *completed* job in job
@@ -71,8 +71,10 @@ pub struct JobManifest {
     pub cached: bool,
     /// Total jobs in the campaign grid.
     pub total_jobs: usize,
-    /// Jobs actually executed for this submission (0 on a cache hit;
-    /// resumed restarts count only the jobs run after the restart).
+    /// Jobs actually executed for this submission. A cache hit adds
+    /// none. A restarted daemon keeps counting from the value in the
+    /// last manifest save, so after a SIGKILL the jobs run since that
+    /// save are missing from the count.
     pub executed_jobs: usize,
     /// Completed jobs across all merged shards.
     pub completed_jobs: usize,
@@ -122,7 +124,7 @@ impl JobManifest {
     }
 
     /// Atomically writes the manifest to `dir/manifest.json`
-    /// (tmp + rename, the checkpoint idiom).
+    /// (tmp + rename).
     pub fn save(&self, dir: &Path) -> Result<(), ServiceError> {
         std::fs::create_dir_all(dir).map_err(ServiceError::io(dir))?;
         crate::save_json(self, &dir.join("manifest.json"))

@@ -23,6 +23,12 @@
 //!    uninterrupted serial run (pinned by tests and the CI
 //!    `service-smoke` job).
 //!
+//! Durability: the job state on disk is consistent after a process
+//! crash (SIGKILL at any write, including mid-append to a shard log or
+//! checkpoint log); no fsync, so an OS crash may lose recent snapshots.
+//! A shard whose log or checkpoint came back short or unreadable after
+//! such a crash re-runs from scratch.
+//!
 //! The client half ([`client::Client`], `repro submit`/`status`/
 //! `fetch`/`cancel`) speaks the same protocol.
 
@@ -107,7 +113,7 @@ impl ServiceError {
 }
 
 /// Writes `value` as JSON to `path` atomically: to `<path>.tmp`, then
-/// a rename (the checkpoint idiom).
+/// a rename.
 pub(crate) fn save_json<T: serde::Serialize>(value: &T, path: &Path) -> Result<(), ServiceError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");

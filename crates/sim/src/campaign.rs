@@ -57,7 +57,7 @@
 
 use crate::batch::BATCH_LANES;
 use crate::chaos::{ChaosConfig, ChaosPlan};
-use crate::checkpoint::{spec_hash, to_hex, CampaignCheckpoint, CheckpointError};
+use crate::checkpoint::{spec_hash, to_hex, CampaignCheckpoint, CheckpointError, CheckpointLog};
 use crate::closed_loop::LoopConfig;
 use crate::engine::{run_one, Lane};
 use crate::exec::{is_cancelled, ordered_par_map};
@@ -498,7 +498,8 @@ pub fn worker_count(explicit: Option<usize>) -> (usize, WorkerSource) {
 /// When and where to snapshot a [`CampaignCheckpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Checkpoint file (written atomically, overwritten in place).
+    /// Checkpoint file: a log of snapshots, appended to and rewritten
+    /// when full (see [`crate::checkpoint`]).
     pub path: PathBuf,
     /// Snapshot after every this-many completed jobs (≥ 1).
     pub every_jobs: usize,
@@ -778,7 +779,9 @@ fn run_pending<E>(
 struct EmitState<'a> {
     jobs: &'a [Job],
     ckpt: CampaignCheckpoint,
-    policy: Option<&'a CheckpointPolicy>,
+    /// The open checkpoint log and its cadence in jobs, if
+    /// snapshotting.
+    log: Option<(CheckpointLog, usize)>,
     emitted_this_segment: usize,
 }
 
@@ -811,12 +814,9 @@ impl EmitState<'_> {
         }
         sink(job_index, outcome);
         self.emitted_this_segment += 1;
-        if let Some(policy) = self.policy {
-            if self
-                .emitted_this_segment
-                .is_multiple_of(policy.every_jobs.max(1))
-            {
-                self.ckpt.save(&policy.path)?;
+        if let Some((log, every)) = &mut self.log {
+            if self.emitted_this_segment.is_multiple_of(*every) {
+                log.save(&self.ckpt)?;
             }
         }
         Ok(())
@@ -883,7 +883,10 @@ pub fn run_campaign_resumable(
     let mut state = EmitState {
         jobs: &jobs,
         ckpt,
-        policy: options.checkpoint.as_ref(),
+        log: options
+            .checkpoint
+            .as_ref()
+            .map(|p| (CheckpointLog::new(&p.path), p.every_jobs.max(1))),
         emitted_this_segment: 0,
     };
     run_pending(
@@ -899,12 +902,9 @@ pub fn run_campaign_resumable(
     let was_cancelled = state.emitted_this_segment < m;
     // A final snapshot so the on-disk checkpoint always reflects the
     // end state (resuming a finished campaign is then a no-op).
-    if let Some(policy) = options.checkpoint.as_ref() {
-        if !state
-            .emitted_this_segment
-            .is_multiple_of(policy.every_jobs.max(1))
-        {
-            state.ckpt.save(&policy.path)?;
+    if let Some((log, every)) = &mut state.log {
+        if !state.emitted_this_segment.is_multiple_of(*every) {
+            log.save(&state.ckpt)?;
         }
     }
 

@@ -18,10 +18,24 @@
 //! [`CampaignCheckpoint::validate_for`] refuses to resume it, so a
 //! digest never mixes the two schemes.
 //!
-//! The on-disk format is versioned serde JSON written atomically
-//! (temp file + rename), and the container carries
-//! `#[serde(default)]` so a checkpoint written by an older build that
-//! lacks newer fields still loads.
+//! The checkpoint file is an append-only log of snapshots, each one
+//! line of compact versioned serde JSON (the writer escapes every
+//! newline inside a string). A running campaign keeps the file open
+//! and appends each snapshot with one `write_all`. Its first save, and
+//! any save that would take the log past [`MAX_LOG_SNAPSHOTS`]
+//! snapshots, rewrites the file instead: a temp file holding the one
+//! snapshot, renamed over the log. So the file stays bounded, and its
+//! first line is never torn. [`CampaignCheckpoint::load`] reads the
+//! last newline-terminated line and ignores a torn tail.
+//!
+//! Durability: the file is consistent after a process crash (SIGKILL
+//! at any write, including mid-append): a resume starts from the last
+//! complete snapshot. Nothing calls fsync, so an OS crash may lose
+//! recent snapshots. A checkpoint written before the log format is one
+//! JSON object with no line ending; it reads as "no complete snapshot".
+//!
+//! The container carries `#[serde(default)]` so a checkpoint written
+//! by an older build that lacks newer fields still loads.
 //!
 //! Numeric caveat: the vendored serde shim routes all numbers through
 //! `f64`, which is exact only below 2^53 — so the 64-bit spec hash,
@@ -32,11 +46,17 @@ use crate::outcome::ErrorLedger;
 use aps_types::{ControlAction, Hazard, SimTrace};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Current checkpoint format version. Version 2 introduced the
 /// word-wise [`trace_digest`].
 pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// Snapshots a checkpoint log holds at most: the save that would add
+/// one more rewrites the file with that snapshot alone.
+pub const MAX_LOG_SNAPSHOTS: usize = 64;
 
 /// Oldest version whose rolling digest the current [`trace_digest`]
 /// can continue.
@@ -336,31 +356,24 @@ impl CampaignCheckpoint {
         }
     }
 
-    /// Writes the checkpoint atomically (temp file in the same
-    /// directory, then rename) so a crash mid-write never leaves a
-    /// torn checkpoint behind.
+    /// Replaces the checkpoint file with a log holding this one
+    /// snapshot (temp file in the same directory, then rename), so a
+    /// crash mid-write never leaves a torn checkpoint behind.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] on any filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let io_err = |detail: String| CheckpointError::Io {
-            path: path.display().to_string(),
-            detail,
-        };
-        let json = serde_json::to_string(self).map_err(|e| io_err(format!("{e:?}")))?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, json.as_bytes()).map_err(|e| io_err(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(e.to_string()))
+        CheckpointLog::new(path).save(self)
     }
 
-    /// Loads and version-checks a checkpoint.
+    /// Loads and version-checks the last complete snapshot of a
+    /// checkpoint log.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] for unreadable/unparsable files,
+    /// [`CheckpointError::Io`] for unreadable files, files without a
+    /// complete snapshot line, and unparsable snapshots;
     /// [`CheckpointError::Version`] for files written by a newer
     /// format.
     pub fn load(path: &Path) -> Result<CampaignCheckpoint, CheckpointError> {
@@ -368,9 +381,17 @@ impl CampaignCheckpoint {
             path: path.display().to_string(),
             detail,
         };
-        let json = std::fs::read_to_string(path).map_err(|e| io_err(e.to_string()))?;
+        let bytes = std::fs::read(path).map_err(|e| io_err(e.to_string()))?;
+        // Only newline-terminated lines are complete; a torn append
+        // leaves a tail without one, which is ignored.
+        let complete = match bytes.iter().rposition(|&b| b == b'\n') {
+            Some(end) => &bytes[..end],
+            None => return Err(io_err(String::from("no complete snapshot line"))),
+        };
+        let last = complete.rsplit(|&b| b == b'\n').next().unwrap_or_default();
+        let json = std::str::from_utf8(last).map_err(|e| io_err(e.to_string()))?;
         let ckpt: CampaignCheckpoint =
-            serde_json::from_str(&json).map_err(|e| io_err(format!("{e:?}")))?;
+            serde_json::from_str(json).map_err(|e| io_err(format!("{e:?}")))?;
         if ckpt.version > CHECKPOINT_VERSION {
             return Err(CheckpointError::Version {
                 found: ckpt.version,
@@ -440,9 +461,66 @@ impl CampaignCheckpoint {
     }
 }
 
+/// A checkpoint file kept open for one run: each save appends one
+/// snapshot line, except that the first save and the save that would
+/// pass [`MAX_LOG_SNAPSHOTS`] rewrite the file (see the
+/// [module docs](self)).
+pub(crate) struct CheckpointLog {
+    path: PathBuf,
+    /// The open file and the snapshots it holds; `None` until the
+    /// first save.
+    file: Option<(File, usize)>,
+}
+
+impl CheckpointLog {
+    /// A log at `path`; nothing is written before the first save.
+    pub(crate) fn new(path: &Path) -> CheckpointLog {
+        CheckpointLog {
+            path: path.to_path_buf(),
+            file: None,
+        }
+    }
+
+    /// Writes `ckpt` as the log's next snapshot. This is the only
+    /// code that writes checkpoint files.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] on any filesystem failure. The log then
+    /// forgets its file, so the next save rewrites it rather than
+    /// append after a torn line.
+    pub(crate) fn save(&mut self, ckpt: &CampaignCheckpoint) -> Result<(), CheckpointError> {
+        let io_err = |detail: String| CheckpointError::Io {
+            path: self.path.display().to_string(),
+            detail,
+        };
+        let mut line = serde_json::to_string(ckpt).map_err(|e| io_err(format!("{e:?}")))?;
+        line.push('\n');
+        self.file = Some(match self.file.take() {
+            Some((mut file, n)) if n < MAX_LOG_SNAPSHOTS => {
+                file.write_all(line.as_bytes())
+                    .map_err(|e| io_err(e.to_string()))?;
+                (file, n + 1)
+            }
+            _ => {
+                let mut tmp = self.path.as_os_str().to_owned();
+                tmp.push(".tmp");
+                let tmp = PathBuf::from(tmp);
+                let mut file = File::create(&tmp).map_err(|e| io_err(e.to_string()))?;
+                file.write_all(line.as_bytes())
+                    .map_err(|e| io_err(e.to_string()))?;
+                std::fs::rename(&tmp, &self.path).map_err(|e| io_err(e.to_string()))?;
+                (file, 1)
+            }
+        });
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::LedgerEntry;
 
     #[test]
     fn bitmap_set_get_count() {
@@ -545,6 +623,87 @@ mod tests {
             .unwrap();
         assert!(path.exists());
         assert!(!dir.join("atomic.json.tmp").exists());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Snapshot `k` of a test log: its bitmap and ledger differ from
+    /// every other's, and its ledger message holds a newline and
+    /// multi-byte characters, so a cut can fall inside one.
+    fn log_snapshot(k: usize) -> CampaignCheckpoint {
+        let mut ckpt = CampaignCheckpoint::fresh(to_hex(0xFEED), None, 40);
+        for i in 0..k {
+            ckpt.completed.set(i);
+        }
+        let error = crate::outcome::SimError::Panicked {
+            message: format!("dose ≥ cap × {k}\nat cycle {k}"),
+        };
+        ckpt.partials.fold_failed(&error.to_string(), 1);
+        ckpt.ledger.push(LedgerEntry {
+            job_index: k,
+            patient_idx: 0,
+            initial_bg: 120.0,
+            fault_name: String::from("glucose_max_2"),
+            error,
+            attempts: 1,
+        });
+        ckpt
+    }
+
+    fn newlines(bytes: &[u8]) -> usize {
+        bytes.iter().filter(|&&b| b == b'\n').count()
+    }
+
+    #[test]
+    fn load_returns_the_last_complete_snapshot_at_every_cut() {
+        let dir = std::env::temp_dir().join("aps_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.json");
+        let snapshots: Vec<_> = (1..=4).map(log_snapshot).collect();
+        let mut log = CheckpointLog::new(&path);
+        for s in &snapshots {
+            log.save(s).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(newlines(&bytes), snapshots.len(), "one line per snapshot");
+
+        // A cut inside the first line is also what a file written
+        // before the log format looks like: one object, no line end.
+        let cut = dir.join("log_cut.json");
+        for end in 0..=bytes.len() {
+            std::fs::write(&cut, &bytes[..end]).unwrap();
+            match (newlines(&bytes[..end]), CampaignCheckpoint::load(&cut)) {
+                (0, Err(CheckpointError::Io { .. })) => {}
+                (k, Ok(back)) if k > 0 => assert_eq!(back, snapshots[k - 1], "cut at {end}"),
+                (k, other) => panic!("cut at {end} after {k} complete lines: {other:?}"),
+            }
+        }
+
+        // A new run's first save replaces a torn log outright.
+        std::fs::write(&cut, &bytes[..bytes.len() - 1]).unwrap();
+        CheckpointLog::new(&cut).save(&snapshots[0]).unwrap();
+        assert_eq!(newlines(&std::fs::read(&cut).unwrap()), 1);
+        assert_eq!(CampaignCheckpoint::load(&cut).unwrap(), snapshots[0]);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&cut).ok();
+    }
+
+    #[test]
+    fn a_long_log_stays_bounded_and_loads_its_last_snapshot() {
+        let dir = std::env::temp_dir().join("aps_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("long.json");
+        let mut log = CheckpointLog::new(&path);
+        let mut ckpt = CampaignCheckpoint::fresh(to_hex(3), None, 200);
+        for i in 0..200 {
+            ckpt.completed.set(i);
+            log.save(&ckpt).unwrap();
+        }
+        let lines = newlines(&std::fs::read(&path).unwrap());
+        assert!(lines <= MAX_LOG_SNAPSHOTS, "{lines} snapshots in the log");
+        let back = CampaignCheckpoint::load(&path).unwrap();
+        assert_eq!(back.completed.count(), 200);
+        assert_eq!(back, ckpt);
+        assert!(!dir.join("long.json.tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 

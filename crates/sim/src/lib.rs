@@ -44,8 +44,8 @@
 //!   [`outcome::ErrorLedger`];
 //! * [`checkpoint`] — versioned serde
 //!   [`checkpoint::CampaignCheckpoint`] snapshots (completed-job
-//!   bitmap, ledger, rolling trace digest) written atomically for
-//!   kill/resume;
+//!   bitmap, ledger, rolling trace digest) appended to a checkpoint
+//!   log for kill/resume;
 //! * [`chaos`] — deterministic executor-fault injection
 //!   ([`chaos::ChaosConfig`]): seeded worker panics, delays, and
 //!   poisoned specs for hardening tests;

@@ -36,14 +36,18 @@ use std::convert::Infallible;
 /// CGM reading, the commanded rate, the previously *commanded* rate —
 /// and is told the recorded delivery each cycle.
 pub fn replay_monitor(trace: &SimTrace, monitor: &mut dyn HazardMonitor) -> SimTrace {
+    replay_owned(trace.clone(), monitor)
+}
+
+/// [`replay_monitor`] on a trace the caller already owns: the alert
+/// column and tracks are rewritten in place, with no copy.
+fn replay_owned(mut out: SimTrace, monitor: &mut dyn HazardMonitor) -> SimTrace {
     monitor.reset();
-    let mut out = trace.clone();
     // The live loop seeds previous_rate with the controller's basal;
     // the first record's commanded rate is the closest recorded proxy
     // (at reset the controller commands its basal).
     let mut prev_commanded = UnitsPerHour(
-        trace
-            .records
+        out.records
             .first()
             .map(|r| r.commanded.value())
             .unwrap_or(0.0),
@@ -128,7 +132,7 @@ where
         |i| {
             let t = get(i);
             let mut monitor = factory(&t);
-            replay_monitor(&t, monitor.as_mut())
+            replay_owned(t.into_owned(), monitor.as_mut())
         },
         |i, trace| -> Result<(), Infallible> {
             sink(i, trace);

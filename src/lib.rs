@@ -251,7 +251,11 @@
 //!   [`sim::checkpoint::CampaignCheckpoint`] (format version
 //!   [`sim::checkpoint::CHECKPOINT_VERSION`]: spec hash, chaos seed,
 //!   completed-job bitmap, ledger, aggregate partials with a rolling
-//!   trace digest) is written atomically every N completed jobs.
+//!   trace digest) is appended to a checkpoint log every N completed
+//!   jobs. The log is consistent after a process crash (SIGKILL at
+//!   any write, including mid-append): a resume starts from its last
+//!   complete snapshot. No fsync, so an OS crash may lose recent
+//!   snapshots.
 //!   Resuming from a snapshot skips completed jobs and is
 //!   **bit-identical** to the uninterrupted run — same emissions,
 //!   same ledger, same digest — pinned by the kill-at-every-

@@ -244,24 +244,27 @@ impl PatientSim for BergmanPatient {
 /// State and parameters are structure-of-arrays: each ODE compartment
 /// and each identified parameter is one contiguous `[f64; LANES]` row,
 /// so the RK4 stage math and the dynamics below are plain per-lane
-/// loops the compiler autovectorizes. Per lane the arithmetic is
-/// expression-for-expression [`BergmanPatient::step`], which keeps every
-/// lane bit-identical to its scalar counterpart.
+/// loops the compiler autovectorizes.
+///
+/// Every lane computes the same values as [`BergmanPatient::step`], bit
+/// for bit, but terms that are fixed for a whole step are computed once
+/// per step instead of at every derivative evaluation (20 per 5-minute
+/// step: 4 RK4 stages × 5 one-minute substeps):
+///
+/// * the insulin inflow `ID/(τ₁·CI)`, the same expression the scalar
+///   derivative evaluates every time;
+/// * when every lane's gut is empty (both gut compartments `+0.0`),
+///   the meal appearance `RA` and both gut derivatives. An empty gut
+///   stays `+0.0` through every RK4 stage — its derivatives are `±0.0`,
+///   and `+0.0 + c·(±0.0)` is `+0.0` for finite `c` — so the values at
+///   step start are the exact values of every evaluation.
 ///
 /// Lanes are loaded from already-constructed scalar patients with
 /// [`load_lane`](BatchedBergman::load_lane); all lanes must be loaded
 /// (padding lanes may duplicate a real one) before stepping.
 #[derive(Debug, Clone)]
 pub struct BatchedBergman<const LANES: usize> {
-    gezi: [f64; LANES],
-    egp: [f64; LANES],
-    si: [f64; LANES],
-    p2: [f64; LANES],
-    tau1: [f64; LANES],
-    tau2: [f64; LANES],
-    ci: [f64; LANES],
-    carb_gain: [f64; LANES],
-    tau_meal: [f64; LANES],
+    params: LaneParams<LANES>,
     state: [[f64; LANES]; NSTATE],
     /// Shared clock: lanes advance in lockstep, so one `t` serves all.
     t_minutes: f64,
@@ -272,19 +275,80 @@ pub struct BatchedBergman<const LANES: usize> {
     scratch: BatchedRk4Scratch<NSTATE, LANES>,
 }
 
+/// The identified parameters of a [`BatchedBergman`], one row per
+/// parameter.
+#[derive(Debug, Clone)]
+struct LaneParams<const LANES: usize> {
+    gezi: [f64; LANES],
+    egp: [f64; LANES],
+    si: [f64; LANES],
+    p2: [f64; LANES],
+    tau1: [f64; LANES],
+    tau2: [f64; LANES],
+    ci: [f64; LANES],
+    carb_gain: [f64; LANES],
+    tau_meal: [f64; LANES],
+}
+
+/// The batched GIM dynamics over one step, with the step's invariant
+/// terms computed once.
+struct StepDynamics<'a, const LANES: usize> {
+    params: &'a LaneParams<LANES>,
+    /// GEZI with the step's exercise factor applied.
+    gezi: [f64; LANES],
+    /// Insulin inflow `ID/(τ₁·CI)` (µU/mL/min).
+    uin: [f64; LANES],
+    /// Meal appearance `RA` and the two gut derivatives at step start.
+    ra: [f64; LANES],
+    dq1: [f64; LANES],
+    dq2: [f64; LANES],
+}
+
+impl<const LANES: usize> StepDynamics<'_, LANES> {
+    /// The derivative of `x`. With `EMPTY_GUT` every lane's gut is
+    /// empty for the whole step, so its terms are the step-start ones.
+    fn derivative<const EMPTY_GUT: bool>(
+        &self,
+        x: &[[f64; LANES]; NSTATE],
+        d: &mut [[f64; LANES]; NSTATE],
+    ) {
+        let p = self.params;
+        for l in 0..LANES {
+            let ra = if EMPTY_GUT {
+                self.ra[l]
+            } else {
+                p.carb_gain[l] * x[QGUT2][l] / p.tau_meal[l]
+            };
+            d[ISC][l] = self.uin[l] - x[ISC][l] / p.tau1[l];
+            d[IP][l] = (x[ISC][l] - x[IP][l]) / p.tau2[l];
+            d[IEFF][l] = -p.p2[l] * x[IEFF][l] + p.p2[l] * p.si[l] * x[IP][l];
+            d[BG][l] = -(self.gezi[l] + x[IEFF][l]) * x[BG][l] + p.egp[l] + ra;
+            if EMPTY_GUT {
+                d[QGUT1][l] = self.dq1[l];
+                d[QGUT2][l] = self.dq2[l];
+            } else {
+                d[QGUT1][l] = -x[QGUT1][l] / p.tau_meal[l];
+                d[QGUT2][l] = (x[QGUT1][l] - x[QGUT2][l]) / p.tau_meal[l];
+            }
+        }
+    }
+}
+
 impl<const LANES: usize> BatchedBergman<LANES> {
     /// Empty batch (all lanes zeroed); load every lane before stepping.
     pub const fn new() -> BatchedBergman<LANES> {
         BatchedBergman {
-            gezi: [0.0; LANES],
-            egp: [0.0; LANES],
-            si: [0.0; LANES],
-            p2: [0.0; LANES],
-            tau1: [0.0; LANES],
-            tau2: [0.0; LANES],
-            ci: [0.0; LANES],
-            carb_gain: [0.0; LANES],
-            tau_meal: [0.0; LANES],
+            params: LaneParams {
+                gezi: [0.0; LANES],
+                egp: [0.0; LANES],
+                si: [0.0; LANES],
+                p2: [0.0; LANES],
+                tau1: [0.0; LANES],
+                tau2: [0.0; LANES],
+                ci: [0.0; LANES],
+                carb_gain: [0.0; LANES],
+                tau_meal: [0.0; LANES],
+            },
             state: [[0.0; LANES]; NSTATE],
             t_minutes: 0.0,
             exercise_minutes_left: [0.0; LANES],
@@ -307,16 +371,16 @@ impl<const LANES: usize> BatchedBergman<LANES> {
             self.t_minutes == patient.t_minutes || self.t_minutes == 0.0,
             "lockstep lanes must share one clock"
         );
-        let p = &patient.params;
-        self.gezi[lane] = p.gezi;
-        self.egp[lane] = p.egp;
-        self.si[lane] = p.si;
-        self.p2[lane] = p.p2;
-        self.tau1[lane] = p.tau1;
-        self.tau2[lane] = p.tau2;
-        self.ci[lane] = p.ci;
-        self.carb_gain[lane] = p.carb_gain;
-        self.tau_meal[lane] = p.tau_meal;
+        let (p, rows) = (&patient.params, &mut self.params);
+        rows.gezi[lane] = p.gezi;
+        rows.egp[lane] = p.egp;
+        rows.si[lane] = p.si;
+        rows.p2[lane] = p.p2;
+        rows.tau1[lane] = p.tau1;
+        rows.tau2[lane] = p.tau2;
+        rows.ci[lane] = p.ci;
+        rows.carb_gain[lane] = p.carb_gain;
+        rows.tau_meal[lane] = p.tau_meal;
         for d in 0..NSTATE {
             self.state[d][lane] = patient.state[d];
         }
@@ -338,46 +402,51 @@ impl<const LANES: usize> BatchedPatientSim<LANES> for BatchedBergman<LANES> {
     }
 
     fn step_all(&mut self, rates: &[UnitsPerHour; LANES], minutes: f64) {
-        // Per-lane pre-step scalars, mirroring the scalar `step`
-        // preamble expression for expression.
-        let mut id_uu_per_min = [0.0; LANES];
-        let mut gezi = [0.0; LANES];
+        let p = &self.params;
+        let x = &self.state;
+        // Per-lane step invariants: the scalar `step` preamble, the
+        // insulin inflow, and the gut terms at step start.
+        let mut dynamics = StepDynamics {
+            params: p,
+            gezi: [0.0; LANES],
+            uin: [0.0; LANES],
+            ra: [0.0; LANES],
+            dq1: [0.0; LANES],
+            dq2: [0.0; LANES],
+        };
         for l in 0..LANES {
             let rate = rates[l].max_zero();
-            id_uu_per_min[l] = rate.value() * 1e6 / 60.0;
+            let id_uu_per_min = rate.value() * 1e6 / 60.0;
+            dynamics.uin[l] = id_uu_per_min / (p.tau1[l] * p.ci[l]);
             let active = self.exercise_minutes_left[l].min(minutes);
             let intensity = if active > 0.0 {
                 self.exercise_intensity[l]
             } else {
                 0.0
             };
-            gezi[l] = self.gezi[l] * (1.0 + EXERCISE_GEZI_GAIN * intensity * (active / minutes));
+            dynamics.gezi[l] =
+                p.gezi[l] * (1.0 + EXERCISE_GEZI_GAIN * intensity * (active / minutes));
             self.exercise_minutes_left[l] = (self.exercise_minutes_left[l] - minutes).max(0.0);
+            dynamics.ra[l] = p.carb_gain[l] * x[QGUT2][l] / p.tau_meal[l];
+            dynamics.dq1[l] = -x[QGUT1][l] / p.tau_meal[l];
+            dynamics.dq2[l] = (x[QGUT1][l] - x[QGUT2][l]) / p.tau_meal[l];
         }
-        // Borrow the parameter rows individually so the dynamics
-        // closure stays disjoint from the `&mut self.state` the
-        // integrator takes.
-        let (tau1, tau2, ci) = (&self.tau1, &self.tau2, &self.ci);
-        let (p2, si, egp) = (&self.p2, &self.si, &self.egp);
-        let (carb_gain, tau_meal) = (&self.carb_gain, &self.tau_meal);
-        let dynamics =
-            move |_t: f64, x: &[[f64; LANES]; NSTATE], d: &mut [[f64; LANES]; NSTATE]| {
-                for l in 0..LANES {
-                    let ra = carb_gain[l] * x[QGUT2][l] / tau_meal[l];
-                    d[ISC][l] = id_uu_per_min[l] / (tau1[l] * ci[l]) - x[ISC][l] / tau1[l];
-                    d[IP][l] = (x[ISC][l] - x[IP][l]) / tau2[l];
-                    d[IEFF][l] = -p2[l] * x[IEFF][l] + p2[l] * si[l] * x[IP][l];
-                    d[BG][l] = -(gezi[l] + x[IEFF][l]) * x[BG][l] + egp[l] + ra;
-                    d[QGUT1][l] = -x[QGUT1][l] / tau_meal[l];
-                    d[QGUT2][l] = (x[QGUT1][l] - x[QGUT2][l]) / tau_meal[l];
-                }
-            };
+        // Bit-zero, not `== 0.0`: a `-0.0` gut turns `+0.0` at the
+        // first stage, so its derivatives change within the step.
+        let empty_gut =
+            (0..LANES).all(|l| x[QGUT1][l].to_bits() == 0 && x[QGUT2][l].to_bits() == 0);
         // Free-running lanes: a diverged lane churns NaN harmlessly
         // (non-finite is absorbing under the RK4 update) instead of
         // early-aborting the whole batch the way the scalar
         // `try_integrate` does; `lane_is_finite` reports it afterward.
-        self.scratch
-            .integrate(&dynamics, self.t_minutes, &mut self.state, minutes, 1.0);
+        let (t, state) = (self.t_minutes, &mut self.state);
+        if empty_gut {
+            let f = |_t: f64, x: &_, d: &mut _| dynamics.derivative::<true>(x, d);
+            self.scratch.integrate(&f, t, state, minutes, 1.0);
+        } else {
+            let f = |_t: f64, x: &_, d: &mut _| dynamics.derivative::<false>(x, d);
+            self.scratch.integrate(&f, t, state, minutes, 1.0);
+        }
         for l in 0..LANES {
             // Same floor as the scalar path, applied only to finite
             // lanes: f64::max(NaN, floor) is the floor, which would
@@ -627,6 +696,71 @@ mod tests {
                 assert!(batch.lane_is_finite(l));
             }
         }
+    }
+
+    #[test]
+    fn batched_meals_at_different_steps_bit_identical_to_scalar_patients() {
+        // Lanes eat at different steps, so the batch steps with every
+        // gut empty, then with empty and non-empty guts mixed, and lane
+        // 7's first meal arrives mid-run. Lane 0 never eats.
+        const LANES: usize = 8;
+        const MEALS: [(usize, usize, f64); 8] = [
+            (2, 1, 45.0),
+            (2, 2, 20.0),
+            (5, 3, 80.0),
+            (9, 4, 30.0),
+            (14, 5, 60.0),
+            (20, 6, 10.0),
+            (20, 2, 35.0),
+            (30, 7, 50.0),
+        ];
+        let mut scalars: Vec<BergmanPatient> = (0..LANES)
+            .map(|l| {
+                let mut p = BergmanParams::population_average();
+                p.si *= 1.0 + 0.15 * l as f64;
+                p.carb_gain *= 1.0 + 0.05 * l as f64;
+                p.tau_meal *= 1.0 + 0.1 * l as f64;
+                BergmanPatient::new(p)
+            })
+            .collect();
+        let mut batch = BatchedBergman::<LANES>::new();
+        for (l, pt) in scalars.iter_mut().enumerate() {
+            pt.reset(MgDl(110.0 + 10.0 * l as f64));
+            batch.load_lane(l, pt);
+        }
+        let (mut all_empty, mut mixed) = (0, 0);
+        for cycle in 0..60 {
+            for &(_, lane, carbs) in MEALS.iter().filter(|m| m.0 == cycle) {
+                scalars[lane].ingest(carbs);
+                batch.ingest(lane, carbs);
+            }
+            let empty = (0..LANES)
+                .filter(|&l| batch.state[QGUT1][l] == 0.0 && batch.state[QGUT2][l] == 0.0)
+                .count();
+            match empty {
+                LANES => all_empty += 1,
+                0 => {}
+                _ => mixed += 1,
+            }
+            let mut rates = [UnitsPerHour(0.0); LANES];
+            for (l, r) in rates.iter_mut().enumerate() {
+                *r = UnitsPerHour(0.6 + 0.1 * l as f64 + 0.05 * (cycle % 3) as f64);
+            }
+            batch.step_all(&rates, 5.0);
+            for (l, pt) in scalars.iter_mut().enumerate() {
+                pt.step(rates[l], 5.0);
+                for d in 0..NSTATE {
+                    assert_eq!(
+                        batch.state[d][l].to_bits(),
+                        pt.state[d].to_bits(),
+                        "lane {l} comp {d} diverged at cycle {cycle}"
+                    );
+                }
+            }
+        }
+        assert_eq!(all_empty, 2, "cycles before the first meal");
+        assert_eq!(mixed, 58, "lane 0 never eats, so every later cycle mixes");
+        assert!(scalars[7].state[QGUT2] > 0.0, "lane 7's meal was absorbed");
     }
 
     #[test]

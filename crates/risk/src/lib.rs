@@ -31,7 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use aps_types::{Hazard, SimTrace};
+use aps_types::{Hazard, SimTrace, StepRecord};
 use serde::{Deserialize, Serialize};
 
 /// LBGI threshold above which hypoglycemia risk is "high" (Kovatchev).
@@ -54,24 +54,26 @@ pub fn risk_bg(bg: f64) -> f64 {
     10.0 * f * f
 }
 
+/// `(risk_low(bg), risk_high(bg))` from one evaluation of the
+/// transform: the risk goes to the branch the transform's sign picks.
+fn risk_pair(bg: f64) -> (f64, f64) {
+    let f = bg_transform(bg);
+    let risk = 10.0 * f * f;
+    let low = if f < 0.0 { risk } else { 0.0 };
+    let high = if f > 0.0 { risk } else { 0.0 };
+    (low, high)
+}
+
 /// Risk attributed to lows: `rl(BG) = risk(BG)` when the transform is
 /// negative, else 0.
 pub fn risk_low(bg: f64) -> f64 {
-    if bg_transform(bg) < 0.0 {
-        risk_bg(bg)
-    } else {
-        0.0
-    }
+    risk_pair(bg).0
 }
 
 /// Risk attributed to highs: `rh(BG) = risk(BG)` when the transform is
 /// positive, else 0.
 pub fn risk_high(bg: f64) -> f64 {
-    if bg_transform(bg) > 0.0 {
-        risk_bg(bg)
-    } else {
-        0.0
-    }
+    risk_pair(bg).1
 }
 
 /// Low Blood Glucose Index: mean low-side risk over a window.
@@ -162,6 +164,9 @@ impl RiskSample {
 /// exactly the per-window decisions of the batch
 /// [`label_series`] — which is itself implemented on top of this
 /// tracker, turning labeling from O(n·window) into O(n).
+/// [`label_tail`](RiskTracker::label_tail) labels trace records the
+/// same way and can resume: a copy of a tracker that labelled a
+/// trace's first records labels only the records after them.
 ///
 /// # Numerical faithfulness
 ///
@@ -184,7 +189,8 @@ impl RiskSample {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RiskTracker {
     config: LabelConfig,
-    /// `(risk_low, risk_high)` of the last `window` samples; circular.
+    /// `(risk_low, risk_high)` of the last `window` samples; circular,
+    /// allocated at full length up front (slots past `count` unused).
     ring: Vec<(f64, f64)>,
     /// Next write position in `ring`.
     head: usize,
@@ -196,6 +202,10 @@ pub struct RiskTracker {
     prev_hbgi: f64,
 }
 
+/// Samples whose risks [`RiskTracker::label_tail`] evaluates in one
+/// batch ahead of the window updates.
+const LABEL_CHUNK: usize = 64;
+
 impl RiskTracker {
     /// Creates a tracker (windows of length 0 behave as length 1, like
     /// the batch labeler).
@@ -203,7 +213,7 @@ impl RiskTracker {
         let window = config.window.max(1);
         RiskTracker {
             config,
-            ring: Vec::with_capacity(window),
+            ring: vec![(0.0, 0.0); window],
             head: 0,
             count: 0,
             sum_low: 0.0,
@@ -230,7 +240,7 @@ impl RiskTracker {
 
     /// Clears all state for a fresh series.
     pub fn reset(&mut self) {
-        self.ring.clear();
+        self.ring.fill((0.0, 0.0));
         self.head = 0;
         self.count = 0;
         self.sum_low = 0.0;
@@ -243,16 +253,24 @@ impl RiskTracker {
     /// O(1) (amortized — the rolling sums are re-anchored once per
     /// ring wrap).
     pub fn push(&mut self, bg: f64) -> RiskSample {
-        let window = self.config.window.max(1);
-        let rl = risk_low(bg);
-        let rh = risk_high(bg);
-        if self.ring.len() < window {
+        let (rl, rh) = risk_pair(bg);
+        self.push_risks(rl, rh)
+    }
+
+    /// [`push`](RiskTracker::push) of a reading whose low- and
+    /// high-side risks are `rl` and `rh`.
+    fn push_risks(&mut self, rl: f64, rh: f64) -> RiskSample {
+        let window = self.ring.len();
+        if self.count < window {
             // Growing window: sums accumulate left-to-right, exactly
             // like a fresh sum over `series[0..=t]`.
-            self.ring.push((rl, rh));
-            self.head = self.ring.len() % window;
+            self.ring[self.head] = (rl, rh);
             self.sum_low += rl;
             self.sum_high += rh;
+            self.head += 1;
+            if self.head == window {
+                self.head = 0;
+            }
         } else {
             let (ol, oh) = self.ring[self.head];
             // A bit-equal replacement must leave the sums untouched:
@@ -265,11 +283,12 @@ impl RiskTracker {
                 self.sum_high = self.sum_high - oh + rh;
             }
             self.ring[self.head] = (rl, rh);
-            self.head = (self.head + 1) % window;
-            if self.head == 0 {
+            self.head += 1;
+            if self.head == window {
                 // Ring wrapped: `ring[0..]` is the window in series
                 // order — re-anchor the sums to the exact
                 // left-to-right value to cancel rounding drift.
+                self.head = 0;
                 self.sum_low = self.ring.iter().map(|p| p.0).sum();
                 self.sum_high = self.ring.iter().map(|p| p.1).sum();
             }
@@ -277,7 +296,7 @@ impl RiskTracker {
 
         let index = self.count;
         self.count += 1;
-        let len = self.ring.len() as f64;
+        let len = self.count.min(window) as f64;
         let l = self.sum_low / len;
         let h = self.sum_high / len;
 
@@ -310,6 +329,57 @@ impl RiskTracker {
             rising_low,
             rising_high,
             hazard,
+        }
+    }
+
+    /// Labels `records[self.len()..]` from their ground-truth BG, in
+    /// place, as [`label_series`] labels a series: a hazardous window
+    /// marks its readings, reaching back into records before
+    /// `self.len()` when the window starts there. The tail's old
+    /// labels are overwritten; earlier records keep theirs and only
+    /// gain marks.
+    ///
+    /// A tracker that labelled `records[..n]` and a copy of it (with a
+    /// copy of those records) label the rest exactly as one pass over
+    /// the whole trace would, so a run forked after `n` steps labels
+    /// only its own steps.
+    pub fn label_tail(&mut self, records: &mut [StepRecord]) {
+        debug_assert!(
+            self.count <= records.len(),
+            "records this tracker never saw"
+        );
+        let mut risks = [(0.0, 0.0); LABEL_CHUNK];
+        let mut from = self.count;
+        while from < records.len() {
+            let to = records.len().min(from + LABEL_CHUNK);
+            // The transcendental risk transform first, for the whole
+            // chunk: it depends on no window state.
+            for (risk, rec) in risks.iter_mut().zip(&mut records[from..to]) {
+                *risk = risk_pair(rec.bg_true.value());
+                rec.hazard = None;
+            }
+            for &(rl, rh) in &risks[..to - from] {
+                let sample = self.push_risks(rl, rh);
+                let window = &mut records[sample.window_start..=sample.index];
+                match sample.hazard {
+                    Some(Hazard::H1) => {
+                        for rec in window {
+                            rec.hazard = Some(Hazard::H1);
+                        }
+                    }
+                    Some(Hazard::H2) => {
+                        for rec in window {
+                            // Don't overwrite an H1 mark from an
+                            // overlapping window.
+                            if rec.hazard != Some(Hazard::H1) {
+                                rec.hazard = Some(Hazard::H2);
+                            }
+                        }
+                    }
+                    None => {}
+                }
+            }
+            from = to;
         }
     }
 }
@@ -386,18 +456,15 @@ pub fn label_series_reference(series: &[f64], config: &LabelConfig) -> Vec<Optio
 /// Labels a [`SimTrace`] in place from its ground-truth BG series and
 /// refreshes the trace metadata.
 pub fn label_trace(trace: &mut SimTrace, config: &LabelConfig) {
-    let series = trace.bg_true_series();
-    let labels = label_series(&series, config);
-    for (rec, label) in trace.records.iter_mut().zip(labels) {
-        rec.hazard = label;
-    }
+    // A fresh tracker labels every record, overwriting stale labels.
+    RiskTracker::new(config.clone()).label_tail(&mut trace.records);
     trace.refresh_meta();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aps_types::{MgDl, Step, StepRecord, TraceMeta};
+    use aps_types::{MgDl, Step, TraceMeta};
 
     #[test]
     fn zero_point_near_112_5() {

@@ -24,6 +24,11 @@
 //! ([`LaneState`]), and every faulty run of the group resumes from that
 //! copy ([`Lane::resume`]) instead of re-running the steps before its
 //! fault.
+//!
+//! Hazard labelling is part of a lane's state too. A lane labels its
+//! records with its own labeller when it is forked ([`Lane::label`])
+//! and when it finishes ([`Lane::finish`]), each time only the records
+//! not labelled yet, so a resumed lane labels only its own steps.
 
 use crate::closed_loop::LoopConfig;
 use crate::outcome::SimError;
@@ -34,6 +39,7 @@ use aps_fault::FaultInjector;
 use aps_glucose::pump::Pump;
 use aps_glucose::sensor::Cgm;
 use aps_glucose::{BatchedPatientSim, PatientSim};
+use aps_risk::RiskTracker;
 use aps_types::{
     AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, Units,
     UnitsPerHour, CONTROL_CYCLE_MINUTES,
@@ -84,15 +90,17 @@ impl Fault<'_> {
 }
 
 /// What a lane owns of its run — every piece of loop state that is not
-/// a borrowed component. A lane paused at a step boundary copies it
-/// ([`Lane::state`], [`LaneState::fork`]) so other lanes can resume
-/// from there.
+/// a borrowed component. A lane paused at a step boundary labels its
+/// records and copies it ([`Lane::label`], [`Lane::state`],
+/// [`LaneState::fork`]) so other lanes can resume from there.
 pub(crate) struct LaneState {
     cgm: Cgm,
     pump: Pump,
     ctx_mitigator: Option<ContextMitigator>,
     /// One record per step run so far.
     trace: SimTrace,
+    /// The hazard labeller, as far as it has labelled `trace`.
+    labeller: RiskTracker,
     /// One verdict stream per monitor, primary first.
     alerts: Vec<Vec<Option<Hazard>>>,
     /// Action classification compares against the previous
@@ -129,6 +137,7 @@ impl LaneState {
                 monitor_tracks: Vec::new(),
             },
             alerts,
+            labeller: self.labeller.clone(),
             prev_commanded: self.prev_commanded,
         }
     }
@@ -216,6 +225,7 @@ impl<'a> Lane<'a> {
             ctx_mitigator: config.context_mitigation.map(ContextMitigator::new),
             trace: SimTrace::with_capacity(meta, steps),
             alerts: monitors.iter().map(|_| Vec::with_capacity(steps)).collect(),
+            labeller: RiskTracker::new(config.labels.clone()),
             prev_commanded: UnitsPerHour(controller.basal_rate().value()),
         };
         Lane {
@@ -276,6 +286,13 @@ impl<'a> Lane<'a> {
         }
     }
 
+    /// Hazard-labels the lane's records not labelled yet, so that
+    /// forks of its state inherit the labels and the labeller.
+    pub(crate) fn label(&mut self) {
+        let state = &mut self.state;
+        state.labeller.label_tail(&mut state.trace.records);
+    }
+
     /// The lane's own state, or `None` once the run has died.
     pub(crate) fn state(&self) -> Option<&LaneState> {
         self.dead.is_none().then_some(&self.state)
@@ -292,11 +309,15 @@ impl<'a> Lane<'a> {
     }
 
     /// The run's result: its first non-finite cycle, or the trace with
-    /// one [`AlertTrack`] per monitor, hazard-labelled.
-    pub(crate) fn finish(self) -> Result<SimTrace, SimError> {
+    /// one [`AlertTrack`] per monitor, hazard-labelled as
+    /// [`aps_risk::label_trace`] labels it.
+    pub(crate) fn finish(mut self) -> Result<SimTrace, SimError> {
         if let Some(e) = self.dead {
             return Err(e);
         }
+        // A resumed lane labels only its own steps: its prefix came
+        // labelled, with the labeller, from the run it forked off.
+        self.label();
         let mut trace = self.state.trace;
         trace.monitor_tracks = self
             .monitors
@@ -307,7 +328,7 @@ impl<'a> Lane<'a> {
                 alerts,
             })
             .collect();
-        aps_risk::label_trace(&mut trace, &self.config.labels);
+        trace.refresh_meta();
         Ok(trace)
     }
 }

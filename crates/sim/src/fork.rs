@@ -7,9 +7,11 @@
 //! fault-free loop once, as a one-lane **trunk**, and pauses it at each
 //! distinct fork step to copy its lane ([`Fork`]): patient, controller
 //! and monitor (forks of both), CGM with its RNG, pump, context
-//! mitigator, and the trace and verdict prefix. A job's fork step is its
-//! fault start, clamped to the step count; the fault-free job forks
-//! with the group's latest faulty job.
+//! mitigator, the trace and verdict prefix, and the hazard labeller. The
+//! trunk labels its records before each fork, so the copied prefix
+//! comes labelled and a job labels only the steps after its fork. A
+//! job's fork step is its fault start, clamped to the step count; the
+//! fault-free job forks with the group's latest faulty job.
 //!
 //! Every job then runs as a lane of a lockstep block of the jobs that
 //! share its fork step, resuming from that copy, with its own injector
@@ -24,7 +26,10 @@
 //! A forked lane produces, bit for bit, the trace of the same job run
 //! alone from step 0: the prefix it copies is the one that run would
 //! have recorded, and from the fork on it runs the same cycle on
-//! copies of the same state. [`run_campaign_serial`] and the per-job
+//! copies of the same state. Its labels are those of one labelling pass
+//! over the whole trace: the labeller resumes where the trunk's left
+//! off and marks hazard windows back into the copied prefix
+//! ([`RiskTracker::label_tail`](aps_risk::RiskTracker::label_tail)). [`run_campaign_serial`] and the per-job
 //! isolation path still run every job from step 0, so the equivalence
 //! suites check every fork against an independent full run
 //! (`tests/fork_equivalence.rs`).
@@ -119,6 +124,7 @@ fn run_trunk(trunk: &mut JobRun, at: &[u32]) -> Vec<Option<Fork>> {
         let before = lane.controller().fork();
         run_alone(patient.as_dyn_mut(), &mut lane, step - 1..step);
         from = step;
+        lane.label();
         let Some(state) = lane.state() else { break };
         forks.push(Some(Fork {
             patient: patient.clone(),

@@ -10,9 +10,17 @@
 //!   label with the retained O(n·window) reference implementation
 //!   ([`label_series_reference`]) on every trace of the quick fault
 //!   campaign, for a range of window lengths.
+//!
+//! A third pin covers resumed labelling: [`RiskTracker::label_tail`]
+//! over a trace split at any index — the prefix first, then the rest
+//! by a copy of the tracker, as a forked campaign job labels — equals
+//! [`label_series`] over the whole series.
 
 use aps_repro::prelude::*;
-use aps_repro::risk::{label_series, label_series_reference, LabelConfig, RiskTracker};
+use aps_repro::risk::{
+    label_series, label_series_reference, label_trace, LabelConfig, RiskTracker,
+};
+use aps_repro::types::TraceMeta;
 use proptest::prelude::*;
 
 /// Drives the online tracker one sample at a time and reconstructs the
@@ -42,7 +50,74 @@ fn labels_via_streaming(series: &[f64], config: &LabelConfig) -> Vec<Option<Haza
     labels
 }
 
+/// Records whose ground-truth BG is `series`, unlabelled.
+fn records(series: &[f64]) -> Vec<StepRecord> {
+    series
+        .iter()
+        .enumerate()
+        .map(|(i, &bg)| {
+            let mut rec = StepRecord::blank(Step(i as u32));
+            rec.bg_true = MgDl(bg);
+            rec.bg = MgDl(bg);
+            rec
+        })
+        .collect()
+}
+
+fn hazards(records: &[StepRecord]) -> Vec<Option<Hazard>> {
+    records.iter().map(|r| r.hazard).collect()
+}
+
+/// Labels `series` through `label_tail` split at `split`: a tracker
+/// labels the first `split` records, then a copy of it labels a copy of
+/// the records from there on — the way a forked job resumes its trunk's
+/// labelling. Returns the prefix's labels as of the split and the final
+/// labels.
+fn labels_split_at(
+    series: &[f64],
+    split: usize,
+    config: &LabelConfig,
+) -> (Vec<Option<Hazard>>, Vec<Option<Hazard>>) {
+    let mut trunk = records(series);
+    let mut tracker = RiskTracker::new(config.clone());
+    tracker.label_tail(&mut trunk[..split]);
+    assert_eq!(tracker.len(), split);
+    let prefix = hazards(&trunk[..split]);
+    let mut fork = trunk.clone();
+    tracker.clone().label_tail(&mut fork);
+    (prefix, hazards(&fork))
+}
+
+/// Piecewise-linear BG series clamped to the physiological range
+/// `[10, 600]`: segments of `(start, length, slope)`, shallow slopes
+/// flattened to plateaus. Values that start or run outside the range
+/// give plateaus at the clamps.
+fn piecewise_series(segments: &[(f64, usize, f64)]) -> Vec<f64> {
+    let mut series = Vec::new();
+    for &(start, len, slope) in segments {
+        let slope = if slope.abs() < 4.0 { 0.0 } else { slope };
+        series.extend((0..len).map(|i| (start + slope * i as f64).clamp(10.0, 600.0)));
+    }
+    series
+}
+
 proptest! {
+    /// `label_tail` split at every index == `label_series` over the
+    /// whole series, on plateaus, ramps and clamped values.
+    #[test]
+    fn label_tail_split_anywhere_matches_batch_labeler(
+        segments in prop::collection::vec((-100.0f64..700.0, 1usize..30, -25.0f64..25.0), 1..8),
+        window in 1usize..30,
+    ) {
+        let series = piecewise_series(&segments);
+        let config = LabelConfig { window, ..LabelConfig::default() };
+        let expected = label_series(&series, &config);
+        for split in 0..=series.len() {
+            let (_, labels) = labels_split_at(&series, split, &config);
+            prop_assert_eq!(&labels, &expected, "split at {}", split);
+        }
+    }
+
     /// Streaming tracker == batch labeler, byte for byte, on arbitrary
     /// series and windows.
     #[test]
@@ -142,4 +217,71 @@ fn quick_campaign_corpus_labels_are_bit_identical() {
             platform.name()
         );
     }
+}
+
+/// H1 and H2 windows whose marks reach back across the split: the
+/// prefix alone is labelled differently from its final labels, and the
+/// resumed tail puts the missing marks there. The series runs safe,
+/// rises into hyperglycemia, comes back, then falls into hypoglycemia.
+#[test]
+fn label_tail_marks_reach_back_across_the_split() {
+    let mut series = vec![115.0; 20];
+    series.extend((0..40).map(|i| 115.0 + 12.0 * i as f64));
+    series.extend((0..30).map(|i| 583.0 - 16.0 * i as f64));
+    series.extend((0..30).map(|i| (110.0 - 4.0 * i as f64).max(10.0)));
+    for window in [4usize, 12, 24] {
+        let config = LabelConfig {
+            window,
+            ..LabelConfig::default()
+        };
+        let expected = label_series(&series, &config);
+        assert!(expected.contains(&Some(Hazard::H1)), "window {window}");
+        assert!(expected.contains(&Some(Hazard::H2)), "window {window}");
+        let mut reached_back = [false; 2];
+        for split in 0..=series.len() {
+            let (prefix, labels) = labels_split_at(&series, split, &config);
+            assert_eq!(labels, expected, "window {window}, split at {split}");
+            if prefix != expected[..split] {
+                // Marks only ever get added after the split.
+                let later = prefix.iter().zip(&expected).find(|(p, e)| p != e);
+                let (before, after) = later.unwrap();
+                assert!(before.is_none() || *after == Some(Hazard::H1));
+                reached_back[usize::from(*after == Some(Hazard::H1))] = true;
+            }
+        }
+        assert_eq!(reached_back, [true, true], "window {window}");
+    }
+}
+
+/// `label_trace` relabels from scratch: labels already on a trace are
+/// cleared where the series is safe and corrected where it is not.
+#[test]
+fn label_trace_clears_stale_labels() {
+    let series: Vec<f64> = (0..60)
+        .map(|i| 110.0 + 10.0 * (i as f64 * 0.2).sin())
+        .collect();
+    let mut trace = SimTrace::new(TraceMeta::default());
+    for mut rec in records(&series) {
+        rec.hazard = Some(Hazard::H2);
+        trace.push(rec);
+    }
+    trace.refresh_meta();
+    assert!(trace.is_hazardous());
+    label_trace(&mut trace, &LabelConfig::default());
+    assert!(trace.records.iter().all(|r| r.hazard.is_none()));
+    assert!(!trace.is_hazardous());
+    assert_eq!(trace.meta.hazard_type, None);
+
+    let falling: Vec<f64> = (0..60)
+        .map(|i| (120.0 - 2.0 * i as f64).max(40.0))
+        .collect();
+    let expected = label_series(&falling, &LabelConfig::default());
+    let mut trace = SimTrace::new(TraceMeta::default());
+    for mut rec in records(&falling) {
+        rec.hazard = Some(Hazard::H2);
+        trace.push(rec);
+    }
+    label_trace(&mut trace, &LabelConfig::default());
+    assert_eq!(hazards(&trace.records), expected);
+    assert_eq!(trace.meta.hazard_type, Some(Hazard::H1));
 }

@@ -110,9 +110,10 @@ impl ContextBuilder {
         self.estimator.record(delivered);
     }
 
-    /// Resets to basal equilibrium for a fresh run.
+    /// Resets to basal equilibrium for a fresh run. The IOB baseline
+    /// depends only on the curve and the basal, both fixed at
+    /// construction, so it is kept.
     pub fn reset(&mut self) {
-        self.estimator.set_basal_baseline(self.basal);
         self.estimator.prefill_basal(self.basal);
         self.prev_bg = None;
     }
@@ -193,5 +194,17 @@ mod tests {
         let ctx = cb.observe_bg(MgDl(120.0));
         assert_eq!(ctx.dbg, 0.0);
         assert!(ctx.iob < 0.1);
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_builder() {
+        let basal = UnitsPerHour(0.8);
+        let mut cb = ContextBuilder::new(basal);
+        for (i, rate) in [4.0, 0.0, 2.5, 0.8, 6.0, 0.0].into_iter().enumerate() {
+            cb.observe_bg(MgDl(100.0 + 10.0 * i as f64));
+            cb.observe_delivery(UnitsPerHour(rate));
+        }
+        cb.reset();
+        assert_eq!(cb, ContextBuilder::new(basal));
     }
 }

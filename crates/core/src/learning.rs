@@ -6,11 +6,16 @@
 //! by minimizing a tightness loss (TMEE by default) of the robustness
 //! residual with box-constrained L-BFGS. Patient-specific monitors
 //! learn from one patient's traces; population monitors from all.
+//!
+//! Extraction takes one pass per hazardous trace: the monitor-side
+//! context series is built once and every rule of the trace's hazard
+//! type folds its matches from it. With `pre_hazard_only` the pass
+//! stops at hazard onset, since no later record can contribute.
 
-use crate::context::ContextBuilder;
+use crate::context::{ContextBuilder, ContextVector};
 use crate::scs::{ActionCond, BgCond, IobCond, Scs, UcaRule};
 use aps_optim::{lbfgsb, Bounds, LossKind, Options};
-use aps_types::{SimTrace, UnitsPerHour};
+use aps_types::{ControlAction, MgDl, SimTrace, UnitsPerHour};
 use serde::{Deserialize, Serialize};
 
 /// Threshold-learning configuration.
@@ -79,6 +84,9 @@ pub struct RuleFit {
 ///
 /// `basal` is the basal rate the monitor-side IOB estimate is relative
 /// to (the wrapped controller's configured basal).
+///
+/// This is the one-rule call of the extractor that
+/// [`learn_thresholds`] runs over every rule at once.
 pub fn extract_rule_samples(
     scs: &Scs,
     rule: &UcaRule,
@@ -86,13 +94,95 @@ pub fn extract_rule_samples(
     basal: UnitsPerHour,
     config: &LearnConfig,
 ) -> Vec<f64> {
-    let below = !matches!(rule.iob, IobCond::AboveBeta);
-    let mut samples = Vec::new();
+    extract_samples(scs, std::slice::from_ref(rule), traces, basal, config)
+        .pop()
+        .unwrap_or_default()
+}
+
+/// One rule's share of an extraction pass: the rule with its learnable
+/// predicate removed, the extreme µ of the current trace, and the
+/// extremes of the traces before it.
+struct RuleProbe<'r> {
+    rule: &'r UcaRule,
+    relaxed: UcaRule,
+    /// `µ < β` predicate: the extreme is a minimum.
+    below: bool,
+    extreme: Option<f64>,
+    samples: Vec<f64>,
+}
+
+impl<'r> RuleProbe<'r> {
+    fn new(rule: &'r UcaRule) -> RuleProbe<'r> {
+        let mut relaxed = rule.clone();
+        match rule.iob {
+            IobCond::Any => {
+                // Rule 10: relax the BG<beta predicate itself.
+                if matches!(rule.bg, BgCond::BelowBeta) {
+                    relaxed.beta = f64::INFINITY;
+                }
+            }
+            _ => relaxed.iob = IobCond::Any,
+        }
+        RuleProbe {
+            rule,
+            relaxed,
+            below: !matches!(rule.iob, IobCond::AboveBeta),
+            extreme: None,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Folds one in-window record into the trace's extreme when its
+    /// action and its context, less the learnable predicate, match.
+    fn observe(&mut self, ctx: &ContextVector, action: ControlAction, target: MgDl) {
+        let action_matches = match self.rule.action {
+            ActionCond::Forbidden(u) => action == u,
+            ActionCond::Required(u) => action != u,
+        };
+        if !action_matches || !self.relaxed.context_matches(ctx, target) {
+            return;
+        }
+        let mu = match self.rule.iob {
+            IobCond::Any => ctx.bg,
+            _ => ctx.iob,
+        };
+        self.extreme = Some(match self.extreme {
+            None => mu,
+            Some(prev) if self.below => prev.min(mu),
+            Some(prev) => prev.max(mu),
+        });
+    }
+
+    /// Ends the current trace: its extreme, if any record matched,
+    /// becomes the trace's sample.
+    fn finish_trace(&mut self) {
+        if let Some(mu) = self.extreme.take() {
+            self.samples.push(mu);
+        }
+    }
+}
+
+/// The sample extractor behind [`extract_rule_samples`] and
+/// [`learn_thresholds`]: entry `k` of the result holds `rules[k]`'s
+/// samples, in trace order.
+///
+/// Each hazardous trace gets one context pass shared by every rule of
+/// its hazard type. With `pre_hazard_only` the pass ends at onset:
+/// records are in step order, so no later record can contribute.
+fn extract_samples(
+    scs: &Scs,
+    rules: &[UcaRule],
+    traces: &[SimTrace],
+    basal: UnitsPerHour,
+    config: &LearnConfig,
+) -> Vec<Vec<f64>> {
+    let mut probes: Vec<RuleProbe> = rules.iter().map(RuleProbe::new).collect();
+    let mut builder = ContextBuilder::new(basal);
     for trace in traces {
         let Some(hazard_type) = trace.meta.hazard_type else {
             continue;
         };
-        if hazard_type != rule.hazard {
+        if !probes.iter().any(|p| p.rule.hazard == hazard_type) {
             continue;
         }
         let onset = trace
@@ -101,50 +191,24 @@ pub fn extract_rule_samples(
             .map(|s| s.index())
             .unwrap_or(usize::MAX);
         let earliest = onset.saturating_sub(config.lead_window as usize);
-        let mut builder = ContextBuilder::new(basal);
-        let mut extreme: Option<f64> = None;
+        builder.reset();
         for rec in trace.iter() {
+            let step = rec.step.index();
+            if config.pre_hazard_only && step > onset {
+                break;
+            }
             let ctx = builder.observe_bg(rec.bg);
             builder.observe_delivery(rec.delivered);
-            if config.pre_hazard_only && (rec.step.index() > onset || rec.step.index() < earliest) {
+            if config.pre_hazard_only && step < earliest {
                 continue;
             }
-            // Context must match with the learnable predicate removed.
-            let action_matches = match rule.action {
-                ActionCond::Forbidden(u) => rec.action == u,
-                ActionCond::Required(u) => rec.action != u,
-            };
-            if !action_matches {
-                continue;
+            for probe in probes.iter_mut().filter(|p| p.rule.hazard == hazard_type) {
+                probe.observe(&ctx, rec.action, scs.target);
             }
-            let mut relaxed = rule.clone();
-            match rule.iob {
-                IobCond::Any => {
-                    // Rule 10: relax the BG<beta predicate itself.
-                    if matches!(rule.bg, BgCond::BelowBeta) {
-                        relaxed.beta = f64::INFINITY;
-                    }
-                }
-                _ => relaxed.iob = IobCond::Any,
-            }
-            if !relaxed.context_matches(&ctx, scs.target) {
-                continue;
-            }
-            let mu = match rule.iob {
-                IobCond::Any => ctx.bg,
-                _ => ctx.iob,
-            };
-            extreme = Some(match extreme {
-                None => mu,
-                Some(prev) if below => prev.min(mu),
-                Some(prev) => prev.max(mu),
-            });
         }
-        if let Some(mu) = extreme {
-            samples.push(mu);
-        }
+        probes.iter_mut().for_each(RuleProbe::finish_trace);
     }
-    samples
+    probes.into_iter().map(|p| p.samples).collect()
 }
 
 /// Fits one rule's β from its hazardous samples. Returns `None` when no
@@ -204,8 +268,8 @@ pub fn learn_thresholds(
 ) -> (Scs, Vec<RuleFit>) {
     let mut refined = scs.clone();
     let mut fits = Vec::new();
-    for rule in &scs.rules {
-        let samples = extract_rule_samples(scs, rule, traces, basal, config);
+    let samples = extract_samples(scs, &scs.rules, traces, basal, config);
+    for (rule, samples) in scs.rules.iter().zip(samples) {
         let fitted = (samples.len() >= config.min_samples.max(1))
             .then(|| fit_beta(rule, &samples, config))
             .flatten();

@@ -7,8 +7,9 @@
 //! calling thread. A unit is whatever the caller makes it: a campaign
 //! group (the jobs of one patient and initial BG, forked from one
 //! fault-free trunk and stepped in lockstep blocks of up to
-//! [`BATCH_LANES`](crate::batch::BATCH_LANES)), or a recorded trace.
-//! Every caller therefore shares one contract:
+//! [`BATCH_LANES`](crate::batch::BATCH_LANES)), or a run of up to 32
+//! consecutive recorded traces in a [replay](crate::replay). Every
+//! caller therefore shares one contract:
 //!
 //! * **Order.** `emit` sees the units strictly in index order, `0, 1,
 //!   2, …`, whatever order the workers finish them in. The output is
@@ -17,8 +18,8 @@
 //!   so load stays balanced however uneven the units are. No unit
 //!   starts `4 × workers` or more past the emission frontier, and
 //!   finished units queue in a channel of `2 × workers` slots that
-//!   backpressures a slow `emit`. At most O(workers) results are in
-//!   flight, never O(n), and one slow head-of-line unit cannot pull
+//!   backpressures a slow `emit`. At most O(workers) unit results are
+//!   in flight, never O(n), and one slow head-of-line unit cannot pull
 //!   the rest of the run into the reorder buffer.
 //! * **Cancellation.** A raised cancel flag stops new claims. Units
 //!   already claimed still finish and emit, so the emitted units are

@@ -12,7 +12,9 @@
 //! Campaign-scale replay is parallel ([`replay_campaign`]) and can
 //! stream results through a bounded-memory ordered sink
 //! ([`replay_campaign_with`]), on the same
-//! [ordered executor](crate::exec) as the live campaign. Recorded
+//! [ordered executor](crate::exec) as the live campaign. One executor
+//! unit replays a run of consecutive traces, up to 32 of them, so the
+//! per-unit claim and reorder cost is shared by the run. Recorded
 //! corpora in the binary trace store replay without loading the whole
 //! campaign as owned traces: [`replay_store_with`]
 //! materializes each trace from the store's columns only while it is
@@ -25,6 +27,7 @@ use aps_tracestore::TraceStoreReader;
 use aps_types::{AlertTrack, SimTrace, UnitsPerHour};
 use std::borrow::Cow;
 use std::convert::Infallible;
+use std::ops::Range;
 
 /// Replays `trace` through `monitor`, returning a copy with the
 /// `alert` column rewritten to the monitor's verdicts (and
@@ -77,8 +80,9 @@ fn replay_owned(mut out: SimTrace, monitor: &mut dyn HazardMonitor) -> SimTrace 
 /// trace gets a fresh one), streaming each replayed trace — in input
 /// order — into `sink(index, trace)`.
 ///
-/// Each trace is one unit of the [ordered executor](crate::exec), so
-/// memory stays bounded however large the recorded campaign is.
+/// Runs of up to 32 consecutive traces are the units of the
+/// [ordered executor](crate::exec), so at most O(32 × workers) traces
+/// are in flight however large the recorded campaign is.
 pub fn replay_campaign_with<F>(traces: &[SimTrace], factory: F, sink: impl FnMut(usize, SimTrace))
 where
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
@@ -116,26 +120,55 @@ where
     out
 }
 
+/// Most traces in one replay unit. A unit of one trace holds about as
+/// much monitor work as the executor spends claiming, sending and
+/// reordering it, so a run of traces shares that cost. Longer units
+/// hold more traces in flight and balance worse: replaying 2 170 T1DS
+/// traces on 2 workers (2 vCPUs) ran slower with 128-trace units than
+/// with 32.
+const MAX_REPLAY_UNIT: usize = 32;
+
+/// Traces per replay unit for `n` traces on `workers` workers:
+/// `ceil(n / (8 × workers))`, clamped to `1..=32`. Small corpora keep
+/// at least eight units per worker, so heavy monitors still balance.
+fn replay_unit_len(n: usize, workers: usize) -> usize {
+    n.div_ceil(8 * workers.max(1)).clamp(1, MAX_REPLAY_UNIT)
+}
+
+/// The trace indices of unit `u` of length `len` over `n` traces.
+fn replay_unit(u: usize, len: usize, n: usize) -> Range<usize> {
+    u * len..((u + 1) * len).min(n)
+}
+
 /// The replay shared by the in-memory and store paths: `get(i)`
 /// supplies trace `i` (borrowed from a slice, or materialized from
-/// store columns) and each trace index is one unit of the
-/// [ordered executor](crate::exec).
+/// store columns). Each unit of the [ordered executor](crate::exec) is
+/// a run of [`replay_unit_len`] consecutive traces, which the emit side
+/// hands to `sink` one at a time in index order.
 fn replay_source_with<'a, G, F>(n: usize, get: G, factory: F, mut sink: impl FnMut(usize, SimTrace))
 where
     G: Fn(usize) -> Cow<'a, SimTrace> + Sync,
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
 {
+    let workers = worker_count(None).0;
+    let len = replay_unit_len(n, workers);
     let Ok(_) = ordered_par_map(
-        n,
-        worker_count(None).0,
+        n.div_ceil(len),
+        workers,
         None,
-        |i| {
-            let t = get(i);
-            let mut monitor = factory(&t);
-            replay_owned(t.into_owned(), monitor.as_mut())
+        |u| {
+            replay_unit(u, len, n)
+                .map(|i| {
+                    let t = get(i);
+                    let mut monitor = factory(&t);
+                    replay_owned(t.into_owned(), monitor.as_mut())
+                })
+                .collect::<Vec<_>>()
         },
-        |i, trace| -> Result<(), Infallible> {
-            sink(i, trace);
+        |u, traces| -> Result<(), Infallible> {
+            for (i, trace) in replay_unit(u, len, n).zip(traces) {
+                sink(i, trace);
+            }
             Ok(())
         },
     );
@@ -267,18 +300,43 @@ mod tests {
         }
     }
 
+    #[test]
+    fn replay_units_are_bounded_and_tile_the_corpus() {
+        for workers in [0, 1, 2, 3, 4, 7, 16, 64] {
+            for n in (0..1200).chain([2170, 4999, 100_000]) {
+                let len = replay_unit_len(n, workers);
+                assert!((1..=MAX_REPLAY_UNIT).contains(&len), "n={n} w={workers}");
+                let covered: Vec<usize> = (0..n.div_ceil(len))
+                    .flat_map(|u| replay_unit(u, len, n))
+                    .collect();
+                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} w={workers}");
+            }
+        }
+        assert_eq!(replay_unit_len(2170, 2), 32);
+        assert_eq!(replay_unit_len(31, 2), 2);
+    }
+
     /// The parallel executor must be invisible: same traces, same
     /// order as replaying one by one on the calling thread.
     #[test]
     fn parallel_replay_matches_sequential_and_streams_in_order() {
         let platform = Platform::GlucosymOref0;
         let spec = CampaignSpec {
-            patient_indices: vec![0],
-            initial_bgs: vec![140.0],
+            patient_indices: (0..10).collect(),
+            initial_bgs: vec![140.0, 180.0],
             steps: 60,
             ..CampaignSpec::quick(platform)
         };
-        let recorded = run_campaign(&spec, None);
+        let mut recorded = run_campaign(&spec, None);
+        // A prime length: several full units and a partial last one at
+        // any worker count below 77.
+        recorded.truncate(613);
+        let n = recorded.len();
+        let len = replay_unit_len(n, worker_count(None).0);
+        assert!(
+            n == 613 && n > 2 * len && !n.is_multiple_of(len),
+            "{n} traces, units of {len}"
+        );
         let scs = Scs::with_default_thresholds(platform.target());
         let probe = platform.patients().remove(0);
         let basal = platform.basal_for(probe.as_ref());

@@ -191,8 +191,8 @@ fn main() {
         std::process::exit(2);
     }
     // `--sweep-workers` is likewise bench-campaign-only: re-times the
-    // campaign at 1/2/4/... pinned workers (scalar and batched) and
-    // records the scaling curve in BENCH_campaign.json.
+    // campaign executor at 1/2/4/... pinned workers and records the
+    // scaling curve in BENCH_campaign.json.
     let sweep_workers = match args.iter().position(|a| a == "--sweep-workers") {
         Some(pos) => {
             args.remove(pos);
@@ -348,15 +348,16 @@ sessions:
 
 perf:
   bench-campaign             quick-campaign throughput baseline; writes
-                             BENCH_campaign.json (seed-faithful vs
-                             optimized scalar vs batched lockstep)
+                             BENCH_campaign.json (seed-faithful baseline
+                             vs the campaign executor)
   bench-campaign --guard F   also compare against the committed report F
-                             and exit non-zero below 80% of its scalar
-                             or batched speedup
+                             and exit non-zero below 80% of its larger
+                             committed speedup (`speedup` or, in older
+                             reports, `batched_speedup`)
   bench-campaign --sweep-workers
-                             additionally re-time the campaign at
-                             1/2/4/... pinned workers (scalar and
-                             batched) and record the scaling curve
+                             additionally re-time the campaign executor
+                             at 1/2/4/... pinned workers and record the
+                             scaling curve
   bench-campaign --store F   additionally stream the quick campaign
                              into a binary trace store at F
 
@@ -405,7 +406,7 @@ protocol on a Unix socket; shard-resumable, content-addressed cache):
                              locate/copy a finished job's trace store
   cancel --socket P --job ID / shutdown --socket P
   sweep-gate <report.json> [--min-ratio X]
-                             fail unless the recorded 2-worker scalar
+                             fail unless the recorded 2-worker
                              throughput is >= X times the 1-worker one
                              (default 1.3; the CI scaling gate)
 

@@ -18,7 +18,7 @@
 //! Exit codes: 0 converted (and verified), 1 runtime failure or
 //! verification mismatch, 2 usage error.
 
-use aps_sim::campaign::{run_campaign, run_campaign_with, CampaignSpec};
+use aps_sim::campaign::{run_campaign, run_campaign_with_workers, CampaignSpec};
 use aps_sim::checkpoint::{spec_hash, trace_digest};
 use aps_sim::io::{read_jsonl, write_jsonl};
 use aps_sim::platform::Platform;
@@ -339,7 +339,7 @@ pub fn emit_quick_store(path: &Path) -> Result<StoreStats, String> {
     let spec = CampaignSpec::quick(Platform::GlucosymOref0);
     let mut w = FileTraceWriter::create(path, spec_hash(&spec)).map_err(|e| e.to_string())?;
     let mut write_err: Option<StoreError> = None;
-    run_campaign_with(&spec, None, |_, trace| {
+    run_campaign_with_workers(&spec, None, None, |_, trace| {
         if write_err.is_none() {
             if let Err(e) = w.push(&trace) {
                 write_err = Some(e);

@@ -1,9 +1,9 @@
 //! `repro train` — the train-on-campaign forecasting pipeline.
 //!
 //! Streams a fault-injection campaign through the bounded-memory
-//! [`TraceDataset`] sink (`run_campaign_with`: traces are windowed and
-//! reservoir-capped as they arrive, never materialized as a
-//! collection), standardizes features, and trains the two glucose
+//! [`TraceDataset`] sink (`run_campaign_with_workers`: traces are
+//! windowed and reservoir-capped as they arrive, never materialized as
+//! a collection), standardizes features, and trains the two glucose
 //! forecasters of `aps_ml::forecast` — the streaming LSTM and the
 //! flattened-window MLP baseline — on BG-at-horizon targets at every
 //! timestep. The trained [`ForecastModel`] bundle (scaler + both
@@ -20,7 +20,7 @@ use crate::opts::ExpOpts;
 use crate::report::{write_json, Table};
 use aps_ml::data::{StandardScaler, TraceDataset};
 use aps_ml::forecast::{ForecastConfig, ForecastModel, LstmForecaster, MlpForecaster};
-use aps_sim::campaign::run_campaign_with;
+use aps_sim::campaign::run_campaign_with_workers;
 use aps_sim::platform::Platform;
 use serde_json::json;
 use std::path::{Path, PathBuf};
@@ -62,7 +62,7 @@ fn empty_dataset(opts: &ExpOpts) -> TraceDataset {
 pub fn build_dataset(opts: &ExpOpts, platform: Platform) -> TraceDataset {
     let spec = opts.campaign(platform);
     let mut dataset = empty_dataset(opts);
-    run_campaign_with(&spec, None, |_, trace| dataset.push_trace(&trace));
+    run_campaign_with_workers(&spec, None, None, |_, trace| dataset.push_trace(&trace));
     dataset
 }
 

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use crate::perf::{check_sweep_gate, CampaignBenchReport};
 use aps_service::{run_daemon, Client, JobManifest, ServiceConfig};
-use aps_sim::campaign::{run_campaign_ft, CampaignOptions, CampaignSpec};
+use aps_sim::campaign::{run_campaign_resumable, CampaignOptions, CampaignSpec};
 use aps_sim::platform::Platform;
 use aps_tracestore::{read_store, TraceStoreReader};
 
@@ -243,12 +243,13 @@ fn run_submit(mut args: Vec<String>) -> Result<i32, Failure> {
         if verify_serial {
             // Recompute the whole campaign serially in-process; the
             // sharded/resumed service digest must be bit-identical.
-            let reference = run_campaign_ft(&spec, None, &CampaignOptions::default())
-                .map_err(|e| Failure::run(format!("serial reference run: {e}")))?;
-            if reference.report.digest != manifest.digest {
+            let reference =
+                run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, _| {})
+                    .map_err(|e| Failure::run(format!("serial reference run: {e}")))?;
+            if reference.digest != manifest.digest {
                 return Err(Failure::run(format!(
                     "digest mismatch: service {} != serial {}",
-                    manifest.digest, reference.report.digest
+                    manifest.digest, reference.digest
                 )));
             }
             println!(
@@ -338,13 +339,15 @@ fn run_fetch(mut args: Vec<String>) -> Result<i32, Failure> {
             .spec
             .clone()
             .ok_or_else(|| Failure::run(format!("job {job} manifest carries no spec")))?;
-        let reference = run_campaign_ft(&spec, None, &CampaignOptions::default())
-            .map_err(|e| Failure::run(format!("serial reference run: {e}")))?;
-        let serial: Vec<_> = reference
-            .outcomes
-            .iter()
-            .filter_map(|o| o.trace().cloned())
-            .collect();
+        let mut serial = Vec::new();
+        let reference = run_campaign_resumable(
+            &spec,
+            None,
+            &CampaignOptions::default(),
+            None,
+            |_, outcome| serial.extend(outcome.into_trace()),
+        )
+        .map_err(|e| Failure::run(format!("serial reference run: {e}")))?;
         let reader = TraceStoreReader::open(Path::new(&path))
             .map_err(|e| Failure::run(format!("cannot open store `{path}`: {e}")))?;
         let merged = read_store(&reader);
@@ -355,10 +358,10 @@ fn run_fetch(mut args: Vec<String>) -> Result<i32, Failure> {
                 serial.len()
             )));
         }
-        if reference.report.digest != manifest.digest {
+        if reference.digest != manifest.digest {
             return Err(Failure::run(format!(
                 "digest mismatch: service {} != serial {}",
-                manifest.digest, reference.report.digest
+                manifest.digest, reference.digest
             )));
         }
         println!(

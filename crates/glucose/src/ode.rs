@@ -1,17 +1,15 @@
 //! Fixed-step Runge–Kutta integration for the patient ODE models.
 //!
-//! The integrator comes in two flavors sharing one arithmetic core (so
-//! their trajectories are bit-identical):
+//! Two steppers share the classical RK4 arithmetic, expression for
+//! expression, so their trajectories are bit-identical:
 //!
-//! * [`Rk4Scratch`] — a const-generic, stack-only scratch for states of
-//!   statically known dimension (Bergman is 6, Dalla Man 13). No heap
-//!   allocation anywhere: the five k/tmp buffers live inline in the
-//!   struct. This is what the patient models use in the simulation hot
-//!   loop.
-//! * [`rk4_step`] / [`integrate`] — the original slice-based API, kept
-//!   as thin wrappers for dynamically sized states. `integrate` now
-//!   allocates one scratch per *call* instead of five `Vec`s per
-//!   *step*, which was the dominant allocation cost of a campaign run.
+//! * [`Rk4Scratch`] — a const-generic, stack-only scratch for one state
+//!   of statically known dimension (Bergman is 6, Dalla Man 13). No
+//!   heap allocation anywhere: the five k/tmp buffers live inline in
+//!   the struct. The scalar patient models step with it.
+//! * [`BatchedRk4Scratch`] — the same stepper over `LANES` independent
+//!   states in structure-of-arrays rows, which the batched physics
+//!   banks of the lockstep campaign engine step with.
 
 /// The state stopped being representable: some component became NaN or
 /// ±∞ during (or before) an RK4 step.
@@ -63,41 +61,6 @@ where
     }
 }
 
-/// The shared RK4 arithmetic core. Every public entry point funnels
-/// through here, which is what guarantees bit-identical results across
-/// the fixed-size and slice-based APIs.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the five scratch buffers are the point
-fn rk4_core<D: Dynamics + ?Sized>(
-    dyn_: &D,
-    t: f64,
-    x: &mut [f64],
-    dt: f64,
-    k1: &mut [f64],
-    k2: &mut [f64],
-    k3: &mut [f64],
-    k4: &mut [f64],
-    tmp: &mut [f64],
-) {
-    let n = x.len();
-    dyn_.derivative(t, x, k1);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * dt * k1[i];
-    }
-    dyn_.derivative(t + 0.5 * dt, tmp, k2);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * dt * k2[i];
-    }
-    dyn_.derivative(t + 0.5 * dt, tmp, k3);
-    for i in 0..n {
-        tmp[i] = x[i] + dt * k3[i];
-    }
-    dyn_.derivative(t + dt, tmp, k4);
-    for i in 0..n {
-        x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
-
 /// Subdivision of `duration` into equal steps no longer than `max_dt`.
 #[inline]
 fn substeps(duration: f64, max_dt: f64) -> (usize, f64) {
@@ -146,17 +109,29 @@ impl<const N: usize> Rk4Scratch<N> {
 
     /// Advances `x` from `t` by `dt` with one classical RK4 step.
     pub fn step<D: Dynamics + ?Sized>(&mut self, dyn_: &D, t: f64, x: &mut [f64; N], dt: f64) {
-        rk4_core(
-            dyn_,
-            t,
-            x,
-            dt,
-            &mut self.k1,
-            &mut self.k2,
-            &mut self.k3,
-            &mut self.k4,
-            &mut self.tmp,
-        );
+        let Rk4Scratch {
+            k1,
+            k2,
+            k3,
+            k4,
+            tmp,
+        } = self;
+        dyn_.derivative(t, x, k1);
+        for i in 0..N {
+            tmp[i] = x[i] + 0.5 * dt * k1[i];
+        }
+        dyn_.derivative(t + 0.5 * dt, tmp, k2);
+        for i in 0..N {
+            tmp[i] = x[i] + 0.5 * dt * k2[i];
+        }
+        dyn_.derivative(t + 0.5 * dt, tmp, k3);
+        for i in 0..N {
+            tmp[i] = x[i] + dt * k3[i];
+        }
+        dyn_.derivative(t + dt, tmp, k4);
+        for i in 0..N {
+            x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        }
     }
 
     /// Integrates from `t0` over `duration` using steps of at most
@@ -185,7 +160,7 @@ impl<const N: usize> Rk4Scratch<N> {
     /// non-finite on entry or becomes non-finite during the step.
     ///
     /// Bit-identical to `step` on trajectories that stay finite (the
-    /// arithmetic is the same `rk4_core`; only a check is added).
+    /// arithmetic is `step`'s; only a check is added).
     ///
     /// # Errors
     ///
@@ -249,112 +224,6 @@ impl<const N: usize> Default for Rk4Scratch<N> {
     }
 }
 
-/// Heap-backed scratch for dynamically sized states; backs the
-/// slice-based compatibility API.
-#[derive(Debug, Clone, Default)]
-pub struct Rk4ScratchDyn {
-    buf: Vec<f64>,
-}
-
-impl Rk4ScratchDyn {
-    /// Empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Rk4ScratchDyn {
-        Rk4ScratchDyn::default()
-    }
-
-    /// Advances `x` from `t` by `dt` with one classical RK4 step,
-    /// reusing this scratch's buffers (no allocation once warm).
-    pub fn step<D: Dynamics + ?Sized>(&mut self, dyn_: &D, t: f64, x: &mut [f64], dt: f64) {
-        let n = x.len();
-        if self.buf.len() < 5 * n {
-            self.buf.resize(5 * n, 0.0);
-        }
-        let (k1, rest) = self.buf.split_at_mut(n);
-        let (k2, rest) = rest.split_at_mut(n);
-        let (k3, rest) = rest.split_at_mut(n);
-        let (k4, tmp) = rest.split_at_mut(n);
-        rk4_core(dyn_, t, x, dt, k1, k2, k3, k4, &mut tmp[..n]);
-    }
-
-    /// Integrates from `t0` over `duration` using steps of at most
-    /// `max_dt`, mutating `x` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_dt` or `duration` is non-positive.
-    pub fn integrate<D: Dynamics + ?Sized>(
-        &mut self,
-        dyn_: &D,
-        t0: f64,
-        x: &mut [f64],
-        duration: f64,
-        max_dt: f64,
-    ) {
-        let (steps, dt) = substeps(duration, max_dt);
-        let mut t = t0;
-        for _ in 0..steps {
-            self.step(dyn_, t, x, dt);
-            t += dt;
-        }
-    }
-
-    /// Checked variant of [`step`](Rk4ScratchDyn::step); see
-    /// [`Rk4Scratch::try_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonFiniteState`] naming the first offending component.
-    pub fn try_step<D: Dynamics + ?Sized>(
-        &mut self,
-        dyn_: &D,
-        t: f64,
-        x: &mut [f64],
-        dt: f64,
-    ) -> Result<(), NonFiniteState> {
-        if let Some(component) = first_non_finite(x) {
-            return Err(NonFiniteState {
-                at_minutes: t,
-                component,
-            });
-        }
-        self.step(dyn_, t, x, dt);
-        match first_non_finite(x) {
-            Some(component) => Err(NonFiniteState {
-                at_minutes: t,
-                component,
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// Checked variant of [`integrate`](Rk4ScratchDyn::integrate); see
-    /// [`Rk4Scratch::try_integrate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonFiniteState`] for the offending substep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_dt` or `duration` is non-positive.
-    pub fn try_integrate<D: Dynamics + ?Sized>(
-        &mut self,
-        dyn_: &D,
-        t0: f64,
-        x: &mut [f64],
-        duration: f64,
-        max_dt: f64,
-    ) -> Result<(), NonFiniteState> {
-        let (steps, dt) = substeps(duration, max_dt);
-        let mut t = t0;
-        for _ in 0..steps {
-            self.try_step(dyn_, t, x, dt)?;
-            t += dt;
-        }
-        Ok(())
-    }
-}
-
 /// Continuous-time dynamics over a lane-batched structure-of-arrays
 /// state: `D` compartments, each a contiguous `[f64; LANES]` row.
 ///
@@ -384,9 +253,9 @@ where
 /// The stage math is written as plain per-lane loops over the flat
 /// rows; with lanes independent, the compiler autovectorizes each loop.
 /// Per lane the arithmetic is expression-for-expression the same as
-/// `rk4_core` (`x + 0.5*dt*k1`, …, `x += dt/6 * (k1 + 2k2 + 2k3 +
-/// k4)`), and IEEE-754 `f64` ops are deterministic with no reassociation
-/// or FMA contraction at play, so every lane's trajectory is
+/// [`Rk4Scratch::step`] (`x + 0.5*dt*k1`, …, `x += dt/6 * (k1 + 2k2 +
+/// 2k3 + k4)`), and IEEE-754 `f64` ops are deterministic with no
+/// reassociation or FMA contraction at play, so every lane's trajectory is
 /// bit-identical to running [`Rk4Scratch`] on that lane alone.
 ///
 /// ```
@@ -431,8 +300,8 @@ impl<const D: usize, const LANES: usize> BatchedRk4Scratch<D, LANES> {
     }
 
     /// Advances all lanes of `x` from `t` by `dt` with one classical
-    /// RK4 step. Mirrors `rk4_core` stage for stage, with each scalar
-    /// combine loop widened into a per-lane loop.
+    /// RK4 step. Mirrors [`Rk4Scratch::step`] stage for stage, with
+    /// each scalar combine loop widened into a per-lane loop.
     // Indexed `[d][l]` loops on purpose: the lane index must address
     // the same slot across four arrays per stage, which iterator/zip
     // chains over nested fixed arrays obscure without helping codegen.
@@ -510,34 +379,6 @@ impl<const D: usize, const LANES: usize> Default for BatchedRk4Scratch<D, LANES>
     }
 }
 
-/// Advances `x` from `t` by `dt` with one classical RK4 step.
-///
-/// Compatibility wrapper over [`Rk4ScratchDyn`]; hot paths should hold
-/// a scratch (or use [`Rk4Scratch`]) instead of paying one allocation
-/// per call.
-pub fn rk4_step<D: Dynamics + ?Sized>(dyn_: &D, t: f64, x: &mut [f64], dt: f64) {
-    Rk4ScratchDyn::new().step(dyn_, t, x, dt);
-}
-
-/// Integrates from `t0` over `duration` using steps of at most
-/// `max_dt`, mutating `x` in place.
-///
-/// Allocates one scratch for the whole call (the seed implementation
-/// allocated five `Vec`s per step).
-///
-/// # Panics
-///
-/// Panics if `max_dt` or `duration` is non-positive.
-pub fn integrate<D: Dynamics + ?Sized>(
-    dyn_: &D,
-    t0: f64,
-    x: &mut [f64],
-    duration: f64,
-    max_dt: f64,
-) {
-    Rk4ScratchDyn::new().integrate(dyn_, t0, x, duration, max_dt);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,7 +389,7 @@ mod tests {
         let k = 0.3;
         let f = move |_t: f64, x: &[f64], d: &mut [f64]| d[0] = -k * x[0];
         let mut x = [1.0];
-        integrate(&f, 0.0, &mut x, 10.0, 0.1);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 10.0, 0.1);
         let exact = (-k * 10.0f64).exp();
         assert!((x[0] - exact).abs() < 1e-8, "{} vs {}", x[0], exact);
     }
@@ -561,7 +402,7 @@ mod tests {
             d[1] = -x[0];
         };
         let mut x = [1.0, 0.0];
-        integrate(&f, 0.0, &mut x, 2.0 * std::f64::consts::PI, 0.01);
+        Rk4Scratch::<2>::new().integrate(&f, 0.0, &mut x, 2.0 * std::f64::consts::PI, 0.01);
         assert!((x[0] - 1.0).abs() < 1e-6);
         assert!(x[1].abs() < 1e-6);
     }
@@ -571,7 +412,7 @@ mod tests {
         // dx/dt = t  =>  x(T) = T^2 / 2
         let f = |t: f64, _x: &[f64], d: &mut [f64]| d[0] = t;
         let mut x = [0.0];
-        integrate(&f, 0.0, &mut x, 4.0, 0.5);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 4.0, 0.5);
         assert!((x[0] - 8.0).abs() < 1e-9);
     }
 
@@ -580,7 +421,7 @@ mod tests {
         let f = |_t: f64, x: &[f64], d: &mut [f64]| d[0] = -x[0];
         let mut x = [1.0];
         // 5 minutes with max_dt 0.4 -> 13 steps of 5/13.
-        integrate(&f, 0.0, &mut x, 5.0, 0.4);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 5.0, 0.4);
         assert!((x[0] - (-5.0f64).exp()).abs() < 1e-4);
     }
 
@@ -589,7 +430,7 @@ mod tests {
     fn zero_dt_panics() {
         let f = |_t: f64, _x: &[f64], _d: &mut [f64]| {};
         let mut x = [0.0];
-        integrate(&f, 0.0, &mut x, 1.0, 0.0);
+        Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 1.0, 0.0);
     }
 
     /// The seed implementation (five `Vec` allocations per step),
@@ -623,8 +464,8 @@ mod tests {
     fn scratch_paths_are_bit_identical_to_seed() {
         // A stiff-ish nonlinear 3-state system with time dependence,
         // integrated over many uneven windows with a single reused
-        // scratch. Every representation must match the seed's output
-        // exactly (same arithmetic, same order).
+        // scratch, must match the seed's output exactly (same
+        // arithmetic, same order).
         let f = |t: f64, x: &[f64], d: &mut [f64]| {
             d[0] = -0.07 * x[0] + 2.0 * (0.1 * x[1] * x[2]).tanh() + 0.01 * t;
             d[1] = 0.03 * x[0] - 0.2 * x[1];
@@ -632,9 +473,7 @@ mod tests {
         };
         let mut seed_x = [120.0, 3.0, 0.5];
         let mut fixed_x = seed_x;
-        let mut dyn_x = seed_x.to_vec();
         let mut fixed = Rk4Scratch::<3>::new();
-        let mut dynamic = Rk4ScratchDyn::new();
         let mut t = 0.0;
         for window in [5.0, 3.3, 7.1, 0.4, 12.0] {
             let t0 = t;
@@ -644,9 +483,7 @@ mod tests {
                 t += dt;
             }
             fixed.integrate(&f, t0, &mut fixed_x, window, 1.0);
-            dynamic.integrate(&f, t0, &mut dyn_x, window, 1.0);
-            assert_eq!(seed_x.to_vec(), fixed_x.to_vec(), "fixed scratch diverged");
-            assert_eq!(seed_x.to_vec(), dyn_x, "dyn scratch diverged");
+            assert_eq!(seed_x, fixed_x, "fixed scratch diverged");
         }
     }
 
@@ -689,12 +526,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.component, 0);
         assert!(err.at_minutes < 500.0);
-        // The dyn scratch reports the identical failure point.
-        let mut y = vec![1.0];
-        let err_dyn = Rk4ScratchDyn::new()
-            .try_integrate(&f, 0.0, &mut y, 500.0, 1.0)
-            .unwrap_err();
-        assert_eq!(err, err_dyn);
     }
 
     #[test]

@@ -309,8 +309,8 @@ fn splitmix64(mut z: u64) -> u64 {
 /// training pairs.
 ///
 /// Feed it one [`SimTrace`] at a time — e.g. as the sink of
-/// `run_campaign_with`, so a paper-scale campaign never materializes —
-/// and it windows each trace's per-cycle `[CGM BG, commanded insulin]`
+/// `run_campaign_with_workers`, so a paper-scale campaign never
+/// materializes — and it windows each trace's per-cycle `[CGM BG, commanded insulin]`
 /// series into subsequences targeted with the BG `horizon` cycles
 /// ahead of **each** timestep (sequence-to-sequence supervision). The
 /// number of retained pairs is bounded by `cap` via reservoir sampling
@@ -400,7 +400,7 @@ impl TraceDataset {
     /// the reservoir. Usable directly as a campaign sink:
     ///
     /// ```ignore
-    /// run_campaign_with(&spec, None, |_, trace| dataset.push_trace(&trace));
+    /// run_campaign_with_workers(&spec, None, None, |_, trace| dataset.push_trace(&trace));
     /// ```
     pub fn push_trace(&mut self, trace: &SimTrace) {
         self.push_windows(

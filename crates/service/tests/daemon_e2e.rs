@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use aps_service::daemon::{run_daemon, ServiceConfig};
 use aps_service::{CacheStats, Client, ServiceError};
-use aps_sim::campaign::{run_campaign_ft, CampaignOptions, CampaignSpec};
+use aps_sim::campaign::{run_campaign_resumable, CampaignOptions, CampaignSpec};
 use aps_sim::checkpoint::{to_hex, CampaignCheckpoint, CHECKPOINT_VERSION};
 use aps_sim::platform::Platform;
 use aps_tracestore::{read_store, TraceStoreReader};
@@ -68,8 +68,13 @@ fn kill_resume_is_bit_identical_and_resubmit_hits_cache() {
     let spec = small_spec();
 
     // Uninterrupted reference: the serial fault-tolerant run.
-    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
-    let total = reference.report.total_jobs;
+    let mut serial = Vec::new();
+    let reference =
+        run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, o| {
+            serial.extend(o.into_trace())
+        })
+        .expect("reference");
+    let total = reference.total_jobs;
     assert!(total > 60, "spec should be non-trivial, got {total}");
 
     // Daemon #1: configured to behave as if SIGKILLed after 40
@@ -105,7 +110,7 @@ fn kill_resume_is_bit_identical_and_resubmit_hits_cache() {
     let manifest = wait_done(&socket2, &job);
     assert_eq!(manifest.state, "done");
     assert_eq!(
-        manifest.digest, reference.report.digest,
+        manifest.digest, reference.digest,
         "resumed digest must be bit-identical to the uninterrupted run"
     );
     assert_eq!(manifest.completed_jobs, total);
@@ -117,11 +122,6 @@ fn kill_resume_is_bit_identical_and_resubmit_hits_cache() {
     assert_eq!(info.traces as usize, total);
     let reader = TraceStoreReader::open(Path::new(&path)).expect("open store");
     let merged = read_store(&reader);
-    let serial: Vec<_> = reference
-        .outcomes
-        .iter()
-        .filter_map(|o| o.trace().cloned())
-        .collect();
     assert_eq!(merged, serial, "merged traces != uninterrupted serial run");
 
     // Resubmitting the identical spec is served entirely from cache:
@@ -162,7 +162,7 @@ fn kill_resume_is_bit_identical_and_resubmit_hits_cache() {
     assert!(cold.cached, "cache file alone must serve the hit");
     assert_eq!(cold.job, job);
     let manifest = wait_done(&socket3, &job);
-    assert_eq!(manifest.digest, reference.report.digest);
+    assert_eq!(manifest.digest, reference.digest);
     assert_eq!(manifest.executed_jobs, 0, "no executor work on a cache hit");
 
     let stats: CacheStats = serde_json::from_str(
@@ -186,7 +186,9 @@ fn pre_v2_shard_checkpoint_is_rerun_not_continued() {
     let socket = dir.join("s1.sock");
     let data = dir.join("data");
     let spec = small_spec();
-    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
+    let reference =
+        run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, _| {})
+            .expect("reference");
 
     let mut config = ServiceConfig::new(&socket, &data);
     config.checkpoint_every = 3;
@@ -215,8 +217,8 @@ fn pre_v2_shard_checkpoint_is_rerun_not_continued() {
     let daemon2 = std::thread::spawn(move || run_daemon(config2));
     let manifest = wait_done(&socket2, &job);
     assert_eq!(manifest.state, "done");
-    assert_eq!(manifest.digest, reference.report.digest);
-    assert_eq!(manifest.completed_jobs, reference.report.total_jobs);
+    assert_eq!(manifest.digest, reference.digest);
+    assert_eq!(manifest.completed_jobs, reference.total_jobs);
 
     // The refused shard was re-run from scratch: a complete shard
     // that had been honoured would have kept its v1 file untouched.
@@ -296,9 +298,11 @@ fn failed_jobs_survive_kill_resume_and_fetch_refuses() {
     // validation, so each shard interleaves failures with traces.
     let mut spec = small_spec();
     spec.patient_indices = vec![0, 12, 1];
-    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
-    assert_eq!(reference.report.total_jobs, 186);
-    assert_eq!(reference.report.failed_jobs, 62);
+    let reference =
+        run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, _| {})
+            .expect("reference");
+    assert_eq!(reference.total_jobs, 186);
+    assert_eq!(reference.failed_jobs, 62);
 
     let mut config = ServiceConfig::new(&socket, &data);
     config.checkpoint_every = 3;
@@ -324,9 +328,9 @@ fn failed_jobs_survive_kill_resume_and_fetch_refuses() {
     });
     let manifest = wait_done(&socket2, &job);
     assert_eq!(manifest.state, "done");
-    assert_eq!(manifest.digest, reference.report.digest);
-    assert_eq!(manifest.failed_jobs, reference.report.failed_jobs);
-    assert_eq!(manifest.completed_jobs, reference.report.completed_jobs);
+    assert_eq!(manifest.digest, reference.digest);
+    assert_eq!(manifest.failed_jobs, reference.failed_jobs);
+    assert_eq!(manifest.completed_jobs, reference.completed_jobs);
     match connect(&socket2).fetch(&job) {
         Err(ServiceError::Remote { code, .. }) => assert_eq!(code, "has-failures"),
         other => panic!("fetch of a job with failures must refuse, got {other:?}"),
@@ -346,8 +350,13 @@ fn lost_shard_log_or_checkpoint_reruns_the_shard() {
     let socket = dir.join("s1.sock");
     let data = dir.join("data");
     let spec = small_spec();
-    let reference = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
-    let total = reference.report.total_jobs;
+    let mut serial = Vec::new();
+    let reference =
+        run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, o| {
+            serial.extend(o.into_trace())
+        })
+        .expect("reference");
+    let total = reference.total_jobs;
 
     let mut config = ServiceConfig::new(&socket, &data);
     config.checkpoint_every = 3;
@@ -378,7 +387,7 @@ fn lost_shard_log_or_checkpoint_reruns_the_shard() {
     });
     let manifest = wait_done(&socket2, &job);
     assert_eq!(manifest.state, "done");
-    assert_eq!(manifest.digest, reference.report.digest);
+    assert_eq!(manifest.digest, reference.digest);
     assert_eq!(
         manifest.executed_jobs - before.executed_jobs,
         total,
@@ -386,11 +395,6 @@ fn lost_shard_log_or_checkpoint_reruns_the_shard() {
     );
     let (path, _) = connect(&socket2).fetch(&job).expect("fetch");
     let merged = read_store(&TraceStoreReader::open(Path::new(&path)).expect("open store"));
-    let serial: Vec<_> = reference
-        .outcomes
-        .iter()
-        .filter_map(|o| o.trace().cloned())
-        .collect();
     assert_eq!(merged, serial);
 
     connect(&socket2).shutdown().expect("shutdown");

@@ -6,10 +6,18 @@
 //! are created through a [`MonitorFactory`], since a patient-specific
 //! monitor needs the run's basal/target context.
 //!
-//! Results can be consumed two ways, both in the same deterministic
-//! job order: materialized ([`run_campaign`] /
-//! [`run_campaign_serial`]) or streamed into a sink with bounded memory
-//! ([`run_campaign_with`], parallel).
+//! Four entry points run a campaign, all in the same deterministic job
+//! order and all defined to equal the serial reference:
+//!
+//! * [`run_campaign_resumable`] — the executor: [`CampaignOptions`]
+//!   (workers, retries, checkpoints, cancel, chaos), an optional resume
+//!   checkpoint, a sink for every [`JobOutcome`], and a
+//!   [`CampaignReport`];
+//! * [`run_campaign_with_workers`] — streams each trace into a sink with
+//!   bounded memory and panics on a failed job;
+//! * [`run_campaign`] — collects that stream into a `Vec`;
+//! * [`run_campaign_serial`] — the reference, one job after another on
+//!   the calling thread.
 //!
 //! # One engine
 //!
@@ -40,20 +48,18 @@
 //!
 //! # Fault tolerance
 //!
-//! [`run_campaign_resumable`] (and its collecting wrapper
-//! [`run_campaign_ft`]) is the hardened execution path: every job runs
-//! behind `catch_unwind` with its spec validated first, failures retry
-//! under a [`RetryPolicy`] with bounded backoff, and whatever still
-//! fails becomes a [`JobOutcome::Failed`] entry in the campaign's
+//! [`run_campaign_resumable`] is the hardened execution path: every job
+//! runs behind `catch_unwind` with its spec validated first, failures
+//! retry under a [`RetryPolicy`] with bounded backoff, and whatever
+//! still fails becomes a [`JobOutcome::Failed`] entry in the campaign's
 //! [`ErrorLedger`] — the campaign degrades to partial results plus a
 //! machine-readable ledger instead of a torn-down executor. With a
 //! [`CheckpointPolicy`] the executor snapshots a versioned
 //! [`CampaignCheckpoint`] every N completed jobs, and a later run can
-//! resume from it, bit-identical to an uninterrupted run (pinned by
-//! the kill-at-every-checkpoint test in `tests/campaign_ft.rs`). A
-//! test-only [`ChaosConfig`] injects
-//! deterministic worker panics, delays, and poisoned specs to exercise
-//! all of the above.
+//! resume from it, bit-identical to an uninterrupted run (pinned by the
+//! kill-at-every-checkpoint test in `tests/campaign_ft.rs`). A
+//! test-only [`ChaosConfig`] injects deterministic worker panics,
+//! delays, and poisoned specs to exercise all of the above.
 
 use crate::batch::BATCH_LANES;
 use crate::chaos::{ChaosConfig, ChaosPlan};
@@ -837,7 +843,8 @@ impl EmitState<'_> {
 /// Failed jobs are final
 /// after their attempt budget: they are ledgered, marked done, and
 /// never re-run by a resume (failures under a fixed seed/spec are
-/// deterministic).
+/// deterministic). A caller that needs only the report passes a no-op
+/// sink, `|_, _| {}`; one that needs the outcomes pushes them.
 ///
 /// With `resume`, jobs already recorded in the checkpoint's bitmap
 /// are skipped and the ledger/partials continue from the snapshot;
@@ -923,39 +930,9 @@ pub fn run_campaign_resumable(
     })
 }
 
-/// A completed fault-tolerant campaign: every job's outcome in job
-/// order, plus the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FtCampaign {
-    /// One outcome per job, in the campaign's deterministic order.
-    pub outcomes: Vec<JobOutcome>,
-    /// Aggregates, worker provenance, and the error ledger.
-    pub report: CampaignReport,
-}
-
-/// Collecting wrapper over [`run_campaign_resumable`] (no resume):
-/// materializes every [`JobOutcome`] in job order.
-///
-/// # Errors
-///
-/// Only checkpoint I/O can fail; job failures land in the ledger.
-pub fn run_campaign_ft(
-    spec: &CampaignSpec,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-    options: &CampaignOptions,
-) -> Result<FtCampaign, CheckpointError> {
-    let mut outcomes = Vec::new();
-    let report = run_campaign_resumable(spec, monitor_factory, options, None, |i, outcome| {
-        debug_assert_eq!(i, outcomes.len(), "stream out of order");
-        outcomes.push(outcome);
-    })?;
-    Ok(FtCampaign { outcomes, report })
-}
-
 /// Runs the whole campaign serially on the calling thread. This is the
-/// reference executor: [`run_campaign`] is defined to produce exactly
-/// this output. It is also the pre-optimization baseline measured by
-/// the `campaign_throughput` benchmark.
+/// reference executor: every other entry point is defined to produce
+/// exactly this output, and the equivalence suites hold them to it.
 ///
 /// Every job builds its own patient, basal rate and controller from
 /// scratch instead of cloning a [`Cohort`] template, so the executors'
@@ -986,24 +963,13 @@ pub fn run_campaign_serial(
 /// from each group's fault-free trunk in lockstep blocks (see the
 /// [module docs](self)), so peak buffering is O(workers) groups,
 /// never O(campaign): paper-scale sweeps can score, aggregate, or
-/// persist traces as they arrive.
+/// persist traces as they arrive. Output order and contents are
+/// defined to equal [`run_campaign_serial`].
 ///
-/// [`run_campaign`] is a thin wrapper that collects this stream into a
-/// `Vec`; output order and contents are defined to equal
-/// [`run_campaign_serial`].
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    monitor_factory: Option<&MonitorFactory<'_>>,
-    sink: impl FnMut(usize, SimTrace),
-) {
-    run_campaign_with_workers(spec, monitor_factory, None, sink);
-}
-
-/// [`run_campaign_with`] with an explicit worker-count override
-/// (`None` = `APS_WORKERS` env, then detection — the default
-/// resolution). The workers-scaling sweep of `repro bench-campaign
-/// --sweep-workers` drives this directly so each sweep point runs at a
-/// pinned worker count.
+/// `workers` overrides the worker count (`None` = `APS_WORKERS` env,
+/// then detection — the default resolution). The workers-scaling
+/// sweep of `repro bench-campaign --sweep-workers` passes it so each
+/// sweep point runs at a pinned worker count.
 ///
 /// # Panics
 ///
@@ -1038,9 +1004,9 @@ pub fn run_campaign_with_workers(
 /// Results are returned in job order (deterministic, identical to
 /// [`run_campaign_serial`]).
 ///
-/// Thin wrapper over [`run_campaign_with`] that collects the ordered
-/// stream; prefer the sink when the campaign is large and traces can
-/// be consumed incrementally.
+/// Thin wrapper over [`run_campaign_with_workers`] that collects the
+/// ordered stream; prefer the sink when the campaign is large and
+/// traces can be consumed incrementally.
 pub fn run_campaign(
     spec: &CampaignSpec,
     monitor_factory: Option<&MonitorFactory<'_>>,
@@ -1048,7 +1014,7 @@ pub fn run_campaign(
     // No capacity precompute: sizing via `campaign_size` would expand
     // the whole job grid a second time just to be discarded.
     let mut out: Vec<SimTrace> = Vec::new();
-    run_campaign_with(spec, monitor_factory, |i, trace| {
+    run_campaign_with_workers(spec, monitor_factory, None, |i, trace| {
         debug_assert_eq!(i, out.len(), "stream out of order");
         out.push(trace);
     });
@@ -1177,14 +1143,17 @@ mod tests {
             ..tiny_spec()
         };
         let serial = run_campaign_serial(&spec, None);
-        let mut indices = Vec::new();
-        let mut streamed = Vec::new();
-        run_campaign_with(&spec, None, |i, t| {
-            indices.push(i);
-            streamed.push(t);
-        });
-        assert_eq!(indices, (0..serial.len()).collect::<Vec<_>>());
-        assert_eq!(streamed, serial);
+        let order: Vec<usize> = (0..serial.len()).collect();
+        for workers in [None, Some(1), Some(2)] {
+            let mut indices = Vec::new();
+            let mut streamed = Vec::new();
+            run_campaign_with_workers(&spec, None, workers, |i, t| {
+                indices.push(i);
+                streamed.push(t);
+            });
+            assert_eq!(indices, order, "workers {workers:?}");
+            assert_eq!(streamed, serial, "workers {workers:?}");
+        }
     }
 
     #[test]
@@ -1280,6 +1249,22 @@ mod tests {
         );
     }
 
+    /// Every outcome of [`run_campaign_resumable`] (no resume), in job
+    /// order, and its report.
+    fn run_collecting(
+        spec: &CampaignSpec,
+        factory: Option<&MonitorFactory<'_>>,
+        options: &CampaignOptions,
+    ) -> (Vec<JobOutcome>, CampaignReport) {
+        let mut outcomes = Vec::new();
+        let report = run_campaign_resumable(spec, factory, options, None, |i, o| {
+            assert_eq!(i, outcomes.len(), "stream out of order");
+            outcomes.push(o);
+        })
+        .unwrap();
+        (outcomes, report)
+    }
+
     #[test]
     fn ft_clean_path_matches_serial() {
         let spec = CampaignSpec {
@@ -1287,19 +1272,19 @@ mod tests {
             ..tiny_spec()
         };
         let serial = run_campaign_serial(&spec, None);
-        let ft = run_campaign_ft(&spec, None, &CampaignOptions::default()).unwrap();
-        assert_eq!(ft.report.total_jobs, serial.len());
-        assert_eq!(ft.report.completed_jobs, serial.len());
-        assert_eq!(ft.report.failed_jobs, 0);
-        assert!(ft.report.ledger.is_empty());
-        assert!(!ft.report.cancelled);
-        let traces: Vec<&SimTrace> = ft.outcomes.iter().filter_map(|o| o.trace()).collect();
+        let (outcomes, report) = run_collecting(&spec, None, &CampaignOptions::default());
+        assert_eq!(report.total_jobs, serial.len());
+        assert_eq!(report.completed_jobs, serial.len());
+        assert_eq!(report.failed_jobs, 0);
+        assert!(report.ledger.is_empty());
+        assert!(!report.cancelled);
+        let traces: Vec<&SimTrace> = outcomes.iter().filter_map(|o| o.trace()).collect();
         assert_eq!(traces.len(), serial.len());
         for (got, want) in traces.iter().zip(&serial) {
             assert_eq!(*got, want);
         }
         assert_eq!(
-            ft.report.hazardous_jobs,
+            report.hazardous_jobs,
             serial.iter().filter(|t| t.is_hazardous()).count()
         );
     }
@@ -1315,12 +1300,14 @@ mod tests {
             initial_bgs: vec![120.0, f64::NAN],
             ..tiny_spec()
         };
-        let ft = run_campaign_ft(&spec, None, &CampaignOptions::default()).unwrap();
-        let quarter = ft.report.total_jobs / 4;
-        assert_eq!(ft.report.failed_jobs, 3 * quarter);
-        assert_eq!(ft.report.completed_jobs, quarter);
-        assert_eq!(ft.report.ledger.len(), 3 * quarter);
-        for entry in &ft.report.ledger.entries {
+        let report =
+            run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, _| {})
+                .unwrap();
+        let quarter = report.total_jobs / 4;
+        assert_eq!(report.failed_jobs, 3 * quarter);
+        assert_eq!(report.completed_jobs, quarter);
+        assert_eq!(report.ledger.len(), 3 * quarter);
+        for entry in &report.ledger.entries {
             assert!(
                 matches!(entry.error, SimError::InvalidSpec { .. }),
                 "{:?}",
@@ -1328,7 +1315,7 @@ mod tests {
             );
             assert_eq!(entry.attempts, 1);
         }
-        let out_of_range = ft.report.ledger.entries.iter();
+        let out_of_range = report.ledger.entries.iter();
         assert_eq!(
             out_of_range.filter(|e| e.patient_idx == 12).count(),
             2 * quarter
@@ -1350,10 +1337,9 @@ mod tests {
             workers: Some(1),
             ..CampaignOptions::default()
         };
-        let ft = run_campaign_ft(&spec, None, &options).unwrap();
-        assert_eq!(ft.report.completed_jobs, 0);
-        assert!(ft
-            .report
+        let report = run_campaign_resumable(&spec, None, &options, None, |_, _| {}).unwrap();
+        assert_eq!(report.completed_jobs, 0);
+        assert!(report
             .ledger
             .entries
             .iter()
@@ -1460,10 +1446,10 @@ mod tests {
             },
             Some(&|_: &ScenarioCtx| Box::new(NullMonitor) as Box<dyn HazardMonitor>),
         );
-        let ft = run_campaign_ft(&spec, Some(factory), &CampaignOptions::default()).unwrap();
+        let (blocks, _) = run_collecting(&spec, Some(factory), &CampaignOptions::default());
         let mut lane_mates = 0;
         for i in (0..2 * BATCH_LANES).filter(|i| !panicking.contains(i)) {
-            if let JobOutcome::Completed(trace) = &ft.outcomes[i] {
+            if let JobOutcome::Completed(trace) = &blocks[i] {
                 assert_eq!(trace, &serial[i], "lane-mate {i}");
                 lane_mates += 1;
             }
@@ -1520,10 +1506,10 @@ mod tests {
                     workers: Some(workers),
                     ..base.clone()
                 };
-                let ft = run_campaign_ft(&spec, Some(factory), &options).unwrap();
-                assert_eq!(ft.outcomes, reference, "{case}");
-                assert_eq!(ft.report.ledger, ledger, "{case}");
-                assert_eq!(ft.report.workers, workers);
+                let (outcomes, report) = run_collecting(&spec, Some(factory), &options);
+                assert_eq!(outcomes, reference, "{case}");
+                assert_eq!(report.ledger, ledger, "{case}");
+                assert_eq!(report.workers, workers);
 
                 // Kill at every checkpoint boundary (mid-block at every
                 // third job), resume, and get the uninterrupted run back.
@@ -1570,10 +1556,7 @@ mod tests {
                     assert_eq!(order, (0..jobs.len()).collect::<Vec<_>>());
                     assert_eq!(outcomes, reference, "{case}, kill at {kill_at}");
                     assert_eq!(resumed.ledger, ledger, "{case}, kill at {kill_at}");
-                    assert_eq!(
-                        resumed.digest, ft.report.digest,
-                        "{case}, kill at {kill_at}"
-                    );
+                    assert_eq!(resumed.digest, report.digest, "{case}, kill at {kill_at}");
                 }
                 let _ = std::fs::remove_file(&path);
             }
@@ -1585,18 +1568,18 @@ mod tests {
             workers: Some(8),
             ..CampaignOptions::default()
         };
-        let wide = run_campaign_ft(&spec, Some(factory), &options).unwrap();
+        let wide = run_campaign_resumable(&spec, Some(factory), &options, None, |_, _| {}).unwrap();
         let groups = spec.patient_indices.len() * spec.initial_bgs.len();
-        assert_eq!(wide.report.workers, groups);
+        assert_eq!(wide.workers, groups);
 
         // A deadline is a per-job clock: no job may share a block's.
         let options = CampaignOptions {
             deadline: Some(Duration::ZERO),
             ..CampaignOptions::default()
         };
-        let late = run_campaign_ft(&tiny_spec(), None, &options).unwrap();
-        assert_eq!(late.report.completed_jobs, 0);
-        let mut errors = late.report.ledger.entries.iter().map(|e| &e.error);
+        let late = run_campaign_resumable(&tiny_spec(), None, &options, None, |_, _| {}).unwrap();
+        assert_eq!(late.completed_jobs, 0);
+        let mut errors = late.ledger.entries.iter().map(|e| &e.error);
         assert!(errors.all(|e| matches!(e, SimError::DeadlineExceeded { .. })));
 
         // The non-resumable executor runs the same blocks and panics on

@@ -31,9 +31,8 @@
 //!   patients × initial BG × scenarios, multi-threaded). Its one
 //!   engine claims groups of jobs, forks each group's jobs from its
 //!   fault-free trunk in lockstep blocks under per-job fault
-//!   isolation, behind the
-//!   bounded-memory streaming sink ([`campaign::run_campaign_with`])
-//!   and the fault-tolerant path
+//!   isolation, behind the bounded-memory streaming sink
+//!   ([`campaign::run_campaign_with_workers`]) and the fault-tolerant path
 //!   ([`campaign::run_campaign_resumable`]): panic-isolated jobs,
 //!   retry with bounded backoff, and checkpoint/resume;
 //! * [`exec`] — the one ordered parallel executor under every

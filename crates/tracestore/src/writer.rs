@@ -3,8 +3,8 @@
 //!
 //! [`TraceWriter`] is generic over any [`Write`] sink and is the
 //! campaign-sink building block — wrap one in a closure and hand it to
-//! `run_campaign_with` to stream a campaign straight to disk without
-//! ever holding the corpus in memory. [`FileTraceWriter`] adds the
+//! `run_campaign_with_workers` to stream a campaign straight to disk
+//! without ever holding the corpus in memory. [`FileTraceWriter`] adds the
 //! file-backed convenience: it writes to `<path>.tmp` and renames into
 //! place on [`finalize`](FileTraceWriter::finalize), so a crashed or
 //! killed campaign never leaves a half-written store at the final

@@ -23,7 +23,7 @@ fn main() {
     let horizon = 12; // 12 cycles x 5 min = one hour ahead
     let window = spec.steps as usize - horizon;
     let mut dataset = TraceDataset::with_cap(window, horizon, 200, 42);
-    run_campaign_with(&spec, None, |_, trace| dataset.push_trace(&trace));
+    run_campaign_with_workers(&spec, None, None, |_, trace| dataset.push_trace(&trace));
     println!(
         "dataset: {} windows of {} cycles from {} traces",
         dataset.len(),

@@ -45,15 +45,13 @@ fn main() {
     };
 
     // Reference: the same campaign, uninterrupted.
-    let reference = run_campaign_ft(&spec, None, &options).expect("temp dir writable");
+    let reference =
+        run_campaign_resumable(&spec, None, &options, None, |_, _| {}).expect("temp dir writable");
     println!(
         "uninterrupted: {} jobs, {} completed, {} failed (ledger below), digest {}",
-        reference.report.total_jobs,
-        reference.report.completed_jobs,
-        reference.report.failed_jobs,
-        reference.report.digest,
+        reference.total_jobs, reference.completed_jobs, reference.failed_jobs, reference.digest,
     );
-    for e in &reference.report.ledger.entries {
+    for e in &reference.ledger.entries {
         println!(
             "  ledger: job {} ({}) after {} attempts: {}",
             e.job_index, e.fault_name, e.attempts, e.error
@@ -94,11 +92,11 @@ fn main() {
     println!(
         "bit-identical: digest {} == {} -> {}",
         resumed.digest,
-        reference.report.digest,
-        resumed.digest == reference.report.digest
+        reference.digest,
+        resumed.digest == reference.digest
     );
-    assert_eq!(resumed.digest, reference.report.digest);
-    assert_eq!(resumed.ledger, reference.report.ledger);
+    assert_eq!(resumed.digest, reference.digest);
+    assert_eq!(resumed.ledger, reference.ledger);
 
     let _ = std::fs::remove_file(&ckpt_path);
 }

@@ -74,7 +74,7 @@
 //! engineered accordingly:
 //!
 //! * **Batched lockstep stepping (SoA lanes)** — every campaign
-//!   executor ([`sim::campaign::run_campaign_with`] and the
+//!   executor ([`sim::campaign::run_campaign_with_workers`] and the
 //!   fault-tolerant [`sim::campaign::run_campaign_resumable`] alike)
 //!   steps *blocks* of up to [`sim::batch::BATCH_LANES`] = 8 scenario
 //!   jobs in lockstep ([`sim::batch::run_block`]) through
@@ -127,9 +127,10 @@
 //!   with a const-generic stack scratch
 //!   ([`glucose::ode::Rk4Scratch`]); no heap allocation occurs inside
 //!   the per-step RK4 loop, and the batched banks reuse one
-//!   [`glucose::ode::BatchedRk4Scratch`] across steps. The slice-based
-//!   `rk4_step`/`integrate` API survives as thin wrappers with
-//!   bit-identical results (see `tests/perf_equivalence.rs`).
+//!   [`glucose::ode::BatchedRk4Scratch`] across steps. The scratch
+//!   stepper is pinned bit-identical to the seed's allocating RK4
+//!   (`tests/perf_equivalence.rs`), and the banks to the scalar models
+//!   (`tests/batched_equivalence.rs`).
 //! * **O(1) IOB reads, no dependent add chain on record** — the
 //!   insulin-on-board estimator keeps the next `W` window sums pending
 //!   in a ring (`W` = whole-cycle ages within the curve's horizon).
@@ -150,7 +151,7 @@
 //!   offline monitor replay both run on
 //!   [`sim::exec`], which emits results into a caller-supplied sink in
 //!   deterministic order with O(workers) memory, so paper-scale sweeps
-//!   stream ([`sim::campaign::run_campaign_with`]);
+//!   stream ([`sim::campaign::run_campaign_with_workers`]);
 //!   [`sim::campaign::run_campaign`] is the collecting wrapper, defined
 //!   to equal [`sim::campaign::run_campaign_serial`].
 //! * **Monitor banks** — a [`core::monitors::MonitorBank`] steps N
@@ -205,21 +206,17 @@
 //! CI re-measures this every run and **fails below 80% of the best
 //! committed speedup** — the larger of `speedup` and
 //! `batched_speedup` (`bench-campaign --sweep-workers --guard
-//! <committed.json>`). Compare executors and steppers microscopically
-//! with:
-//!
-//! ```text
-//! cargo bench -p aps-bench --bench campaign_throughput
-//! cargo bench -p aps-bench --bench batched_stepper
-//! ```
+//! <committed.json>`). The pipeline benchmark (`perfbench/`) breaks
+//! the same campaign down by layer: RK4 physics
+//! (`glucose.physics_ns`), job set-up, cycle coverage and executor
+//! efficiency (`sim.*`).
 //!
 //! # Failure semantics
 //!
 //! Campaigns are expected to survive their own failures — the same
 //! philosophy the paper applies to the APS control loop, applied to
 //! the harness itself. The hardened executor
-//! ([`sim::campaign::run_campaign_resumable`] and its collecting
-//! wrapper [`sim::campaign::run_campaign_ft`]) runs the same forked
+//! ([`sim::campaign::run_campaign_resumable`]) runs the same forked
 //! lockstep blocks as every other campaign executor and guarantees,
 //! per job:
 //!
@@ -292,14 +289,15 @@
 //!     ..CampaignOptions::default()
 //! };
 //! // First run: snapshots every 10 jobs (kill it at any point…)
-//! let ft = run_campaign_ft(&spec, None, &options).expect("checkpoint dir writable");
-//! assert!(ft.report.ledger.is_empty());
+//! let first = run_campaign_resumable(&spec, None, &options, None, |_i, _outcome| {})
+//!     .expect("checkpoint dir writable");
+//! assert!(first.ledger.is_empty());
 //! // …later: resume from the snapshot; completed jobs are skipped and
 //! // the final report is bit-identical to an uninterrupted run.
 //! let snapshot = CampaignCheckpoint::load(&dir.join("campaign_ckpt.json")).unwrap();
 //! let resumed = run_campaign_resumable(&spec, None, &options, Some(&snapshot), |_i, _outcome| {})
 //!     .expect("snapshot matches this spec");
-//! assert_eq!(resumed.digest, ft.report.digest);
+//! assert_eq!(resumed.digest, first.digest);
 //! assert_eq!(resumed.skipped_resumed, resumed.total_jobs);
 //! ```
 //!
@@ -313,8 +311,8 @@
 //! time instead of classifying the current cycle:
 //!
 //! * **Data layer** — [`ml::data::TraceDataset`] streams a
-//!   fault-injection campaign (as a `run_campaign_with` sink, bounded
-//!   memory) into sequence-regression windows of per-cycle
+//!   fault-injection campaign (as a `run_campaign_with_workers` sink,
+//!   bounded memory) into sequence-regression windows of per-cycle
 //!   `[CGM BG, commanded insulin]` features with a BG-at-horizon
 //!   target at **every** timestep; retained pairs are reservoir-capped
 //!   deterministically under a fixed seed.
@@ -370,7 +368,7 @@
 //! ```
 //!
 //! * **Writing is streaming** — [`tracestore::FileTraceWriter`]
-//!   is a `run_campaign_with`
+//!   is a `run_campaign_with_workers`
 //!   sink (`repro bench-campaign --store F` emits the store directly);
 //!   finalize is an atomic temp-file rename, so the destination is
 //!   never torn.
@@ -580,9 +578,9 @@ pub mod prelude {
     pub use aps_service::{Client, JobManifest, ServiceConfig};
     pub use aps_sim::batch::{run_block, BATCH_LANES};
     pub use aps_sim::campaign::{
-        campaign_jobs, campaign_size, run_campaign, run_campaign_ft, run_campaign_resumable,
-        run_campaign_with, CampaignJob, CampaignOptions, CampaignReport, CampaignSpec,
-        CheckpointPolicy, Cohort, FtCampaign, MonitorFactory, ScenarioCtx, WorkerSource,
+        campaign_jobs, campaign_size, run_campaign, run_campaign_resumable,
+        run_campaign_with_workers, CampaignJob, CampaignOptions, CampaignReport, CampaignSpec,
+        CheckpointPolicy, Cohort, MonitorFactory, ScenarioCtx, WorkerSource,
     };
     pub use aps_sim::chaos::ChaosConfig;
     pub use aps_sim::checkpoint::{CampaignCheckpoint, CheckpointError};

@@ -130,7 +130,7 @@ fn batched_streaming_sink_preserves_job_order() {
     let serial = run_campaign_serial(&spec, None);
     let mut indices = Vec::new();
     let mut traces = Vec::new();
-    run_campaign_with(&spec, None, |i, trace| {
+    run_campaign_with_workers(&spec, None, None, |i, trace| {
         indices.push(i);
         traces.push(trace);
     });
@@ -174,9 +174,12 @@ fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
     // The default executor forks each group's jobs from its fault-free
     // trunk. The 1e308 group's trunk diverges before its fork step, so
     // its jobs fall back to running alone, with the same error.
-    let forked = run_campaign_ft(&spec, None, &CampaignOptions::default())
-        .expect("no checkpointing configured");
-    for (i, (s, f)) in scalar.iter().zip(&forked.outcomes).enumerate() {
+    let mut forked = Vec::new();
+    run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, o| {
+        forked.push(o)
+    })
+    .expect("no checkpointing configured");
+    for (i, (s, f)) in scalar.iter().zip(&forked).enumerate() {
         assert_eq!(s.as_ref(), Some(f), "job {i}: forked executor diverged");
     }
 

@@ -15,7 +15,7 @@
 
 use aps_repro::prelude::*;
 use aps_repro::sim::campaign::{
-    run_campaign_ft, run_campaign_resumable, run_campaign_serial, CampaignOptions, CheckpointPolicy,
+    run_campaign_resumable, run_campaign_serial, CampaignOptions, CampaignReport, CheckpointPolicy,
 };
 use aps_repro::sim::chaos::ChaosConfig;
 use aps_repro::sim::checkpoint::{CampaignCheckpoint, CheckpointError};
@@ -30,6 +30,20 @@ fn tiny_spec() -> CampaignSpec {
         steps: 40,
         ..CampaignSpec::quick(Platform::GlucosymOref0)
     }
+}
+
+/// Every outcome of an uninterrupted run, in job order, and its report.
+fn run_collecting(
+    spec: &CampaignSpec,
+    options: &CampaignOptions,
+) -> (Vec<JobOutcome>, CampaignReport) {
+    let mut outcomes = Vec::new();
+    let report = run_campaign_resumable(spec, None, options, None, |i, o| {
+        assert_eq!(i, outcomes.len(), "stream out of order");
+        outcomes.push(o);
+    })
+    .unwrap();
+    (outcomes, report)
 }
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -48,16 +62,16 @@ fn ft_clean_path_is_bit_identical_to_serial() {
         workers: Some(4),
         ..CampaignOptions::default()
     };
-    let ft = run_campaign_ft(&spec, None, &options).unwrap();
-    assert_eq!(ft.outcomes.len(), serial.len());
-    for (i, (outcome, want)) in ft.outcomes.iter().zip(&serial).enumerate() {
+    let (outcomes, report) = run_collecting(&spec, &options);
+    assert_eq!(outcomes.len(), serial.len());
+    for (i, (outcome, want)) in outcomes.iter().zip(&serial).enumerate() {
         match outcome {
             JobOutcome::Completed(trace) => assert_eq!(trace, want, "job {i} diverged"),
             JobOutcome::Failed { error, .. } => panic!("job {i} failed on the clean path: {error}"),
         }
     }
-    assert!(ft.report.ledger.is_empty());
-    assert_eq!(ft.report.failed_jobs, 0);
+    assert!(report.ledger.is_empty());
+    assert_eq!(report.failed_jobs, 0);
 }
 
 #[test]
@@ -157,39 +171,39 @@ fn chaos_is_deterministic_and_degrades_gracefully() {
         workers: Some(4),
         ..CampaignOptions::default()
     };
-    let a = run_campaign_ft(&spec, None, &options).unwrap();
-    let b = run_campaign_ft(&spec, None, &options).unwrap();
+    let (outcomes_a, a) = run_collecting(&spec, &options);
+    let (outcomes_b, b) = run_collecting(&spec, &options);
 
     // Same seed => same ledger, byte for byte, and same digest.
-    let ledger_a = serde_json::to_string(&a.report.ledger).unwrap();
-    let ledger_b = serde_json::to_string(&b.report.ledger).unwrap();
+    let ledger_a = serde_json::to_string(&a.ledger).unwrap();
+    let ledger_b = serde_json::to_string(&b.ledger).unwrap();
     assert_eq!(ledger_a, ledger_b);
-    assert_eq!(a.report.digest, b.report.digest);
-    assert_eq!(a.outcomes, b.outcomes);
+    assert_eq!(a.digest, b.digest);
+    assert_eq!(outcomes_a, outcomes_b);
 
     // The chaos parameters above make some failures and some
     // retry-rescues statistically certain over 31 jobs; if this seed
     // ever produces neither, pick another seed rather than weakening
     // the assertions.
     assert!(
-        !a.report.ledger.is_empty(),
+        !a.ledger.is_empty(),
         "chaos seed 9 produced no permanent failures"
     );
-    assert!(a.report.completed_jobs > 0, "chaos seed 9 failed every job");
-    let retried_success = a.report.completed_jobs + a.report.failed_jobs == a.report.total_jobs;
+    assert!(a.completed_jobs > 0, "chaos seed 9 failed every job");
+    let retried_success = a.completed_jobs + a.failed_jobs == a.total_jobs;
     assert!(retried_success);
 
     // Graceful degradation: every completed job's trace is exactly the
     // chaos-free reference trace (chaos perturbs the executor, never
     // the physics).
-    for (i, outcome) in a.outcomes.iter().enumerate() {
+    for (i, outcome) in outcomes_a.iter().enumerate() {
         if let JobOutcome::Completed(trace) = outcome {
             assert_eq!(trace, &reference[i], "chaos changed the physics of job {i}");
         }
     }
 
     // A different seed gives a different schedule (ledger differs).
-    let other = run_campaign_ft(
+    let other = run_campaign_resumable(
         &spec,
         None,
         &CampaignOptions {
@@ -199,10 +213,12 @@ fn chaos_is_deterministic_and_degrades_gracefully() {
             }),
             ..options.clone()
         },
+        None,
+        |_, _| {},
     )
     .unwrap();
     assert_ne!(
-        serde_json::to_string(&other.report.ledger).unwrap(),
+        serde_json::to_string(&other.ledger).unwrap(),
         ledger_a,
         "seeds 9 and 8 produced identical ledgers"
     );
@@ -235,10 +251,10 @@ fn non_contiguous_patients_match_serial_on_both_paths() {
             workers: Some(2),
             ..CampaignOptions::default()
         };
-        let ft = run_campaign_ft(&spec, None, &options).unwrap();
-        assert_eq!(ft.outcomes.len(), reference.len());
+        let (outcomes, report) = run_collecting(&spec, &options);
+        assert_eq!(outcomes.len(), reference.len());
         let mut completed = 0;
-        for (i, outcome) in ft.outcomes.iter().enumerate() {
+        for (i, outcome) in outcomes.iter().enumerate() {
             if let JobOutcome::Completed(trace) = outcome {
                 assert_eq!(trace, &reference[i], "job {i} diverged (clean: {clean})");
                 completed += 1;
@@ -248,7 +264,7 @@ fn non_contiguous_patients_match_serial_on_both_paths() {
         if clean {
             assert_eq!(completed, reference.len());
         } else {
-            assert!(!ft.report.ledger.is_empty(), "chaos seed 9 failed no job");
+            assert!(!report.ledger.is_empty(), "chaos seed 9 failed no job");
         }
     }
 }
@@ -264,15 +280,13 @@ fn chaos_failures_report_real_error_kinds() {
         }),
         ..CampaignOptions::default()
     };
-    let ft = run_campaign_ft(&spec, None, &options).unwrap();
-    let panicked = ft
-        .report
+    let report = run_campaign_resumable(&spec, None, &options, None, |_, _| {}).unwrap();
+    let panicked = report
         .ledger
         .entries
         .iter()
         .any(|e| matches!(e.error, SimError::Panicked { .. }));
-    let poisoned = ft
-        .report
+    let poisoned = report
         .ledger
         .entries
         .iter()
@@ -280,7 +294,7 @@ fn chaos_failures_report_real_error_kinds() {
     assert!(
         panicked && poisoned,
         "chaos seed 3 exercised only some fault kinds: {:?}",
-        ft.report.ledger
+        report.ledger
     );
 }
 

@@ -14,7 +14,7 @@
 //!   digest never mixes the two digest schemes.
 
 use aps_repro::prelude::*;
-use aps_repro::sim::campaign::{run_campaign_ft, run_campaign_resumable, CampaignOptions};
+use aps_repro::sim::campaign::{run_campaign_resumable, CampaignOptions};
 use aps_repro::sim::checkpoint::{
     from_hex, spec_hash, to_hex, AggregatePartials, CampaignCheckpoint, CheckpointError, JobBitmap,
     CHECKPOINT_VERSION,
@@ -153,13 +153,17 @@ fn pre_v2_checkpoint_is_refused_at_resume() {
         steps: 30,
         ..CampaignSpec::quick(Platform::GlucosymOref0)
     };
-    let full = run_campaign_ft(&spec, None, &CampaignOptions::default()).expect("reference");
-    let total = full.report.total_jobs;
+    let mut outcomes = Vec::new();
+    let full = run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, o| {
+        outcomes.push(o)
+    })
+    .expect("reference");
+    let total = full.total_jobs;
 
     // A mid-campaign snapshot: the first two jobs done, their traces
     // folded into the partials.
     let mut current = CampaignCheckpoint::fresh(to_hex(spec_hash(&spec)), None, total);
-    for (i, outcome) in full.outcomes.iter().take(2).enumerate() {
+    for (i, outcome) in outcomes.iter().take(2).enumerate() {
         current.completed.set(i);
         current
             .partials
@@ -205,5 +209,5 @@ fn pre_v2_checkpoint_is_refused_at_resume() {
     )
     .expect("current-version resume");
     assert_eq!(report.skipped_resumed, 2);
-    assert_eq!(report.digest, full.report.digest);
+    assert_eq!(report.digest, full.digest);
 }

@@ -34,7 +34,7 @@ fn train_bundle(seed: u64) -> ForecastModel {
     let spec = campaign_spec();
     let window = spec.steps as usize - HORIZON;
     let mut dataset = TraceDataset::with_cap(window, HORIZON, 40, seed);
-    run_campaign_with(&spec, None, |_, trace| dataset.push_trace(&trace));
+    run_campaign_with_workers(&spec, None, None, |_, trace| dataset.push_trace(&trace));
     assert_eq!(dataset.traces(), 31, "campaign changed size");
     let raw = dataset.into_set();
     let scaler = StandardScaler::fit_sequences(&raw.x);

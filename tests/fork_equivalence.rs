@@ -70,12 +70,11 @@ fn assert_forks_match_serial(spec: &CampaignSpec, factory: Option<&MonitorFactor
             workers: Some(workers),
             ..CampaignOptions::default()
         };
-        let ft = run_campaign_ft(spec, factory, &options).unwrap();
-        let traces: Vec<SimTrace> = ft
-            .outcomes
-            .into_iter()
-            .map(|o| o.into_trace().expect("clean job failed"))
-            .collect();
+        let mut traces = Vec::new();
+        run_campaign_resumable(spec, factory, &options, None, |_, o| {
+            traces.push(o.into_trace().expect("clean job failed"));
+        })
+        .unwrap();
         assert_eq!(traces, serial, "{case}, {workers} workers");
     }
 }
@@ -263,7 +262,10 @@ fn kill_and_resume_inside_a_group_matches_the_per_job_reference() {
             deadline: Some(Duration::from_secs(3600)),
             ..CampaignOptions::default()
         };
-        let reference = run_campaign_ft(&spec, factory, &per_job).unwrap();
+        let mut reference = Vec::new();
+        let reference_report =
+            run_campaign_resumable(&spec, factory, &per_job, None, |_, o| reference.push(o))
+                .unwrap();
         let jobs = campaign_jobs(&spec);
         assert!(jobs[0].scenario.is_none(), "group 0 starts fault-free");
         let group = jobs.len() / 4;
@@ -308,8 +310,8 @@ fn kill_and_resume_inside_a_group_matches_the_per_job_reference() {
                 (0..jobs.len()).collect::<Vec<_>>(),
                 "kill at {kill_at}"
             );
-            assert_eq!(outcomes, reference.outcomes, "kill at {kill_at}");
-            assert_eq!(resumed.digest, reference.report.digest, "kill at {kill_at}");
+            assert_eq!(outcomes, reference, "kill at {kill_at}");
+            assert_eq!(resumed.digest, reference_report.digest, "kill at {kill_at}");
         }
         let _ = std::fs::remove_file(&path);
     }

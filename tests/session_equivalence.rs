@@ -196,7 +196,7 @@ fn streaming_campaign_matches_materialized_campaign() {
     let materialized = run_campaign(&spec, None);
     let mut order = Vec::new();
     let mut streamed = Vec::new();
-    run_campaign_with(&spec, None, |i, t| {
+    run_campaign_with_workers(&spec, None, None, |i, t| {
         order.push(i);
         streamed.push(t);
     });

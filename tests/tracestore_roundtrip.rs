@@ -255,8 +255,9 @@ fn quick_campaign_survives_store_and_replays_identically() {
     );
 }
 
-/// The file writer streams a campaign to disk as a `run_campaign_with`
-/// sink and the result equals the in-memory encoding.
+/// The file writer streams a campaign to disk as a
+/// `run_campaign_with_workers` sink and the result equals the in-memory
+/// encoding.
 #[test]
 fn file_writer_sink_matches_in_memory_encoding() {
     let spec = CampaignSpec {
@@ -270,7 +271,7 @@ fn file_writer_sink_matches_in_memory_encoding() {
     let path = std::env::temp_dir().join(format!("aps-store-sink-{}.apst", std::process::id()));
     let mut writer = FileTraceWriter::create(&path, 42).unwrap();
     let mut sink_err = None;
-    aps_repro::sim::campaign::run_campaign_with(&spec, None, |_i, t| {
+    aps_repro::sim::campaign::run_campaign_with_workers(&spec, None, None, |_i, t| {
         if let Err(e) = writer.push(&t) {
             sink_err.get_or_insert(e);
         }

@@ -31,6 +31,9 @@
 //!                         a binary trace store)
 //!   convert               JSONL <-> binary trace store (--to-store /
 //!                         --to-jsonl / --verify / --gen-quick)
+//!   overhead              §V-E6 per-cycle monitor overhead + per-call cost
+//!                         of the detectors, CGM guard and mitigator
+//!                         (printed only; takes no flags)
 //!   lint                  aps-lint static analysis vs the committed baseline
 //!   serve                 campaign-service daemon on a Unix socket
 //!   submit/status/fetch/cancel/shutdown
@@ -51,7 +54,8 @@
 //! ```
 
 use aps_bench::experiments::{
-    ablations, accuracy, fig3, hms, mitigation, patient_specific, resilience, train, zoo_report,
+    ablations, accuracy, fig3, hms, mitigation, overhead, patient_specific, resilience, train,
+    zoo_report,
 };
 use aps_bench::ftrun::FtFlags;
 use aps_bench::opts::ExpOpts;
@@ -149,6 +153,15 @@ fn main() {
         // Corpus conversion likewise has its own flag set (input
         // sniffing, output formats, verification).
         std::process::exit(aps_bench::convert::run_convert(&args[1..]));
+    }
+    if which == "overhead" {
+        // A timing report: no workload flags, nothing written.
+        if args.len() > 1 {
+            eprintln!("error: overhead takes no flags");
+            std::process::exit(2);
+        }
+        overhead::overhead();
+        return;
     }
     if matches!(
         which.as_str(),
@@ -360,6 +373,12 @@ perf:
                              scaling curve
   bench-campaign --store F   additionally stream the quick campaign
                              into a binary trace store at F
+  overhead                   §V-E6 per-cycle overhead of the seven
+                             monitors (CAWT, STL-CAW, Guideline, MPC, DT,
+                             MLP, LSTM) beside the paper's figures, and
+                             the per-call cost of the SPRT/CUSUM/EWMA
+                             detectors, CgmGuard and ContextMitigator;
+                             best of 20 batches, printed only (no flags)
 
 trace storage:
   convert <input>            move a trace corpus between formats; the
@@ -371,9 +390,10 @@ trace storage:
   convert ... --to-jsonl F   write the corpus as JSON Lines
   convert ... --verify       round-trip in memory, check the store read
                              path is bit-identical, measure read
-                             throughput + size vs JSONL, and record
-                             results/convert_verify.json (exit 1 on any
-                             mismatch)
+                             throughput + size vs JSONL (plus record-view
+                             iteration and bg/commanded column copies),
+                             and record results/convert_verify.json
+                             (exit 1 on any mismatch)
 
 static analysis:
   lint                       scan the workspace with aps-lint (rule

@@ -14,6 +14,11 @@
 //! memory, checks the store read path yields bit-identical
 //! [`SimTrace`]s, measures read throughput and file size against
 //! JSONL, and records everything in `results/convert_verify.json`.
+//! Besides full materialization it times the two other store access
+//! shapes: iterating every trace's record views
+//! ([`ConvertReport::store_iter_records_per_s`], replay-shaped) and
+//! copying the `bg` and `commanded` columns
+//! ([`ConvertReport::store_columns_records_per_s`], dataset-shaped).
 //!
 //! Exit codes: 0 converted (and verified), 1 runtime failure or
 //! verification mismatch, 2 usage error.
@@ -23,10 +28,11 @@ use aps_sim::checkpoint::{spec_hash, trace_digest};
 use aps_sim::io::{read_jsonl, write_jsonl};
 use aps_sim::platform::Platform;
 use aps_tracestore::{
-    to_hex, write_store, FileTraceWriter, StoreError, StoreStats, TraceStoreReader,
+    to_hex, write_store, F64Column, FileTraceWriter, StoreError, StoreStats, TraceStoreReader,
 };
 use aps_types::SimTrace;
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
@@ -59,6 +65,12 @@ pub struct ConvertReport {
     pub store_read_records_per_s: f64,
     /// `store / jsonl` read throughput (acceptance target ≥ 5).
     pub read_speedup: f64,
+    /// Record-view iteration over every trace of the open store,
+    /// records per second (best of 3).
+    pub store_iter_records_per_s: f64,
+    /// `bg` + `commanded` column copies of every trace of the open
+    /// store, records per second (best of 3).
+    pub store_columns_records_per_s: f64,
     /// True when the store read path returned `SimTrace`s bit-identical
     /// to the source corpus (exact f64 bits, via `trace_digest`).
     pub bit_identical: bool,
@@ -190,6 +202,20 @@ pub fn verify_corpus(traces: &[SimTrace], hash: u64, input: &str) -> Result<Conv
     });
 
     let reader = TraceStoreReader::from_bytes(store.clone()).map_err(|e| e.to_string())?;
+    let iter_s = best_of_3(|| {
+        let n: usize = reader.iter().map(|view| view.records().count()).sum();
+        assert_eq!(n as u64, records, "iterating our own store");
+    });
+    let (mut bg, mut commanded) = (Vec::new(), Vec::new());
+    let columns_s = best_of_3(|| {
+        let mut n = 0;
+        for view in reader.iter() {
+            view.copy_f64_column(F64Column::Bg, &mut bg);
+            view.copy_f64_column(F64Column::Commanded, &mut commanded);
+            n += black_box(&commanded).len();
+        }
+        assert_eq!(n as u64, records, "copying our own store's columns");
+    });
     let store_traces = reader.read_all();
     let jsonl_traces = read_jsonl(&jsonl[..]).map_err(|e| format!("JSONL decode: {e}"))?;
     let digest = corpus_digest(traces);
@@ -216,6 +242,8 @@ pub fn verify_corpus(traces: &[SimTrace], hash: u64, input: &str) -> Result<Conv
         jsonl_read_records_per_s: jsonl_rps,
         store_read_records_per_s: store_rps,
         read_speedup: store_rps / jsonl_rps,
+        store_iter_records_per_s: per_s(iter_s),
+        store_columns_records_per_s: per_s(columns_s),
         bit_identical,
         corpus_digest: to_hex(digest),
     })
@@ -232,6 +260,10 @@ fn print_report(r: &ConvertReport) {
     println!(
         "  read throughput : store {:.0} rec/s vs JSONL {:.0} rec/s  ({:.1}x)",
         r.store_read_records_per_s, r.jsonl_read_records_per_s, r.read_speedup
+    );
+    println!(
+        "  store access    : record views {:.0} rec/s, bg+commanded columns {:.0} rec/s",
+        r.store_iter_records_per_s, r.store_columns_records_per_s
     );
     println!(
         "  bit-identical   : {}  (digest {})",
@@ -350,4 +382,52 @@ pub fn emit_quick_store(path: &Path) -> Result<StoreStats, String> {
         return Err(e.to_string());
     }
     w.finalize().map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `convert_verify.json` as written before the store-access rates
+    /// existed.
+    const OLD_REPORT: &str = r#"{
+  "input": "<quick campaign>",
+  "traces": 62,
+  "records": 9300,
+  "jsonl_bytes": 1886919,
+  "store_bytes": 415076,
+  "size_ratio": 0.219975526241455,
+  "jsonl_read_records_per_s": 28779.333215465977,
+  "store_read_records_per_s": 29555804.85541491,
+  "read_speedup": 1026.9801817205291,
+  "bit_identical": true,
+  "corpus_digest": "f701565451764a6a"
+}"#;
+
+    #[test]
+    fn verify_measures_every_store_access_shape() {
+        let spec = CampaignSpec {
+            patient_indices: vec![0],
+            ..CampaignSpec::quick(Platform::GlucosymOref0)
+        };
+        let traces = run_campaign(&spec, None);
+        let report = verify_corpus(&traces, spec_hash(&spec), "one patient").unwrap();
+        assert!(report.bit_identical);
+        assert_eq!(report.traces, traces.len() as u64);
+        for rate in [
+            report.store_iter_records_per_s,
+            report.store_columns_records_per_s,
+        ] {
+            assert!(rate.is_finite() && rate > 0.0, "{report:?}");
+        }
+    }
+
+    #[test]
+    fn report_without_store_access_rates_still_loads() {
+        let report: ConvertReport = serde_json::from_str(OLD_REPORT).unwrap();
+        assert!(report.bit_identical);
+        assert_eq!(report.records, 9300);
+        assert_eq!(report.store_iter_records_per_s, 0.0);
+        assert_eq!(report.store_columns_records_per_s, 0.0);
+    }
 }

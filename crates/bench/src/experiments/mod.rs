@@ -5,6 +5,7 @@ pub mod accuracy;
 pub mod fig3;
 pub mod hms;
 pub mod mitigation;
+pub mod overhead;
 pub mod patient_specific;
 pub mod resilience;
 pub mod train;

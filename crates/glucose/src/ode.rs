@@ -433,60 +433,6 @@ mod tests {
         Rk4Scratch::<1>::new().integrate(&f, 0.0, &mut x, 1.0, 0.0);
     }
 
-    /// The seed implementation (five `Vec` allocations per step),
-    /// retained verbatim as the bit-exactness oracle.
-    fn seed_rk4_step<D: Dynamics + ?Sized>(dyn_: &D, t: f64, x: &mut [f64], dt: f64) {
-        let n = x.len();
-        let mut k1 = vec![0.0; n];
-        let mut k2 = vec![0.0; n];
-        let mut k3 = vec![0.0; n];
-        let mut k4 = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
-        dyn_.derivative(t, x, &mut k1);
-        for i in 0..n {
-            tmp[i] = x[i] + 0.5 * dt * k1[i];
-        }
-        dyn_.derivative(t + 0.5 * dt, &tmp, &mut k2);
-        for i in 0..n {
-            tmp[i] = x[i] + 0.5 * dt * k2[i];
-        }
-        dyn_.derivative(t + 0.5 * dt, &tmp, &mut k3);
-        for i in 0..n {
-            tmp[i] = x[i] + dt * k3[i];
-        }
-        dyn_.derivative(t + dt, &tmp, &mut k4);
-        for i in 0..n {
-            x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-    }
-
-    #[test]
-    fn scratch_paths_are_bit_identical_to_seed() {
-        // A stiff-ish nonlinear 3-state system with time dependence,
-        // integrated over many uneven windows with a single reused
-        // scratch, must match the seed's output exactly (same
-        // arithmetic, same order).
-        let f = |t: f64, x: &[f64], d: &mut [f64]| {
-            d[0] = -0.07 * x[0] + 2.0 * (0.1 * x[1] * x[2]).tanh() + 0.01 * t;
-            d[1] = 0.03 * x[0] - 0.2 * x[1];
-            d[2] = (x[0] - x[2]) / 7.0;
-        };
-        let mut seed_x = [120.0, 3.0, 0.5];
-        let mut fixed_x = seed_x;
-        let mut fixed = Rk4Scratch::<3>::new();
-        let mut t = 0.0;
-        for window in [5.0, 3.3, 7.1, 0.4, 12.0] {
-            let t0 = t;
-            let (steps, dt) = substeps(window, 1.0);
-            for _ in 0..steps {
-                seed_rk4_step(&f, t, &mut seed_x, dt);
-                t += dt;
-            }
-            fixed.integrate(&f, t0, &mut fixed_x, window, 1.0);
-            assert_eq!(seed_x, fixed_x, "fixed scratch diverged");
-        }
-    }
-
     #[test]
     fn try_integrate_matches_integrate_on_finite_trajectories() {
         let f = |t: f64, x: &[f64], d: &mut [f64]| {

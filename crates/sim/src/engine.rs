@@ -346,11 +346,12 @@ impl<'a> Lane<'a> {
 /// poisons its lane-mates); the loop stops once every lane is dead.
 ///
 /// Each cycle makes two passes over the lanes, split at the pump: the
-/// first runs every lane up to its delivery, the second observes the
-/// delivery and records. Per lane that is the order of the cycle; across
-/// a block it keeps each half's code hot for all lanes, which measured
-/// about 5% faster at `L = 8` than one pass per lane (2-core x86-64,
-/// Glucosym cohort).
+/// first runs every lane up to its delivery and pushes its step record,
+/// the second observes the delivery and completes that record's `iob`
+/// in place before the observer sees it. Per lane that is the order of
+/// the cycle; across a block it keeps each half's code hot for all
+/// lanes, which measured about 5% faster at `L = 8` than one pass per
+/// lane (2-core x86-64, Glucosym cohort).
 pub(crate) fn run_lanes<const L: usize>(
     physics: &mut dyn BatchedPatientSim<L>,
     lanes: &mut [Lane<'_>],
@@ -365,10 +366,8 @@ pub(crate) fn run_lanes<const L: usize>(
     );
     for s in steps {
         let step = Step(s);
-        // What each lane's pump delivers this cycle (the physics
-        // input), and its step record up to the delivery observation.
+        // What each lane's pump delivers this cycle (the physics input).
         let mut rates = [UnitsPerHour(0.0); L];
-        let mut staged: [Option<StepRecord>; L] = [None; L];
         for (l, lane) in lanes.iter_mut().enumerate() {
             if lane.dead.is_some() {
                 continue;
@@ -461,7 +460,7 @@ pub(crate) fn run_lanes<const L: usize>(
 
             let delivered = lane.state.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
             rates[l] = delivered;
-            staged[l] = Some(StepRecord {
+            lane.state.trace.push(StepRecord {
                 step,
                 bg: reading,
                 bg_true: true_bg,
@@ -478,8 +477,13 @@ pub(crate) fn run_lanes<const L: usize>(
             });
         }
 
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            let Some(mut rec) = staged[l] else { continue };
+        for lane in lanes.iter_mut() {
+            if lane.dead.is_some() {
+                continue;
+            }
+            let Some(rec) = lane.state.trace.records.last_mut() else {
+                continue;
+            };
             lane.controller.observe_delivery(rec.delivered);
             for monitor in lane.monitors.iter_mut() {
                 monitor.observe_delivery(rec.delivered);
@@ -488,9 +492,8 @@ pub(crate) fn run_lanes<const L: usize>(
                 cm.observe_delivery(rec.delivered);
             }
             rec.iob = lane.controller.iob();
-            lane.state.trace.push(rec);
             if let Some(obs) = lane.observer.as_mut() {
-                obs(&rec);
+                obs(rec);
             }
             lane.state.prev_commanded = rec.commanded;
         }

@@ -211,6 +211,13 @@
 //! (`glucose.physics_ns`), job set-up, cycle coverage and executor
 //! efficiency (`sim.*`).
 //!
+//! `repro overhead` reproduces the paper's §V-E6 per-cycle monitor
+//! overheads: it times each of the seven monitors (CAWT, its STL
+//! form, Guideline, MPC, DT, MLP 256-128, LSTM 128-64) per control
+//! cycle beside the paper's figures, and the change detectors, CGM
+//! guard and context mitigator per call. It takes no flags and only
+//! prints, so its timings stay out of `results/`.
+//!
 //! # Failure semantics
 //!
 //! Campaigns are expected to survive their own failures — the same
@@ -386,8 +393,8 @@
 //!   windows off the `bg`/`commanded` columns into a
 //!   [`ml::data::TraceDataset`] (bit-identical to the JSONL path), and
 //!   `repro convert` moves corpora between formats with a measured
-//!   `--verify` round trip (size ratio, read speedup, bit-identity →
-//!   `results/convert_verify.json`).
+//!   `--verify` round trip (size ratio, read speedup, record-view and
+//!   column-copy rates, bit-identity → `results/convert_verify.json`).
 //! * **Versioned both ways** — a file from a *newer* format is
 //!   rejected with the typed [`tracestore::StoreError::Version`];
 //!   side tables are

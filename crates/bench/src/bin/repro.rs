@@ -32,8 +32,8 @@
 //!   convert               JSONL <-> binary trace store (--to-store /
 //!                         --to-jsonl / --verify / --gen-quick)
 //!   overhead              §V-E6 per-cycle monitor overhead + per-call cost
-//!                         of the detectors, CGM guard and mitigator
-//!                         (printed only; takes no flags)
+//!                         of the context mitigator (printed only; takes
+//!                         no flags)
 //!   lint                  aps-lint static analysis vs the committed baseline
 //!   serve                 campaign-service daemon on a Unix socket
 //!   submit/status/fetch/cancel/shutdown
@@ -376,9 +376,8 @@ perf:
   overhead                   §V-E6 per-cycle overhead of the seven
                              monitors (CAWT, STL-CAW, Guideline, MPC, DT,
                              MLP, LSTM) beside the paper's figures, and
-                             the per-call cost of the SPRT/CUSUM/EWMA
-                             detectors, CgmGuard and ContextMitigator;
-                             best of 20 batches, printed only (no flags)
+                             the per-call cost of ContextMitigator; best
+                             of 20 batches, printed only (no flags)
 
 trace storage:
   convert <input>            move a trace corpus between formats; the

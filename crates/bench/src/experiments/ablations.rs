@@ -90,7 +90,7 @@ pub fn adversarial(opts: &ExpOpts) {
     let test = select(&traces, &test_idx);
 
     // Adversarial: the standard CAWT pipeline.
-    let zoo = Zoo::train(platform, opts, &train);
+    let zoo = Zoo::train(platform, opts, &train, &[MonitorKind::Cawt]);
     let adversarial = replay_campaign(&test, |t| zoo.make(MonitorKind::Cawt, &t.meta.patient));
 
     // Fault-free: thresholds pushed to the normal-behaviour boundary.
@@ -153,17 +153,19 @@ pub fn multiclass(opts: &ExpOpts) {
     let (train_idx, test_idx) = fold_indices(traces.len(), opts.folds).remove(0);
     let train = select(&traces, &train_idx);
     let test = select(&traces, &test_idx);
-    let zoo = Zoo::train_full(platform, opts, &train);
-
-    let mut table = Table::new(&["monitor", "classes", "FPR", "FNR", "ACC", "F1"]);
-    let mut results = Vec::new();
-    for (kind, label, classes) in [
+    let rows = [
         (MonitorKind::Dt, "DT", "2"),
         (MonitorKind::DtMulti, "DT", "3"),
         (MonitorKind::Mlp, "MLP", "2"),
         (MonitorKind::MlpMulti, "MLP", "3"),
         (MonitorKind::Cawt, "CAWT", "n/a (from SCS)"),
-    ] {
+    ];
+    let kinds = rows.map(|(kind, _, _)| kind);
+    let zoo = Zoo::train(platform, opts, &train, &kinds);
+
+    let mut table = Table::new(&["monitor", "classes", "FPR", "FNR", "ACC", "F1"]);
+    let mut results = Vec::new();
+    for (kind, label, classes) in rows {
         let ts = replay_campaign(&test, |t| zoo.make(kind, &t.meta.patient));
         let c = sample_counts(&ts);
         table.row(&[
@@ -198,7 +200,13 @@ pub fn fault_free_eval(opts: &ExpOpts) {
     println!("§VI ablation — monitors on fault-free data (overfitting check)\n");
     let platform = Platform::GlucosymOref0;
     let traces = run_campaign(&opts.campaign(platform), None);
-    let zoo = Zoo::train_full(platform, opts, &traces);
+    let kinds = [
+        MonitorKind::Cawt,
+        MonitorKind::Dt,
+        MonitorKind::Mlp,
+        MonitorKind::Lstm,
+    ];
+    let zoo = Zoo::train(platform, opts, &traces, &kinds);
 
     // A fresh fault-free set (different initial BGs than training used).
     let mut ff_spec = opts.campaign(platform);
@@ -211,12 +219,7 @@ pub fn fault_free_eval(opts: &ExpOpts) {
 
     let mut table = Table::new(&["monitor", "FPR", "false-alarm sims"]);
     let mut results = Vec::new();
-    for kind in [
-        MonitorKind::Cawt,
-        MonitorKind::Dt,
-        MonitorKind::Mlp,
-        MonitorKind::Lstm,
-    ] {
+    for kind in kinds {
         let ts = replay_campaign(&fault_free, |t| zoo.make(kind, &t.meta.patient));
         let c = sample_counts(&ts);
         let alarmed = ts.iter().filter(|t| t.first_alert().is_some()).count();
@@ -263,7 +266,7 @@ pub fn sensor_noise(opts: &ExpOpts) {
 
     eprintln!("  clean-sensor training campaign ...");
     let clean = run_campaign(&clean_spec, None);
-    let zoo = Zoo::train(platform, opts, &clean);
+    let zoo = Zoo::train(platform, opts, &clean, &[MonitorKind::Cawt]);
 
     let conditions: Vec<(&str, CgmConfig)> = vec![
         ("clean (paper assumption)", CgmConfig::default()),

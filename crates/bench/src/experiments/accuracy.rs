@@ -13,23 +13,22 @@ use aps_types::SimTrace;
 use serde_json::json;
 use std::collections::HashMap;
 
-/// Cross-validated replay: trains the zoo per fold (with or without
-/// ML artifacts) and replays each monitor kind over that fold's test
-/// traces. Returns, per kind, the full campaign with alerts attached
-/// (each trace evaluated exactly once, by a model that never saw it).
+/// Cross-validated replay: trains a zoo for `kinds` per fold and
+/// replays each monitor kind over that fold's test traces. Returns, per
+/// kind, the full campaign with alerts attached (each trace evaluated
+/// exactly once, by a model that never saw it).
 pub fn cv_replay(
     platform: Platform,
     opts: &ExpOpts,
     traces: &[SimTrace],
     kinds: &[MonitorKind],
-    with_ml: bool,
 ) -> HashMap<MonitorKind, Vec<SimTrace>> {
     let mut out: HashMap<MonitorKind, Vec<SimTrace>> =
         kinds.iter().map(|&k| (k, Vec::new())).collect();
     let needs_training = kinds.iter().any(|k| k.needs_training());
     if !needs_training {
         // No trained artifacts: single pass, no folds needed.
-        let zoo = Zoo::train(platform, opts, &[]);
+        let zoo = Zoo::train(platform, opts, &[], kinds);
         for &kind in kinds {
             out.entry(kind)
                 .or_default()
@@ -50,11 +49,7 @@ pub fn cv_replay(
         );
         let train = select(traces, &train_idx);
         let test = select(traces, &test_idx);
-        let zoo = if with_ml {
-            Zoo::train_full(platform, opts, &train)
-        } else {
-            Zoo::train(platform, opts, &train)
-        };
+        let zoo = Zoo::train(platform, opts, &train, kinds);
         for &kind in kinds {
             out.entry(kind)
                 .or_default()
@@ -103,8 +98,8 @@ pub fn table5(opts: &ExpOpts) {
             MonitorKind::Cawt,
         ];
         // Untrained monitors in one pass; CAWT cross-validated.
-        let untrained = cv_replay(platform, opts, &traces, &kinds[..3], false);
-        let trained = cv_replay(platform, opts, &traces, &kinds[3..], false);
+        let untrained = cv_replay(platform, opts, &traces, &kinds[..3]);
+        let trained = cv_replay(platform, opts, &traces, &kinds[3..]);
 
         let mut table = Table::new(&[
             "monitor", "FPR", "FNR", "ACC", "F1", "| paper:", "FPR", "FNR", "ACC", "F1",
@@ -175,7 +170,7 @@ pub fn table6(opts: &ExpOpts) {
     for platform in Platform::ALL {
         println!("== {} ==", platform.name());
         let traces = run_campaign(&opts.campaign(platform), None);
-        let replayed = cv_replay(platform, opts, &traces, &kinds, true);
+        let replayed = cv_replay(platform, opts, &traces, &kinds);
 
         let mut table = Table::new(&[
             "monitor",
@@ -242,7 +237,7 @@ pub fn fig9(opts: &ExpOpts) {
         MonitorKind::Mlp,
         MonitorKind::Lstm,
     ];
-    let replayed = cv_replay(platform, opts, &traces, &kinds, true);
+    let replayed = cv_replay(platform, opts, &traces, &kinds);
 
     let mut table = Table::new(&["monitor", "mean", "sd", "n", "EDR", "paper mean"]);
     let paper_mean: HashMap<MonitorKind, f64> = [

@@ -33,7 +33,12 @@ pub fn hms_mitigation(opts: &ExpOpts) {
 
     eprintln!("  baseline campaign ...");
     let baseline = run_campaign(&spec, None);
-    let zoo = Zoo::train(platform, opts, &baseline);
+    let zoo = Zoo::train(
+        platform,
+        opts,
+        &baseline,
+        &[MonitorKind::Cawt, MonitorKind::CawtPopulation],
+    );
 
     // Deadline learning from the campaign's TTH distribution.
     let scs = zoo.population_scs().clone();

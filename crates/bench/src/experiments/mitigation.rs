@@ -23,14 +23,13 @@ pub fn table7(opts: &ExpOpts) {
     // Baseline: no monitor (also the training data for CAWT/ML).
     eprintln!("  baseline campaign ...");
     let baseline = run_campaign(&spec, None);
-    let zoo = Zoo::train_full(platform, opts, &baseline);
-
     let kinds = [
         MonitorKind::Cawt,
         MonitorKind::Dt,
         MonitorKind::Mlp,
         MonitorKind::Mpc,
     ];
+    let zoo = Zoo::train(platform, opts, &baseline, &kinds);
     let paper: &[(MonitorKind, f64, u64, f64)] = &[
         (MonitorKind::Cawt, 0.54, 8, 0.02),
         (MonitorKind::Dt, 0.403, 227, 0.76),

@@ -1,14 +1,14 @@
 //! §V-E6 — per-cycle time overhead of each safety monitor, and the
-//! per-sample cost of the extension layers on the same control cycle.
+//! per-call cost of the context-dependent mitigator on the same
+//! control cycle.
 //!
 //! The paper reports average per-cycle overheads of 252.7 µs (CAWT),
 //! 664.1 µs (Guideline), 123.9 ms (MPC), 1.3 ms (DT), 30.7 ms (MLP) and
 //! 32.6 ms (LSTM) on its Python/TensorFlow stack. The *ordering* — rule
 //! checks ≪ tree ≪ model-predictive rollout ≈ neural inference — is the
 //! reproduction target; absolute numbers are native-Rust fast. The
-//! sensor-stream change detectors and the context-dependent mitigator
-//! sit on the same 5-minute cycle, so their target is the same:
-//! negligible against the cycle budget.
+//! context-dependent mitigator sits on the same 5-minute cycle, so its
+//! target is the same: negligible against the cycle budget.
 //!
 //! Every row is the minimum over [`SAMPLES`] timed batches. The report
 //! is printed only: timings are not deterministic, so they stay out of
@@ -22,9 +22,6 @@ use aps_core::monitors::{
     StlCawMonitor,
 };
 use aps_core::scs::Scs;
-use aps_detect::{
-    CgmGuard, ChangeDetector, Cusum, CusumConfig, Ewma, EwmaConfig, GuardConfig, Sprt, SprtConfig,
-};
 use aps_ml::data::{Dataset, StandardScaler};
 use aps_ml::lstm::{Lstm, LstmConfig, SeqDataset};
 use aps_ml::mlp::{Mlp, MlpConfig};
@@ -48,15 +45,6 @@ pub struct OverheadRow {
     pub ns: f64,
     /// The paper's §V-E6 per-cycle figure, where it reports one.
     pub paper: Option<&'static str>,
-}
-
-/// A row the paper has no figure for.
-fn layer(name: &'static str, ns: f64) -> OverheadRow {
-    OverheadRow {
-        name,
-        ns,
-        paper: None,
-    }
 }
 
 /// Best of `samples` timed batches, in nanoseconds per call of `f`.
@@ -187,36 +175,9 @@ pub fn monitor_rows(samples: usize) -> Vec<OverheadRow> {
     ]
 }
 
-fn detector_ns(samples: usize, mut detector: impl ChangeDetector, stream: &[f64]) -> f64 {
-    let mut i = 0;
-    min_ns_per_call(samples, || {
-        let v = stream[i % stream.len()];
-        i += 1;
-        black_box(detector.update(black_box(v)));
-    })
-}
-
-/// The extension layers on the same cycle: the three change detectors,
-/// the CGM guard and the context-dependent mitigator, each per call.
+/// The extension layer on the same cycle: the context-dependent
+/// mitigator, per call.
 pub fn layer_rows(samples: usize) -> Vec<OverheadRow> {
-    // A residual stream that never alarms, so steady-state cost is
-    // measured rather than the post-trip early return.
-    let stream: Vec<f64> = (0..256)
-        .map(|i| if i % 2 == 0 { 0.3 } else { -0.3 })
-        .collect();
-    let sprt = detector_ns(samples, Sprt::new(SprtConfig::default()), &stream);
-    let cusum = detector_ns(samples, Cusum::new(CusumConfig::default()), &stream);
-    let ewma = detector_ns(samples, Ewma::new(EwmaConfig::default()), &stream);
-
-    let mut guard = CgmGuard::new(Cusum::new(CusumConfig::default()), GuardConfig::default());
-    let mut i = 0u32;
-    let guard_ns = min_ns_per_call(samples, || {
-        // A gentle sinusoid: realistic, never alarming.
-        let bg = 140.0 + 30.0 * (f64::from(i) / 24.0).sin();
-        i = i.wrapping_add(1);
-        black_box(guard.observe(black_box(MgDl(bg.round()))));
-    });
-
     let mitigator = ContextMitigator::new(ContextMitigatorConfig::for_run(
         MgDl(110.0),
         UnitsPerHour(1.0),
@@ -236,13 +197,11 @@ pub fn layer_rows(samples: usize) -> Vec<OverheadRow> {
         ));
     });
 
-    vec![
-        layer("SPRT update", sprt),
-        layer("CUSUM update", cusum),
-        layer("EWMA update", ewma),
-        layer("CgmGuard::observe", guard_ns),
-        layer("ContextMitigator::mitigate", mitigate_ns),
-    ]
+    vec![OverheadRow {
+        name: "ContextMitigator::mitigate",
+        ns: mitigate_ns,
+        paper: None,
+    }]
 }
 
 /// A duration in the unit that keeps it readable.
@@ -283,7 +242,7 @@ pub fn overhead() {
         "the paper's ordering: rule checks << tree << MPC rollout ~ neural \
          inference; absolute times here are native Rust, not Python/TF.\n"
     );
-    println!("Extension layers on the same cycle (best of {SAMPLES} batches)\n");
+    println!("Extension layer on the same cycle (best of {SAMPLES} batches)\n");
     println!(
         "{}",
         render(&layer_rows(SAMPLES), &["layer", "per call", "paper"])
@@ -295,7 +254,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_builds_all_twelve_rows() {
+    fn report_builds_all_eight_rows() {
         let rows: Vec<OverheadRow> = monitor_rows(1).into_iter().chain(layer_rows(1)).collect();
         let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
         assert_eq!(
@@ -308,10 +267,6 @@ mod tests {
                 "DT",
                 "MLP 256-128",
                 "LSTM 128-64",
-                "SPRT update",
-                "CUSUM update",
-                "EWMA update",
-                "CgmGuard::observe",
                 "ContextMitigator::mitigate",
             ]
         );

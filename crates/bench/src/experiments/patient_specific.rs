@@ -50,10 +50,10 @@ pub fn table8(opts: &ExpOpts) {
         // (70/30 split within the patient).
         let split = (own.len() * 7) / 10;
         let (own_train, own_test) = own.split_at(split.max(1).min(own.len() - 1));
-        let zoo_specific = Zoo::train(platform, opts, own_train);
+        let zoo_specific = Zoo::train(platform, opts, own_train, &[MonitorKind::Cawt]);
         // Population: learned on every *other* patient, tested on the
         // same held-out traces.
-        let zoo_population = Zoo::train(platform, opts, &others);
+        let zoo_population = Zoo::train(platform, opts, &others, &[MonitorKind::CawtPopulation]);
 
         for (label, zoo, kind) in [
             ("patient-specific", &zoo_specific, MonitorKind::Cawt),

@@ -86,7 +86,7 @@ pub fn zoo(opts: &ExpOpts) {
     // otherwise — no second physics pass).
     let train = run_campaign(&spec, None);
     let forecast = crate::experiments::train::load_or_train(opts, &train);
-    let zoo = Zoo::train(platform, opts, &train).with_forecast(forecast);
+    let zoo = Zoo::train(platform, opts, &train, &KINDS).with_forecast(forecast);
 
     let jobs = campaign_jobs(&spec);
     let physics_steps = Arc::new(AtomicUsize::new(0));

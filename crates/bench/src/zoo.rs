@@ -1,5 +1,5 @@
 //! The monitor zoo: construction and training of every monitor the
-//! paper compares.
+//! paper compares. A zoo trains only the monitors it is asked for.
 
 use crate::opts::ExpOpts;
 use aps_core::learning::{learn_thresholds, traces_for_patient, LearnConfig};
@@ -78,28 +78,54 @@ impl MonitorKind {
     }
 }
 
+/// The kinds that train an ML model.
+const ML_KINDS: [MonitorKind; 5] = [
+    MonitorKind::Dt,
+    MonitorKind::Mlp,
+    MonitorKind::Lstm,
+    MonitorKind::DtMulti,
+    MonitorKind::MlpMulti,
+];
+
 /// The LSTM monitor's sliding-window length (30 minutes).
 pub const LSTM_WINDOW: usize = 6;
 
-/// Trained artifacts for one platform, built from one training set.
+/// Trained artifacts for one platform, built from one training set:
+/// exactly those the kinds passed to [`Zoo::train`] need.
 pub struct Zoo {
     platform: Platform,
     basal_by_patient: HashMap<String, UnitsPerHour>,
     cawot: Scs,
-    cawt_by_patient: HashMap<String, Scs>,
-    cawt_population: Scs,
-    ml: Option<MlArtifacts>,
+    cawt: Option<LearnedScs>,
+    /// Fitted on the binary flat dataset; shared by every ML monitor.
+    scaler: Option<StandardScaler>,
+    dt: Option<DecisionTree>,
+    dt_multi: Option<DecisionTree>,
+    mlp: Option<Mlp>,
+    mlp_multi: Option<Mlp>,
+    lstm: Option<Lstm>,
     forecast: Option<ForecastModel>,
 }
 
-/// Trained ML baselines (scaler + models), built on demand.
-pub struct MlArtifacts {
-    scaler: StandardScaler,
-    dt: DecisionTree,
-    dt_multi: DecisionTree,
-    mlp: Mlp,
-    mlp_multi: Mlp,
-    lstm: Lstm,
+/// Learned thresholds: patient-specific (CAWT) and population
+/// (CAWT-pop), always learned together.
+struct LearnedScs {
+    by_patient: HashMap<String, Scs>,
+    population: Scs,
+}
+
+/// The artifact trained for `kind`.
+///
+/// # Panics
+///
+/// Names `kind` when the zoo was not trained for it.
+fn trained<T>(artifact: &Option<T>, kind: MonitorKind) -> &T {
+    artifact.as_ref().unwrap_or_else(|| {
+        panic!(
+            "zoo was not trained for {} (pass it in Zoo::train's kinds)",
+            kind.name()
+        )
+    })
 }
 
 /// Deterministically caps a flat dataset at `cap` samples (stride
@@ -186,22 +212,24 @@ fn seq_dataset_across_patients(
 }
 
 impl Zoo {
-    /// Trains only the threshold-learning artifacts (CAWT); cheap.
-    pub fn train(platform: Platform, opts: &ExpOpts, train_traces: &[SimTrace]) -> Zoo {
-        Zoo::train_inner(platform, opts, train_traces, false)
-    }
-
-    /// Trains thresholds *and* the ML baselines (DT/MLP/LSTM).
-    pub fn train_full(platform: Platform, opts: &ExpOpts, train_traces: &[SimTrace]) -> Zoo {
-        Zoo::train_inner(platform, opts, train_traces, true)
-    }
-
-    fn train_inner(
+    /// Trains what `kinds` needs from `train_traces`, and nothing
+    /// else:
+    /// - the patient-specific and population SCSs when [`MonitorKind::Cawt`]
+    ///   or [`MonitorKind::CawtPopulation`] is requested;
+    /// - the feature scaler when any ML kind is requested;
+    /// - each of DT, DT-3c, MLP, MLP-3c and LSTM when its own kind is
+    ///   requested.
+    ///
+    /// Every fit is seeded from its own config and the scaler always
+    /// comes from the binary flat dataset, so a model is the same
+    /// whatever else the zoo trains.
+    pub fn train(
         platform: Platform,
         opts: &ExpOpts,
         train_traces: &[SimTrace],
-        with_ml: bool,
+        kinds: &[MonitorKind],
     ) -> Zoo {
+        let wants = |kind: MonitorKind| kinds.contains(&kind);
         let basal_by_patient: HashMap<String, UnitsPerHour> = platform
             .patients()
             .iter()
@@ -210,79 +238,87 @@ impl Zoo {
         let cawot = Scs::with_default_thresholds(platform.target());
 
         // Threshold learning: patient-specific and population.
-        let learn_cfg = LearnConfig::default();
-        let mut cawt_by_patient = HashMap::new();
-        for (patient, basal) in &basal_by_patient {
-            let subset = traces_for_patient(train_traces, patient);
-            let (scs, _fits) = learn_thresholds(&cawot, &subset, *basal, &learn_cfg);
-            cawt_by_patient.insert(patient.clone(), scs);
+        let cawt = (wants(MonitorKind::Cawt) || wants(MonitorKind::CawtPopulation)).then(|| {
+            let learn_cfg = LearnConfig::default();
+            let mut by_patient = HashMap::new();
+            for (patient, basal) in &basal_by_patient {
+                let subset = traces_for_patient(train_traces, patient);
+                let (scs, _fits) = learn_thresholds(&cawot, &subset, *basal, &learn_cfg);
+                by_patient.insert(patient.clone(), scs);
+            }
+            let mean_basal = UnitsPerHour(
+                basal_by_patient.values().map(|b| b.value()).sum::<f64>()
+                    / basal_by_patient.len().max(1) as f64,
+            );
+            let (population, _) = learn_thresholds(&cawot, train_traces, mean_basal, &learn_cfg);
+            LearnedScs {
+                by_patient,
+                population,
+            }
+        });
+
+        let mut zoo = Zoo {
+            platform,
+            basal_by_patient,
+            cawot,
+            cawt,
+            scaler: None,
+            dt: None,
+            dt_multi: None,
+            mlp: None,
+            mlp_multi: None,
+            lstm: None,
+            forecast: None,
+        };
+        if !ML_KINDS.into_iter().any(wants) {
+            return zoo;
         }
-        let mean_basal = UnitsPerHour(
-            basal_by_patient.values().map(|b| b.value()).sum::<f64>()
-                / basal_by_patient.len().max(1) as f64,
-        );
-        let (cawt_population, _) = learn_thresholds(&cawot, train_traces, mean_basal, &learn_cfg);
 
-        let ml = with_ml.then(|| {
-            // ML datasets (balanced, capped, standardized).
-            let flat = dataset_across_patients(train_traces, &basal_by_patient, LabelMode::Binary);
-            let flat = cap_dataset(balance(&flat, 3), opts.train_cap);
-            let scaler = StandardScaler::fit(&flat);
+        // ML datasets (balanced, capped, standardized).
+        let basal_by_patient = &zoo.basal_by_patient;
+        let flat = dataset_across_patients(train_traces, basal_by_patient, LabelMode::Binary);
+        let flat = cap_dataset(balance(&flat, 3), opts.train_cap);
+        let scaler = StandardScaler::fit(&flat);
+        let tree_cfg = TreeConfig::default();
+        let mlp_cfg = MlpConfig {
+            hidden: opts.mlp_hidden.clone(),
+            max_epochs: opts.max_epochs,
+            ..MlpConfig::default()
+        };
+        if wants(MonitorKind::Dt) || wants(MonitorKind::Mlp) {
             let flat_scaled = scaler.transform_dataset(&flat);
-
+            zoo.dt = wants(MonitorKind::Dt).then(|| DecisionTree::fit(&flat_scaled, &tree_cfg));
+            zoo.mlp = wants(MonitorKind::Mlp).then(|| Mlp::fit(&flat_scaled, &mlp_cfg));
+        }
+        if wants(MonitorKind::DtMulti) || wants(MonitorKind::MlpMulti) {
             let flat3 =
-                dataset_across_patients(train_traces, &basal_by_patient, LabelMode::MultiClass);
+                dataset_across_patients(train_traces, basal_by_patient, LabelMode::MultiClass);
             let flat3 = cap_dataset(balance(&flat3, 3), opts.train_cap);
             let flat3_scaled = scaler.transform_dataset(&flat3);
-
+            zoo.dt_multi =
+                wants(MonitorKind::DtMulti).then(|| DecisionTree::fit(&flat3_scaled, &tree_cfg));
+            zoo.mlp_multi = wants(MonitorKind::MlpMulti).then(|| Mlp::fit(&flat3_scaled, &mlp_cfg));
+        }
+        if wants(MonitorKind::Lstm) {
             let seq =
-                seq_dataset_across_patients(train_traces, &basal_by_patient, LabelMode::Binary);
+                seq_dataset_across_patients(train_traces, basal_by_patient, LabelMode::Binary);
             let seq = cap_seq(seq, opts.seq_train_cap);
             let seq_scaled = SeqDataset::new(
                 seq.x
                     .iter()
                     .map(|s| s.iter().map(|f| scaler.transform(f)).collect())
                     .collect(),
-                seq.y.clone(),
+                seq.y,
             );
-
-            let tree_cfg = TreeConfig::default();
-            let dt = DecisionTree::fit(&flat_scaled, &tree_cfg);
-            let dt_multi = DecisionTree::fit(&flat3_scaled, &tree_cfg);
-
-            let mlp_cfg = MlpConfig {
-                hidden: opts.mlp_hidden.clone(),
-                max_epochs: opts.max_epochs,
-                ..MlpConfig::default()
-            };
-            let mlp = Mlp::fit(&flat_scaled, &mlp_cfg);
-            let mlp_multi = Mlp::fit(&flat3_scaled, &mlp_cfg);
-
             let lstm_cfg = LstmConfig {
                 hidden: opts.lstm_hidden.clone(),
                 max_epochs: opts.max_epochs.min(30),
                 ..LstmConfig::default()
             };
-            let lstm = Lstm::fit(&seq_scaled, &lstm_cfg);
-            MlArtifacts {
-                scaler,
-                dt,
-                dt_multi,
-                mlp,
-                mlp_multi,
-                lstm,
-            }
-        });
-
-        Zoo {
-            platform,
-            basal_by_patient,
-            cawot,
-            cawt_by_patient,
-            cawt_population,
-            ml,
-            forecast: None,
+            zoo.lstm = Some(Lstm::fit(&seq_scaled, &lstm_cfg));
         }
+        zoo.scaler = Some(scaler);
+        zoo
     }
 
     /// Attaches a trained forecast bundle (the `repro train` artifact),
@@ -298,15 +334,25 @@ impl Zoo {
     }
 
     /// The learned patient-specific SCS for one patient.
+    ///
+    /// # Panics
+    ///
+    /// When the zoo was not trained for [`MonitorKind::Cawt`].
     pub fn cawt_scs(&self, patient: &str) -> &Scs {
-        self.cawt_by_patient
+        let learned = trained(&self.cawt, MonitorKind::Cawt);
+        learned
+            .by_patient
             .get(patient)
-            .unwrap_or(&self.cawt_population)
+            .unwrap_or(&learned.population)
     }
 
     /// The learned population SCS.
+    ///
+    /// # Panics
+    ///
+    /// When the zoo was not trained for [`MonitorKind::CawtPopulation`].
     pub fn population_scs(&self) -> &Scs {
-        &self.cawt_population
+        &trained(&self.cawt, MonitorKind::CawtPopulation).population
     }
 
     /// Basal rate for a patient (monitor context reference).
@@ -325,7 +371,7 @@ impl Zoo {
     ///
     /// # Panics
     ///
-    /// As [`Zoo::make`], for ML kinds on a thresholds-only zoo.
+    /// As [`Zoo::make`].
     pub fn bank(&self, kinds: &[MonitorKind], patient: &str) -> MonitorBank {
         kinds.iter().map(|&k| self.make(k, patient)).collect()
     }
@@ -334,18 +380,13 @@ impl Zoo {
     ///
     /// # Panics
     ///
-    /// Panics when an ML monitor is requested from a zoo trained with
-    /// [`Zoo::train`] (thresholds only) instead of
-    /// [`Zoo::train_full`], or [`MonitorKind::Forecast`] without a
-    /// [`Zoo::with_forecast`] model.
+    /// Panics, naming `kind`, when the zoo was not trained for it, and
+    /// for [`MonitorKind::Forecast`] without a [`Zoo::with_forecast`]
+    /// model.
     pub fn make(&self, kind: MonitorKind, patient: &str) -> Box<dyn HazardMonitor> {
         let basal = self.basal(patient);
         let target = self.platform.target();
-        let ml = || {
-            self.ml
-                .as_ref()
-                .expect("zoo was trained without ML artifacts")
-        };
+        let scaler = || trained(&self.scaler, kind).clone();
         match kind {
             MonitorKind::Guideline => Box::new(GuidelineMonitor::new(GuidelineConfig::default())),
             MonitorKind::Mpc => Box::new(MpcMonitor::population()),
@@ -357,34 +398,34 @@ impl Zoo {
             )),
             MonitorKind::CawtPopulation => Box::new(CawMonitor::new(
                 "cawt-pop",
-                self.cawt_population.clone(),
+                self.population_scs().clone(),
                 basal,
             )),
             MonitorKind::Dt => Box::new(MlMonitor::binary(
                 "dt",
-                Box::new(ml().dt.clone()),
-                ml().scaler.clone(),
+                Box::new(trained(&self.dt, kind).clone()),
+                scaler(),
                 basal,
                 target,
             )),
             MonitorKind::DtMulti => Box::new(MlMonitor::multiclass(
                 "dt-3c",
-                Box::new(ml().dt_multi.clone()),
-                ml().scaler.clone(),
+                Box::new(trained(&self.dt_multi, kind).clone()),
+                scaler(),
                 basal,
                 target,
             )),
             MonitorKind::Mlp => Box::new(MlMonitor::binary(
                 "mlp",
-                Box::new(ml().mlp.clone()),
-                ml().scaler.clone(),
+                Box::new(trained(&self.mlp, kind).clone()),
+                scaler(),
                 basal,
                 target,
             )),
             MonitorKind::MlpMulti => Box::new(MlMonitor::multiclass(
                 "mlp-3c",
-                Box::new(ml().mlp_multi.clone()),
-                ml().scaler.clone(),
+                Box::new(trained(&self.mlp_multi, kind).clone()),
+                scaler(),
                 basal,
                 target,
             )),
@@ -397,8 +438,8 @@ impl Zoo {
             )),
             MonitorKind::Lstm => Box::new(LstmMonitor::binary(
                 "lstm",
-                Box::new(ml().lstm.clone()),
-                ml().scaler.clone(),
+                Box::new(trained(&self.lstm, kind).clone()),
+                scaler(),
                 basal,
                 target,
                 LSTM_WINDOW,
@@ -411,18 +452,22 @@ impl Zoo {
 mod tests {
     use super::*;
     use aps_sim::campaign::{run_campaign, CampaignSpec};
+    use aps_sim::replay::replay_campaign;
 
-    #[test]
-    fn zoo_trains_and_builds_every_monitor() {
-        let platform = Platform::GlucosymOref0;
+    /// A one-patient quick corpus.
+    fn corpus(platform: Platform) -> Vec<SimTrace> {
         let spec = CampaignSpec {
             patient_indices: vec![0],
             initial_bgs: vec![140.0],
             ..CampaignSpec::quick(platform)
         };
-        let traces = run_campaign(&spec, None);
-        let opts = ExpOpts::quick();
-        let zoo = Zoo::train_full(platform, &opts, &traces);
+        run_campaign(&spec, None)
+    }
+
+    #[test]
+    fn zoo_trains_and_builds_every_monitor() {
+        let platform = Platform::GlucosymOref0;
+        let traces = corpus(platform);
         let kinds = [
             MonitorKind::Guideline,
             MonitorKind::Mpc,
@@ -436,6 +481,7 @@ mod tests {
             MonitorKind::MlpMulti,
             MonitorKind::RiskIndex,
         ];
+        let zoo = Zoo::train(platform, &ExpOpts::quick(), &traces, &kinds);
         for kind in kinds {
             let mut m = zoo.make(kind, "glucosym/patientA");
             // A monitor must at least survive a few checks.
@@ -445,17 +491,43 @@ mod tests {
     }
 
     #[test]
+    fn zoo_trained_for_some_kinds_replays_like_one_trained_for_all() {
+        let platform = Platform::GlucosymOref0;
+        let traces = corpus(platform);
+        let opts = ExpOpts::quick();
+        let kinds = [MonitorKind::Dt, MonitorKind::Mlp];
+        let some = Zoo::train(platform, &opts, &traces, &kinds);
+        let all = Zoo::train(platform, &opts, &traces, &ML_KINDS);
+        for kind in kinds {
+            assert_eq!(
+                replay_campaign(&traces, |t| some.make(kind, &t.meta.patient)),
+                replay_campaign(&traces, |t| all.make(kind, &t.meta.patient)),
+                "{}",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not trained for LSTM")]
+    fn kind_the_zoo_was_not_trained_for_panics() {
+        let platform = Platform::GlucosymOref0;
+        let traces = corpus(platform);
+        let kinds = [MonitorKind::Dt, MonitorKind::Mlp];
+        let zoo = Zoo::train(platform, &ExpOpts::quick(), &traces, &kinds);
+        let _ = zoo.make(MonitorKind::Lstm, "glucosym/patientA");
+    }
+
+    #[test]
     fn zoo_builds_monitor_banks_in_order() {
         let platform = Platform::GlucosymOref0;
-        let zoo = Zoo::train(platform, &ExpOpts::quick(), &[]);
-        let bank = zoo.bank(
-            &[
-                MonitorKind::Guideline,
-                MonitorKind::Cawot,
-                MonitorKind::RiskIndex,
-            ],
-            "glucosym/patientA",
-        );
+        let kinds = [
+            MonitorKind::Guideline,
+            MonitorKind::Cawot,
+            MonitorKind::RiskIndex,
+        ];
+        let zoo = Zoo::train(platform, &ExpOpts::quick(), &[], &kinds);
+        let bank = zoo.bank(&kinds, "glucosym/patientA");
         assert_eq!(bank.len(), 3);
         assert_eq!(bank.names(), vec!["guideline", "cawot", "risk-index"]);
     }
@@ -475,7 +547,7 @@ mod tests {
             ..ExpOpts::quick()
         };
         let model = crate::experiments::train::train_model(&opts);
-        let zoo = Zoo::train(platform, &opts, &[]).with_forecast(model);
+        let zoo = Zoo::train(platform, &opts, &[], &[MonitorKind::Forecast]).with_forecast(model);
         let mut m = zoo.make(MonitorKind::Forecast, "glucosym/patientA");
         assert_eq!(m.name(), "forecast");
         let spec = CampaignSpec {
@@ -492,7 +564,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "no forecast model")]
     fn forecast_kind_without_model_panics() {
-        let zoo = Zoo::train(Platform::GlucosymOref0, &ExpOpts::quick(), &[]);
+        let zoo = Zoo::train(
+            Platform::GlucosymOref0,
+            &ExpOpts::quick(),
+            &[],
+            &[MonitorKind::Forecast],
+        );
         let _ = zoo.make(MonitorKind::Forecast, "glucosym/patientA");
     }
 

@@ -15,7 +15,7 @@
 //!
 //! Labeling is built on a streaming [`RiskTracker`] that maintains the
 //! trailing-window indices in O(1) per sample, so the same engine
-//! serves batch post-hoc labeling ([`label_series`], O(n)) and
+//! serves batch post-hoc labeling ([`label_trace`], O(n)) and
 //! run-time hazard awareness inside the closed loop (see
 //! `aps_core::monitors::RiskIndexMonitor`).
 //!
@@ -161,11 +161,10 @@ impl RiskSample {
 /// the HMS layer) and not only from post-hoc labeling.
 ///
 /// Feeding a whole series through [`push`](RiskTracker::push) produces
-/// exactly the per-window decisions of the batch
-/// [`label_series`] — which is itself implemented on top of this
-/// tracker, turning labeling from O(n·window) into O(n).
-/// [`label_tail`](RiskTracker::label_tail) labels trace records the
-/// same way and can resume: a copy of a tracker that labelled a
+/// exactly the per-window decisions of [`label_series_reference`], in
+/// O(n) instead of O(n·window).
+/// [`label_tail`](RiskTracker::label_tail) labels trace records that
+/// way and can resume: a copy of a tracker that labelled a
 /// trace's first records labels only the records after them.
 ///
 /// # Numerical faithfulness
@@ -333,9 +332,13 @@ impl RiskTracker {
     }
 
     /// Labels `records[self.len()..]` from their ground-truth BG, in
-    /// place, as [`label_series`] labels a series: a hazardous window
-    /// marks its readings, reaching back into records before
-    /// `self.len()` when the window starts there. The tail's old
+    /// place: when the trailing-window LBGI crosses its threshold while
+    /// still increasing, the **whole window** of readings is marked
+    /// `Some(H1)` (the paper "marked a window of BG readings as
+    /// hazardous"); likewise HBGI and `Some(H2)`. H1 wins overlaps
+    /// (hypoglycemia is the more acutely dangerous hazard). A window
+    /// reaches back into records before `self.len()` when it starts
+    /// there. The tail's old
     /// labels are overwritten; earlier records keep theirs and only
     /// gain marks.
     ///
@@ -384,43 +387,11 @@ impl RiskTracker {
     }
 }
 
-/// Labels a BG series: when the trailing-window LBGI crosses its
-/// threshold while still increasing, the **whole window** of readings
-/// is marked `Some(H1)` (the paper "marked a window of BG readings as
-/// hazardous"); likewise HBGI and `Some(H2)`. H1 wins overlaps
-/// (hypoglycemia is the more acutely dangerous hazard).
-///
-/// O(n) — one [`RiskTracker`] pass. [`label_series_reference`] is the
-/// original O(n·window) formulation, kept for equivalence testing.
-pub fn label_series(series: &[f64], config: &LabelConfig) -> Vec<Option<Hazard>> {
-    let mut labels: Vec<Option<Hazard>> = vec![None; series.len()];
-    let mut tracker = RiskTracker::new(config.clone());
-    for (t, &bg) in series.iter().enumerate() {
-        let sample = tracker.push(bg);
-        match sample.hazard {
-            Some(Hazard::H1) => {
-                for label in labels[sample.window_start..=t].iter_mut() {
-                    *label = Some(Hazard::H1);
-                }
-            }
-            Some(Hazard::H2) => {
-                for label in labels[sample.window_start..=t].iter_mut() {
-                    // Don't overwrite an H1 mark from an overlapping window.
-                    if *label != Some(Hazard::H1) {
-                        *label = Some(Hazard::H2);
-                    }
-                }
-            }
-            None => {}
-        }
-    }
-    labels
-}
-
 /// The original windowed labeler: recomputes the full LBGI/HBGI window
 /// sums at every step (O(n·window)). Semantically identical to
-/// [`label_series`]; retained as the reference implementation that the
-/// equivalence tests pin the streaming engine against.
+/// [`RiskTracker::label_tail`]; retained as the reference
+/// implementation that the equivalence tests pin the streaming engine
+/// against.
 pub fn label_series_reference(series: &[f64], config: &LabelConfig) -> Vec<Option<Hazard>> {
     let n = series.len();
     let mut labels: Vec<Option<Hazard>> = vec![None; n];
@@ -501,6 +472,23 @@ mod tests {
         assert_eq!(mean_risk_index(&[]), 0.0);
     }
 
+    /// Labels `series` as production does: one
+    /// [`RiskTracker::label_tail`] pass over records carrying it as
+    /// ground-truth BG.
+    fn labels_via_tail(series: &[f64], config: &LabelConfig) -> Vec<Option<Hazard>> {
+        let mut records: Vec<StepRecord> = series
+            .iter()
+            .enumerate()
+            .map(|(i, &bg)| {
+                let mut r = StepRecord::blank(Step(i as u32));
+                r.bg_true = MgDl(bg);
+                r
+            })
+            .collect();
+        RiskTracker::new(config.clone()).label_tail(&mut records);
+        records.iter().map(|r| r.hazard).collect()
+    }
+
     fn falling_series() -> Vec<f64> {
         // 120 down to 40 over 40 steps, then flat at 40.
         let mut s: Vec<f64> = (0..40).map(|i| 120.0 - 2.0 * i as f64).collect();
@@ -510,7 +498,7 @@ mod tests {
 
     #[test]
     fn labeler_flags_hypoglycemia_descent_as_h1() {
-        let labels = label_series(&falling_series(), &LabelConfig::default());
+        let labels = labels_via_tail(&falling_series(), &LabelConfig::default());
         let first = labels.iter().position(|l| l.is_some());
         assert!(first.is_some(), "no hazard found");
         assert_eq!(labels[first.unwrap()], Some(Hazard::H1));
@@ -519,7 +507,7 @@ mod tests {
     #[test]
     fn labeler_flags_hyperglycemia_ascent_as_h2() {
         let series: Vec<f64> = (0..60).map(|i| 140.0 + 4.0 * i as f64).collect();
-        let labels = label_series(&series, &LabelConfig::default());
+        let labels = labels_via_tail(&series, &LabelConfig::default());
         let kinds: Vec<Hazard> = labels.iter().flatten().copied().collect();
         assert!(!kinds.is_empty());
         assert!(kinds.iter().all(|&h| h == Hazard::H2));
@@ -529,7 +517,7 @@ mod tests {
     fn stable_high_risk_is_not_flagged_when_plateaued() {
         // Once the series plateaus at 40, the index stops rising and the
         // "kept increasing" condition clears the label.
-        let labels = label_series(&falling_series(), &LabelConfig::default());
+        let labels = labels_via_tail(&falling_series(), &LabelConfig::default());
         assert_eq!(labels[59], None, "plateau should not keep the label");
     }
 
@@ -538,7 +526,7 @@ mod tests {
         let series: Vec<f64> = (0..150)
             .map(|i| 110.0 + 15.0 * ((i as f64) * 0.1).sin())
             .collect();
-        let labels = label_series(&series, &LabelConfig::default());
+        let labels = labels_via_tail(&series, &LabelConfig::default());
         assert!(labels.iter().all(|l| l.is_none()));
     }
 
@@ -586,7 +574,7 @@ mod tests {
             };
             for series in &series_set {
                 assert_eq!(
-                    label_series(series, &config),
+                    labels_via_tail(series, &config),
                     label_series_reference(series, &config),
                     "window {window}, series len {}",
                     series.len()
@@ -670,7 +658,7 @@ mod tests {
         };
         let series = falling_series();
         assert_eq!(
-            label_series(&series, &config),
+            labels_via_tail(&series, &config),
             label_series_reference(&series, &config)
         );
     }

@@ -221,15 +221,9 @@ pub fn trace_digest(trace: &SimTrace) -> u64 {
     acc
 }
 
-/// Renders a `u64` as fixed-width lowercase hex (shim-safe storage).
-pub fn to_hex(x: u64) -> String {
-    format!("{x:016x}")
-}
-
-/// Parses [`to_hex`] output back to a `u64`.
-pub fn from_hex(s: &str) -> Option<u64> {
-    u64::from_str_radix(s, 16).ok()
-}
+/// Fixed-width lowercase hex for `u64`s (shim-safe storage), shared
+/// with the trace store.
+pub use aps_tracestore::{from_hex, to_hex};
 
 /// Completed-job set as packed 32-bit words (32-bit, not 64-bit,
 /// because the vendored serde shim stores numbers as `f64`, exact
@@ -540,21 +534,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bitmap_set_out_of_range_panics() {
         JobBitmap::new(4).set(4);
-    }
-
-    #[test]
-    fn hex_roundtrip_preserves_all_64_bits() {
-        for x in [
-            0u64,
-            1,
-            u64::MAX,
-            0xCBF2_9CE4_8422_2325,
-            1 << 53,
-            (1 << 53) + 1,
-        ] {
-            assert_eq!(from_hex(&to_hex(x)), Some(x));
-        }
-        assert_eq!(from_hex("zz"), None);
     }
 
     #[test]

@@ -213,8 +213,16 @@ mod tests {
 
     #[test]
     fn hex_helpers_are_exact_above_2_53() {
-        for v in [0u64, (1 << 53) + 1, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            u64::MAX,
+            0xCBF2_9CE4_8422_2325,
+            1 << 53,
+            (1 << 53) + 1,
+        ] {
             assert_eq!(from_hex(&to_hex(v)), Some(v));
         }
+        assert_eq!(from_hex("zz"), None);
     }
 }

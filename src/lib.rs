@@ -14,7 +14,6 @@
 //! | [`optim`] | L-BFGS-B and tightness losses (TMEE/TeLEx/MSE/MAE) |
 //! | [`ml`] | from-scratch DT / MLP / LSTM baselines |
 //! | [`fault`] | fault-injection engine |
-//! | [`detect`] | sensor-stream change detectors (SPRT, CUSUM, EWMA) |
 //! | [`risk`] | BG risk index and hazard labeling |
 //! | [`metrics`] | tolerance-window metrics, TTH, reaction time, risk |
 //! | [`core`] | **the contribution**: SCS, threshold learning, monitors, mitigation |
@@ -160,11 +159,12 @@
 //!   1×physics + M×monitor instead of M×physics. The `repro zoo`
 //!   report asserts the step count and measures every monitor's
 //!   reaction time, including the `RiskIndexMonitor` latency floor.
-//! * **Streaming O(n) hazard labeling** — [`risk::label_series`] rides
+//! * **Streaming O(n) hazard labeling** — [`risk::label_trace`] rides
 //!   the incremental [`risk::RiskTracker`] (O(1) rolling LBGI/HBGI per
 //!   sample) instead of recomputing every trailing window
 //!   (O(n·window)); labels are pinned bit-identical to the retained
-//!   reference implementation (`tests/risk_equivalence.rs`). The same
+//!   reference implementation, [`risk::label_series_reference`]
+//!   (`tests/risk_equivalence.rs`). The same
 //!   tracker powers the online
 //!   [`core::monitors::RiskIndexMonitor`], so hazard awareness exists
 //!   *during* a run, not only post hoc.
@@ -214,9 +214,9 @@
 //! `repro overhead` reproduces the paper's §V-E6 per-cycle monitor
 //! overheads: it times each of the seven monitors (CAWT, its STL
 //! form, Guideline, MPC, DT, MLP 256-128, LSTM 128-64) per control
-//! cycle beside the paper's figures, and the change detectors, CGM
-//! guard and context mitigator per call. It takes no flags and only
-//! prints, so its timings stay out of `results/`.
+//! cycle beside the paper's figures, and the context mitigator per
+//! call. It takes no flags and only prints, so its timings stay out
+//! of `results/`.
 //!
 //! # Failure semantics
 //!
@@ -546,7 +546,6 @@
 
 pub use aps_controllers as controllers;
 pub use aps_core as core;
-pub use aps_detect as detect;
 pub use aps_fault as fault;
 pub use aps_glucose as glucose;
 pub use aps_metrics as metrics;
@@ -572,7 +571,6 @@ pub mod prelude {
         MlMonitor, MonitorInput, MpcMonitor, NullMonitor, RiskIndexMonitor, StlCawMonitor,
     };
     pub use aps_core::scs::Scs;
-    pub use aps_detect::{CgmGuard, ChangeDetector, Cusum, Decision, Ewma, Sprt};
     pub use aps_fault::{FaultInjector, FaultKind, FaultScenario};
     pub use aps_glucose::{BoxedPatient, PatientSim};
     pub use aps_metrics::glycemic::GlycemicSummary;

@@ -89,6 +89,19 @@ proptest! {
             prop_assert_eq!(back.chaos_seed.as_deref().and_then(from_hex), Some(seed));
         }
     }
+
+    /// Checkpoints and trace-store headers share one hex codec: the
+    /// same fixed-width lowercase text for every `u64`, and either
+    /// side parses what the other wrote.
+    #[test]
+    fn checkpoint_hex_is_the_trace_store_hex(x in any::<u64>()) {
+        let text = to_hex(x);
+        prop_assert_eq!(&text, &aps_repro::tracestore::to_hex(x));
+        prop_assert_eq!(text.len(), 16);
+        prop_assert!(text.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)));
+        prop_assert_eq!(from_hex(&text), Some(x));
+        prop_assert_eq!(aps_repro::tracestore::from_hex(&text), Some(x));
+    }
 }
 
 #[test]

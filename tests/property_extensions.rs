@@ -1,13 +1,10 @@
-//! Property-based tests for the extension layers: sensor-stream
-//! change detectors, the CGM error model, the HMS mitigation
+//! Property-based tests for the extension layers: the CGM error
+//! model, the monitor-side context builder, the HMS mitigation
 //! specification, and the context-dependent mitigator.
 
-use aps_repro::core::context::ContextVector;
+use aps_repro::core::context::{ContextVector, Trend, BG_TREND_EPS, IOB_TREND_EPS};
 use aps_repro::core::hms::{
     context_series, ContextMitigator, ContextMitigatorConfig, Hms, TsLearnConfig, DEFAULT_TS_STEPS,
-};
-use aps_repro::detect::{
-    CgmGuard, ChangeDetector, Cusum, CusumConfig, Ewma, EwmaConfig, GuardConfig, Sprt, SprtConfig,
 };
 use aps_repro::glucose::sensor_error::{mard, CgmErrorModel, ErrorModelConfig};
 use aps_repro::prelude::*;
@@ -15,119 +12,6 @@ use aps_repro::types::{StepRecord, TraceMeta, CONTROL_CYCLE_MINUTES};
 use proptest::prelude::*;
 
 proptest! {
-    /// CUSUM sums are non-negative and bounded by the accumulated
-    /// positive drift-adjusted input; the detector never alarms while
-    /// both sums stay at zero.
-    #[test]
-    fn cusum_sums_are_nonnegative_and_consistent(
-        values in prop::collection::vec(-3.0f64..3.0, 1..200),
-        drift in 0.0f64..2.0,
-        threshold in 0.5f64..20.0,
-    ) {
-        let mut c = Cusum::new(CusumConfig { drift, threshold });
-        for &v in &values {
-            let decision = c.update(v);
-            let (hi, lo) = c.sums();
-            prop_assert!(hi >= 0.0 && lo >= 0.0);
-            if decision.is_anomalous() {
-                // The alarm state must persist.
-                prop_assert!(c.update(0.0).is_anomalous());
-                return Ok(());
-            }
-            prop_assert!(hi <= threshold && lo <= threshold);
-        }
-    }
-
-    /// A CUSUM fed values whose magnitude never exceeds the drift
-    /// allowance can never alarm, regardless of sequence.
-    #[test]
-    fn cusum_below_drift_never_alarms(
-        values in prop::collection::vec(-1.0f64..1.0, 1..300),
-        threshold in 0.1f64..50.0,
-    ) {
-        let mut c = Cusum::new(CusumConfig { drift: 1.0, threshold });
-        for &v in &values {
-            prop_assert!(!c.update(v).is_anomalous());
-        }
-        prop_assert_eq!(c.sums(), (0.0, 0.0));
-    }
-
-    /// EWMA statistic is a convex combination of inputs: it can never
-    /// leave the [min, max] hull of the observed values (with 0 seed).
-    #[test]
-    fn ewma_statistic_stays_in_input_hull(
-        values in prop::collection::vec(-50.0f64..50.0, 1..100),
-        lambda in 0.01f64..1.0,
-    ) {
-        let mut e = Ewma::new(EwmaConfig { lambda, limit: 1e9, sigma: 1.0 });
-        let lo = values.iter().cloned().fold(0.0f64, f64::min);
-        let hi = values.iter().cloned().fold(0.0f64, f64::max);
-        for &v in &values {
-            e.update(v);
-            prop_assert!(e.statistic() >= lo - 1e-9 && e.statistic() <= hi + 1e-9,
-                "z = {} outside [{}, {}]", e.statistic(), lo, hi);
-        }
-    }
-
-    /// SPRT decision boundaries are ordered (B < 0 < A) for any valid
-    /// error-rate configuration, and both LLR branches reset below A
-    /// while in control.
-    #[test]
-    fn sprt_boundaries_ordered(
-        alpha in 0.0001f64..0.3,
-        beta in 0.0001f64..0.3,
-        mu1 in 0.5f64..10.0,
-        sigma in 0.1f64..5.0,
-    ) {
-        let s = Sprt::new(SprtConfig { mu0: 0.0, mu1, sigma, alpha, beta });
-        prop_assert!(s.boundary_b() < 0.0);
-        prop_assert!(s.boundary_a() > 0.0);
-    }
-
-    /// Detector trait contract: reset always restores a non-alarming
-    /// state, for every detector and any prior input stream.
-    #[test]
-    fn detectors_reset_contract(
-        values in prop::collection::vec(-100.0f64..100.0, 0..100),
-    ) {
-        let detectors: Vec<Box<dyn ChangeDetector>> = vec![
-            Box::new(Sprt::new(SprtConfig::default())),
-            Box::new(Cusum::new(CusumConfig::default())),
-            Box::new(Ewma::new(EwmaConfig::default())),
-        ];
-        for mut d in detectors {
-            for &v in &values {
-                d.update(v);
-            }
-            d.reset();
-            prop_assert!(!d.update(0.0).is_anomalous(), "{} after reset", d.name());
-        }
-    }
-
-    /// The CGM guard never alarms on a perfectly linear glucose ramp
-    /// (innovation is identically zero) as long as the slope is
-    /// non-zero (so the stuck-at check does not trip).
-    #[test]
-    fn guard_is_silent_on_linear_ramps(
-        start in 150.0f64..250.0,
-        slope_mag in 1.0f64..4.0,
-        rising in any::<bool>(),
-        n in 10usize..30,
-    ) {
-        // Parameters chosen so the ramp never leaves [30, 370]: a
-        // clamped ramp goes flat, which the stuck-at check rightly
-        // flags.
-        let slope = if rising { slope_mag } else { -slope_mag };
-        let mut g = CgmGuard::new(
-            Cusum::new(CusumConfig::default()),
-            GuardConfig::default(),
-        );
-        for i in 0..n {
-            let bg = start + slope * i as f64;
-            prop_assert!(!g.observe(MgDl(bg)).is_anomalous(), "alarm at sample {i}");
-        }
-    }
-
     /// CGM error model: distorted readings are always physiological
     /// and the process is deterministic per seed.
     #[test]
@@ -284,20 +168,173 @@ proptest! {
             report.honored + report.truncated + report.violations.len()
         );
     }
-}
 
-/// The guard catches a spoof injected anywhere in a plausible trace —
-/// a deterministic sweep rather than a proptest because the detector
-/// needs a warm-up prefix.
-#[test]
-fn guard_catches_spoofs_at_any_onset() {
-    for onset in [10usize, 25, 40] {
-        let mut g = CgmGuard::new(Cusum::new(CusumConfig::default()), GuardConfig::default());
-        let mut caught = false;
-        for i in 0..onset + 6 {
-            let bg = if i < onset { 120.0 + i as f64 } else { 320.0 };
-            caught |= g.observe(MgDl(bg)).is_anomalous();
+    /// With every error term at zero the error model is the identity
+    /// on physiological readings, whatever the seed: the calibration
+    /// and noise draws reach the output only through their scales.
+    #[test]
+    fn error_model_without_error_terms_is_identity(
+        bgs in prop::collection::vec(10.0f64..600.0, 1..100),
+        seed in any::<u64>(),
+        ar_coeff in 0.0f64..1.0,
+    ) {
+        let config = ErrorModelConfig {
+            ar_coeff,
+            noise_sd: 0.0,
+            gain_sd: 0.0,
+            offset_sd: 0.0,
+            gain_drift_per_hour: 0.0,
+            calibration_interval_min: 60.0,
+            seed,
+        };
+        let mut m = CgmErrorModel::new(config);
+        let out: Vec<f64> = bgs.iter().map(|&bg| m.distort(MgDl(bg), 5.0).value()).collect();
+        prop_assert_eq!(&out, &bgs);
+        prop_assert_eq!(mard(&bgs, &out), 0.0);
+    }
+
+    /// MARD is non-negative, zero on agreement, and symmetric in the
+    /// sign of each error.
+    #[test]
+    fn mard_is_nonnegative_and_sign_symmetric(
+        pairs in prop::collection::vec((50.0f64..400.0, -30.0f64..30.0), 1..50),
+    ) {
+        let truth: Vec<f64> = pairs.iter().map(|(t, _)| *t).collect();
+        let over: Vec<f64> = pairs.iter().map(|(t, e)| t + e).collect();
+        let under: Vec<f64> = pairs.iter().map(|(t, e)| t - e).collect();
+        let m = mard(&truth, &over);
+        prop_assert!(m >= 0.0);
+        prop_assert!((m - mard(&truth, &under)).abs() < 1e-12);
+        prop_assert_eq!(mard(&truth, &truth), 0.0);
+    }
+
+    /// Trend classification honours its dead-band exactly and mirrors
+    /// under negation of the derivative.
+    #[test]
+    fn trend_respects_dead_band_and_mirrors(
+        d in -10.0f64..10.0,
+        eps in 0.0f64..5.0,
+    ) {
+        let t = Trend::of(d, eps);
+        let expected = if d > eps {
+            Trend::Rising
+        } else if d < -eps {
+            Trend::Falling
+        } else {
+            Trend::Flat
+        };
+        prop_assert_eq!(t, expected);
+        let mirrored = match t {
+            Trend::Rising => Trend::Falling,
+            Trend::Falling => Trend::Rising,
+            Trend::Flat => Trend::Flat,
+        };
+        prop_assert_eq!(Trend::of(-d, eps), mirrored);
+        let ctx = ContextVector { bg: 120.0, dbg: d, iob: 0.0, diob: d * 1e-3 };
+        prop_assert_eq!(ctx.bg_trend(), Trend::of(d, BG_TREND_EPS));
+        prop_assert_eq!(ctx.iob_trend(), Trend::of(d * 1e-3, IOB_TREND_EPS));
+    }
+
+    /// With no hazard predicted the mitigator passes the command
+    /// through untouched; a predicted H1 always suspends delivery; an
+    /// H2 correction never drops below basal.
+    #[test]
+    fn mitigator_passes_through_suspends_and_floors_at_basal(
+        bg in 40.0f64..400.0,
+        iob in -2.0f64..8.0,
+        commanded in 0.0f64..10.0,
+        basal in 0.1f64..2.0,
+    ) {
+        let m = ContextMitigator::new(ContextMitigatorConfig::for_run(
+            MgDl(110.0),
+            UnitsPerHour(basal),
+            UnitsPerHour(6.0),
+        ));
+        let ctx = ContextVector { bg, dbg: 0.0, iob, diob: 0.0 };
+        prop_assert_eq!(m.mitigate(None, &ctx, UnitsPerHour(commanded)), UnitsPerHour(commanded));
+        prop_assert_eq!(
+            m.mitigate(Some(Hazard::H1), &ctx, UnitsPerHour(commanded)),
+            UnitsPerHour(0.0)
+        );
+        let h2 = m.mitigate(Some(Hazard::H2), &ctx, UnitsPerHour(commanded)).value();
+        prop_assert!((basal..=6.0).contains(&h2), "H2 rate {h2} outside [basal, max]");
+    }
+
+    /// The online context builder reports exact BG differences, starts
+    /// every run flat, and after `reset` replays a run identically.
+    #[test]
+    fn context_builder_reset_replays_identically(
+        steps in prop::collection::vec((40.0f64..400.0, 0.0f64..6.0), 1..60),
+        basal in 0.1f64..2.0,
+    ) {
+        let mut builder = ContextBuilder::new(UnitsPerHour(basal));
+        let run = |b: &mut ContextBuilder| -> Vec<ContextVector> {
+            steps.iter().map(|&(bg, rate)| {
+                let ctx = b.observe_bg(MgDl(bg));
+                b.observe_delivery(UnitsPerHour(rate));
+                ctx
+            }).collect()
+        };
+        let first = run(&mut builder);
+        prop_assert_eq!(first[0].dbg, 0.0);
+        for i in 1..steps.len() {
+            prop_assert_eq!(first[i].dbg, steps[i].0 - steps[i - 1].0);
         }
-        assert!(caught, "spoof at {onset} missed");
+        builder.reset();
+        let second = run(&mut builder);
+        prop_assert_eq!(&first, &second);
+        let fresh = run(&mut ContextBuilder::new(UnitsPerHour(basal)));
+        prop_assert_eq!(&first, &fresh);
+    }
+
+    /// Learned deadlines never shrink when the anchoring TTH quantile
+    /// rises, and both hazard types learn from their own traces only.
+    #[test]
+    fn learned_deadlines_are_monotone_in_quantile(
+        tths in prop::collection::vec((0u32..150, any::<bool>()), 1..40),
+        q_lo in 0.0f64..1.0,
+        q_step in 0.0f64..1.0,
+        fraction in 0.0f64..1.0,
+    ) {
+        let scs = Scs::with_default_thresholds(MgDl(110.0));
+        let traces: Vec<SimTrace> = tths.iter().map(|&(dt, h1)| {
+            let hazard = if h1 { Hazard::H1 } else { Hazard::H2 };
+            let meta = TraceMeta {
+                patient: "p".into(),
+                initial_bg: 120.0,
+                fault_name: "f".into(),
+                fault_start: Some(Step(10)),
+                hazard_onset: Some(Step(10 + dt)),
+                hazard_type: Some(hazard),
+            };
+            let mut t = SimTrace::new(meta);
+            for s in 0..(11 + dt) {
+                t.records.push(StepRecord::blank(Step(s)));
+            }
+            t
+        }).collect();
+        let learn = |quantile: f64| -> Hms {
+            let mut hms = Hms::for_scs(&scs);
+            hms.learn_ts(&traces, &TsLearnConfig {
+                quantile,
+                safety_fraction: fraction,
+                min_steps: 1,
+                max_steps: 24,
+            });
+            hms
+        };
+        let lo = learn(q_lo);
+        let hi = learn((q_lo + q_step).min(1.0));
+        for (a, b) in lo.rules.iter().zip(&hi.rules) {
+            prop_assert!(a.ts_steps <= b.ts_steps, "rule {}: {} > {}", a.uca_id, a.ts_steps, b.ts_steps);
+        }
+        for hazard in [Hazard::H1, Hazard::H2] {
+            let seen = tths.iter().any(|&(_, h1)| h1 == (hazard == Hazard::H1));
+            for rule in lo.rules.iter().filter(|r| r.hazard == hazard) {
+                if !seen {
+                    prop_assert_eq!(rule.ts_steps, DEFAULT_TS_STEPS);
+                }
+            }
+        }
     }
 }

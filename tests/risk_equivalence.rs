@@ -1,25 +1,23 @@
 //! Equivalence of the streaming O(n) risk engine with the seed's
 //! O(n·window) labeler.
 //!
-//! Two pins, per the PR contract:
+//! Every pin compares against the retained O(n·window) reference
+//! implementation, [`label_series_reference`]:
 //!
-//! * a **proptest** that the online [`RiskTracker`] API produces
-//!   byte-identical labels to the batch [`label_series`] on arbitrary
-//!   BG series and window sizes;
-//! * a **corpus test** that the O(n) [`label_series`] agrees label-for-
-//!   label with the retained O(n·window) reference implementation
-//!   ([`label_series_reference`]) on every trace of the quick fault
-//!   campaign, for a range of window lengths.
+//! * **proptests** that the online [`RiskTracker`] API and the
+//!   production labeler [`label_trace`] produce byte-identical labels
+//!   to it on arbitrary BG series and window sizes;
+//! * a **corpus test** that [`label_trace`] agrees with it
+//!   label-for-label on every trace of the quick fault campaign, for a
+//!   range of window lengths.
 //!
 //! A third pin covers resumed labelling: [`RiskTracker::label_tail`]
 //! over a trace split at any index — the prefix first, then the rest
 //! by a copy of the tracker, as a forked campaign job labels — equals
-//! [`label_series`] over the whole series.
+//! the reference over the whole series.
 
 use aps_repro::prelude::*;
-use aps_repro::risk::{
-    label_series, label_series_reference, label_trace, LabelConfig, RiskTracker,
-};
+use aps_repro::risk::{label_series_reference, label_trace, LabelConfig, RiskTracker};
 use aps_repro::types::TraceMeta;
 use proptest::prelude::*;
 
@@ -68,6 +66,14 @@ fn hazards(records: &[StepRecord]) -> Vec<Option<Hazard>> {
     records.iter().map(|r| r.hazard).collect()
 }
 
+/// Labels `series` through [`label_trace`], the production labeler.
+fn labels_via_trace(series: &[f64], config: &LabelConfig) -> Vec<Option<Hazard>> {
+    let mut trace = SimTrace::new(TraceMeta::default());
+    trace.records = records(series);
+    label_trace(&mut trace, config);
+    hazards(&trace.records)
+}
+
 /// Labels `series` through `label_tail` split at `split`: a tracker
 /// labels the first `split` records, then a copy of it labels a copy of
 /// the records from there on — the way a forked job resumes its trunk's
@@ -102,7 +108,7 @@ fn piecewise_series(segments: &[(f64, usize, f64)]) -> Vec<f64> {
 }
 
 proptest! {
-    /// `label_tail` split at every index == `label_series` over the
+    /// `label_tail` split at every index == the reference over the
     /// whole series, on plateaus, ramps and clamped values.
     #[test]
     fn label_tail_split_anywhere_matches_batch_labeler(
@@ -111,15 +117,15 @@ proptest! {
     ) {
         let series = piecewise_series(&segments);
         let config = LabelConfig { window, ..LabelConfig::default() };
-        let expected = label_series(&series, &config);
+        let expected = label_series_reference(&series, &config);
         for split in 0..=series.len() {
             let (_, labels) = labels_split_at(&series, split, &config);
             prop_assert_eq!(&labels, &expected, "split at {}", split);
         }
     }
 
-    /// Streaming tracker == batch labeler, byte for byte, on arbitrary
-    /// series and windows.
+    /// Streaming tracker == the batch reference, byte for byte, on
+    /// arbitrary series and windows.
     #[test]
     fn streaming_tracker_matches_batch_labeler(
         series in prop::collection::vec(20.0f64..600.0, 0..250),
@@ -128,12 +134,12 @@ proptest! {
         let config = LabelConfig { window, ..LabelConfig::default() };
         prop_assert_eq!(
             labels_via_streaming(&series, &config),
-            label_series(&series, &config)
+            label_series_reference(&series, &config)
         );
     }
 
-    /// The O(n) labeler == the seed O(n·window) reference on arbitrary
-    /// series and windows.
+    /// The O(n) production labeler ([`label_trace`]) == the seed
+    /// O(n·window) reference on arbitrary series and windows.
     #[test]
     fn linear_labeler_matches_reference(
         series in prop::collection::vec(20.0f64..600.0, 0..250),
@@ -141,7 +147,7 @@ proptest! {
     ) {
         let config = LabelConfig { window, ..LabelConfig::default() };
         prop_assert_eq!(
-            label_series(&series, &config),
+            labels_via_trace(&series, &config),
             label_series_reference(&series, &config)
         );
     }
@@ -168,12 +174,12 @@ proptest! {
         }
         let config = LabelConfig { window, ..LabelConfig::default() };
         prop_assert_eq!(
-            label_series(&series, &config),
+            labels_via_trace(&series, &config),
             label_series_reference(&series, &config)
         );
         prop_assert_eq!(
             labels_via_streaming(&series, &config),
-            label_series(&series, &config)
+            label_series_reference(&series, &config)
         );
     }
 }
@@ -199,7 +205,7 @@ fn quick_campaign_corpus_labels_are_bit_identical() {
                     window,
                     ..LabelConfig::default()
                 };
-                let fast = label_series(&series, &config);
+                let fast = labels_via_trace(&series, &config);
                 let reference = label_series_reference(&series, &config);
                 assert_eq!(
                     fast,
@@ -234,7 +240,7 @@ fn label_tail_marks_reach_back_across_the_split() {
             window,
             ..LabelConfig::default()
         };
-        let expected = label_series(&series, &config);
+        let expected = label_series_reference(&series, &config);
         assert!(expected.contains(&Some(Hazard::H1)), "window {window}");
         assert!(expected.contains(&Some(Hazard::H2)), "window {window}");
         let mut reached_back = [false; 2];
@@ -275,7 +281,7 @@ fn label_trace_clears_stale_labels() {
     let falling: Vec<f64> = (0..60)
         .map(|i| (120.0 - 2.0 * i as f64).max(40.0))
         .collect();
-    let expected = label_series(&falling, &LabelConfig::default());
+    let expected = label_series_reference(&falling, &LabelConfig::default());
     let mut trace = SimTrace::new(TraceMeta::default());
     for mut rec in records(&falling) {
         rec.hazard = Some(Hazard::H2);

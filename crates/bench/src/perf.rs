@@ -413,7 +413,10 @@ pub mod seed_baseline {
         }
     }
 
-    fn integrate_alloc<D: Dynamics + ?Sized>(
+    /// The seed's `integrate`: one allocating `rk4_step_alloc` per
+    /// substep. `tests/perf_equivalence.rs` holds the scratch
+    /// integrator bit-identical to it.
+    pub fn integrate_alloc<D: Dynamics + ?Sized>(
         dyn_: &D,
         t0: f64,
         x: &mut [f64],

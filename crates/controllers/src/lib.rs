@@ -64,8 +64,8 @@ pub trait Controller: Send {
 
     /// A copy of this controller in its current state, which then
     /// decides exactly as this one would from here on. Campaign groups
-    /// fork their faulty runs from a fault-free run's controller at the
-    /// fault start.
+    /// fork a job's run off the loop it shares with other jobs, mid
+    /// cycle, where its fault first changes that loop.
     fn fork(&self) -> Box<dyn Controller>;
 
     /// Informs the controller what was *actually* delivered this cycle

@@ -64,10 +64,10 @@ pub trait HazardMonitor: Send {
 
     /// A copy of this monitor in its current state, which then checks
     /// exactly as this one would from here on; `None` when the monitor
-    /// cannot be copied (the default). Campaign groups fork their
-    /// faulty runs from a fault-free run at the fault start, and run
-    /// every job of a group whose monitor cannot fork from step 0
-    /// instead.
+    /// cannot be copied (the default). Campaign groups fork a job's
+    /// run off the loop it shares with other jobs where its fault first
+    /// changes that loop, and run every job of a group whose monitor
+    /// cannot fork from step 0 instead.
     fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
         None
     }

@@ -21,7 +21,7 @@
 //! for controller initialization and for validating the integrator.
 
 use crate::ode::{BatchedRk4Scratch, Rk4Scratch};
-use crate::{BatchedPatientSim, PatientSim};
+use crate::{BatchedPatientSim, LaneSnapshot, PatientSim, SplitLanes};
 use aps_types::{MgDl, UnitsPerHour};
 use serde::{Deserialize, Serialize};
 
@@ -393,6 +393,26 @@ impl<const LANES: usize> BatchedBergman<LANES> {
 impl<const LANES: usize> Default for BatchedBergman<LANES> {
     fn default() -> BatchedBergman<LANES> {
         BatchedBergman::new()
+    }
+}
+
+impl<const LANES: usize> SplitLanes<LANES> for BatchedBergman<LANES> {
+    type Lane = LaneSnapshot<NSTATE>;
+
+    fn lane(&self, lane: usize) -> LaneSnapshot<NSTATE> {
+        LaneSnapshot {
+            state: std::array::from_fn(|d| self.state[d][lane]),
+            exercise_minutes_left: self.exercise_minutes_left[lane],
+            exercise_intensity: self.exercise_intensity[lane],
+        }
+    }
+
+    fn set_lane(&mut self, lane: usize, state: LaneSnapshot<NSTATE>) {
+        for (row, value) in self.state.iter_mut().zip(state.state) {
+            row[lane] = value;
+        }
+        self.exercise_minutes_left[lane] = state.exercise_minutes_left;
+        self.exercise_intensity[lane] = state.exercise_intensity;
     }
 }
 

@@ -133,3 +133,28 @@ pub trait BatchedPatientSim<const LANES: usize>: Send {
     /// enough).
     fn lane_is_finite(&self, lane: usize) -> bool;
 }
+
+/// A [`BatchedPatientSim`] whose lanes can be copied into one another,
+/// so that one lockstep run can split into two mid-run.
+///
+/// A lane's state is its ODE state and its exercise bout. It leaves out
+/// the parameters, so copy it only between lanes loaded with the same
+/// patient. The bank's clock is shared by every lane.
+pub trait SplitLanes<const LANES: usize>: BatchedPatientSim<LANES> + Clone {
+    /// The state of one lane.
+    type Lane: Copy;
+
+    /// The state of `lane`.
+    fn lane(&self, lane: usize) -> Self::Lane;
+
+    /// Overwrites the state of `lane` with `state`.
+    fn set_lane(&mut self, lane: usize, state: Self::Lane);
+}
+
+/// The state of one lane of a [`SplitLanes`] bank of an `N`-compartment model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneSnapshot<const N: usize> {
+    state: [f64; N],
+    exercise_minutes_left: f64,
+    exercise_intensity: f64,
+}

@@ -78,6 +78,9 @@ struct JobEntry {
     manifest: JobManifest,
     cancel: Arc<AtomicBool>,
     subscribers: Vec<UnixStream>,
+    /// Every event broadcast so far while the job runs, encoded, so a
+    /// late subscriber gets the whole stream.
+    events: Vec<Vec<u8>>,
     seq: u64,
 }
 
@@ -106,6 +109,7 @@ impl Inner {
             manifest,
             cancel: Arc::new(AtomicBool::new(false)),
             subscribers: Vec::new(),
+            events: Vec::new(),
             seq,
         };
         self.jobs.insert(entry.manifest.job.clone(), entry);
@@ -537,7 +541,15 @@ fn handle_subscribe(shared: &Shared, job: &str, mut stream: UnixStream) {
                 // Event delivery has no bounded cadence, so the
                 // subscriber read side must not time out.
                 let _ = stream.set_read_timeout(None);
-                entry.subscribers.push(stream);
+                // The events so far first, under the same lock as the
+                // registration, so none is missed or sent twice.
+                if entry
+                    .events
+                    .iter()
+                    .all(|payload| write_frame(&mut stream, payload).is_ok())
+                {
+                    entry.subscribers.push(stream);
+                }
             }
         }
         None => {
@@ -553,7 +565,7 @@ fn handle_subscribe(shared: &Shared, job: &str, mut stream: UnixStream) {
 }
 
 /// Sends `event` to every subscriber of `entry`, dropping subscribers
-/// whose stream has failed.
+/// whose stream has failed, and keeps it for later subscribers.
 fn broadcast(entry: &mut JobEntry, event: &Event) {
     let payload = match encode_event(event) {
         Ok(p) => p,
@@ -562,6 +574,7 @@ fn broadcast(entry: &mut JobEntry, event: &Event) {
     entry
         .subscribers
         .retain_mut(|sub| write_frame(sub, &payload).is_ok());
+    entry.events.push(payload);
 }
 
 /// Broadcasts the terminal event and closes every subscriber.
@@ -573,6 +586,8 @@ fn notify_terminal(entry: &mut JobEntry) {
     };
     broadcast(entry, &event);
     entry.subscribers.clear();
+    // A terminal job answers a subscriber with its final event alone.
+    entry.events = Vec::new();
 }
 
 fn scheduler_loop(shared: &Shared) {

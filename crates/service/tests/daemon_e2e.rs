@@ -1,8 +1,9 @@
 //! End-to-end daemon tests over a real Unix socket: kill/resume
 //! bit-identity (also with failed jobs, and with a shard's log or
 //! checkpoint lost), the content-addressed cache hit path and its
-//! counters, refusal of pre-v2 shard checkpoints, cancellation, and
-//! shutdown draining subscribers.
+//! counters, refusal of pre-v2 shard checkpoints, cancellation,
+//! shutdown draining subscribers, and late subscribers getting the
+//! whole event stream.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -10,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aps_service::daemon::{run_daemon, ServiceConfig};
-use aps_service::{CacheStats, Client, ServiceError};
+use aps_service::{CacheStats, Client, Event, ServiceError};
 use aps_sim::campaign::{run_campaign_resumable, CampaignOptions, CampaignSpec};
 use aps_sim::checkpoint::{to_hex, CampaignCheckpoint, CHECKPOINT_VERSION};
 use aps_sim::platform::Platform;
@@ -285,6 +286,62 @@ fn cancel_is_terminal_and_shutdown_drains_subscribers() {
         Ok((state, _)) => assert_eq!(state, "done"),
         Err(other) => panic!("subscriber saw unexpected error: {other}"),
     }
+    daemon.join().expect("daemon thread").expect("daemon run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A subscriber that attaches after a running job broadcast events
+/// first receives every one of them, then the rest: each event exactly
+/// once, in order.
+#[test]
+fn a_late_subscriber_receives_every_event_once_in_order() {
+    let dir = scratch("late");
+    let socket = dir.join("s.sock");
+    let data = dir.join("data");
+
+    let mut config = ServiceConfig::new(&socket, &data);
+    // Slow enough that the job is still running when the subscriber
+    // attaches (124 jobs at 20 ms each).
+    config.throttle_ms = 20;
+    let daemon = std::thread::spawn(move || run_daemon(config));
+
+    let mut client = connect(&socket);
+    let submitted = client.submit(small_spec(), 2, 0, "0").expect("submit");
+    let job = submitted.job.clone();
+    let seen = |client: &mut Client| {
+        let jobs = client.status(&job).expect("status");
+        jobs.first().map_or(0, |m| m.executed_jobs)
+    };
+    while seen(&mut client) < 3 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut events = connect(&socket).subscribe(&job).expect("subscribe");
+
+    let mut progress = Vec::new();
+    let mut shards = Vec::new();
+    let total = loop {
+        match events.next_event().expect("event") {
+            Event::Progress {
+                executed, total, ..
+            } => {
+                progress.push(executed);
+                assert!(executed <= total);
+            }
+            Event::ShardDone {
+                shard, shards: n, ..
+            } => shards.push((shard, n)),
+            Event::JobDone { state, .. } => {
+                assert_eq!(state, "done");
+                break progress.len();
+            }
+            Event::Closing => panic!("daemon closed mid-job"),
+        }
+    };
+    assert_eq!(total, submitted.total_jobs, "one progress event per job");
+    assert_eq!(progress, (1..=total).collect::<Vec<_>>());
+    assert_eq!(shards, vec![(0, 2), (1, 2)]);
+
+    connect(&socket).shutdown().expect("shutdown");
     daemon.join().expect("daemon thread").expect("daemon run");
     let _ = std::fs::remove_dir_all(&dir);
 }

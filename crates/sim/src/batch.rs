@@ -18,12 +18,12 @@
 //! monitor, injector, mitigation and trace recording are each lane's
 //! own components, stepped by the same code in the same order.
 //!
-//! A block need not start at step 0: the campaign executors run a
-//! group of jobs as blocks of the jobs that fork from the group's
-//! fault-free trunk at the same step (see the crate-private `fork`
-//! module). Such a block loads each job's copy of the trunk's patient
-//! and runs the steps after the fork. [`run_block`] is the block at
-//! fork step 0.
+//! The campaign executors run a group of jobs (one patient and initial
+//! BG) as riders of lanes in such banks: the group starts as one lane
+//! carrying every job, and a lane splits into a free lane of the last
+//! bank, or of a bank added for it, wherever a job's fault first
+//! changes the loop (see the crate-private `fork` module). A group
+//! whose monitor cannot fork runs as blocks, one job per lane.
 //!
 //! # Bit-identity
 //!
@@ -40,13 +40,14 @@
 //! nothing crosses lanes — never poisons its lane-mates.
 
 use crate::campaign::{CampaignJob, CampaignSpec, Cohort, JobRun, MonitorFactory};
-use crate::engine::{run_lanes, Lane};
+use crate::engine::{run_lanes, JobResult, Lane, LanePhysics};
 use crate::outcome::SimError;
+use aps_fault::FaultInjector;
 use aps_glucose::bergman::BatchedBergman;
 use aps_glucose::dalla_man::BatchedDallaMan;
 use aps_glucose::patients::CohortPatient;
-use aps_glucose::BatchedPatientSim;
-use aps_types::{MgDl, SimTrace};
+use aps_glucose::SplitLanes;
+use aps_types::{MgDl, SimTrace, UnitsPerHour};
 
 /// Lane width of the batched campaign executor.
 ///
@@ -94,62 +95,141 @@ pub fn run_block<const LANES: usize>(
         .iter()
         .map(|job| JobRun::new(spec, job, cohort.member(job.patient_idx), monitor_factory))
         .collect();
-    run_runs::<LANES>(runs)
+    run_runs::<LANES>(runs).0
 }
 
-/// Runs up to `LANES` job runs that all start at the same step in
-/// lockstep, returning one result per run in order.
+/// Runs up to `LANES` job runs in lockstep from step 0, one lane
+/// each, returning one result per run in order and the lane-cycles
+/// stepped.
 ///
 /// Ragged blocks (fewer runs than lanes) pad the unused lanes with a
 /// copy of the first run's patient under a zero insulin rate; padding
 /// lanes have no closed loop and their physics is discarded.
 pub(crate) fn run_runs<const LANES: usize>(
     mut runs: Vec<JobRun>,
-) -> Vec<Result<SimTrace, SimError>> {
-    let start = runs[0].start();
-    debug_assert!(runs.iter().all(|run| run.start() == start));
-    if start == 0 {
-        for run in &mut runs {
-            run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
-        }
+) -> (Vec<Result<SimTrace, SimError>>, u64) {
+    for run in &mut runs {
+        run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
     }
-    // Padding lanes load the first run's patient again. A real
-    // parameter set at the block's step (instead of the bank's zeroed
-    // defaults) keeps their ODE arithmetic finite, so no spurious NaNs
-    // ride along in the block.
-    let lane_patient = |l: usize| &runs.get(l).unwrap_or(&runs[0]).patient;
-    if let CohortPatient::Bergman(_) = runs[0].patient {
+    let patients: Vec<&CohortPatient> = runs.iter().map(|run| &run.patient).collect();
+    let mut physics = banks::<LANES>(&patients);
+    let steps = runs[0].config.steps;
+    let mut lanes: Vec<Lane<'_>> = runs
+        .iter_mut()
+        .enumerate()
+        .map(|(k, run)| run.lane(k))
+        .collect();
+    let lane_cycles = run_lanes(physics.as_mut(), &mut lanes, steps);
+    // One job per lane, in lane order.
+    let results = lanes.into_iter().flat_map(Lane::finish);
+    (results.map(|(_, result)| result).collect(), lane_cycles)
+}
+
+/// Runs `jobs`, jobs of one patient and initial BG, as riders of one
+/// set of lockstep lanes that starts as `trunk`'s closed loop and
+/// splits wherever a job's fault first changes the loop (see the
+/// crate-private `engine` module). Returns each job's index in `jobs`
+/// with its result, and the lane-cycles stepped. The lanes sit in
+/// banks of `LANES`, and a bank is added whenever the last one is
+/// full.
+///
+/// # Panics
+///
+/// Panics when the trunk's monitor cannot fork and a lane splits.
+pub(crate) fn run_riders<const LANES: usize>(
+    mut trunk: JobRun,
+    jobs: &[&CampaignJob],
+) -> (Vec<JobResult>, u64) {
+    let mut injectors: Vec<Option<FaultInjector>> = jobs
+        .iter()
+        .map(|job| job.scenario.clone().map(FaultInjector::new))
+        .collect();
+    trunk
+        .patient
+        .as_dyn_mut()
+        .reset(MgDl(trunk.config.initial_bg));
+    let mut physics = banks::<LANES>(&[&trunk.patient]);
+    let steps = trunk.config.steps;
+    let lane = trunk.lane_with(injectors.iter_mut().map(Option::as_mut).enumerate());
+    let mut lanes = vec![lane];
+    let lane_cycles = run_lanes(physics.as_mut(), &mut lanes, steps);
+    let results = lanes.into_iter().flat_map(Lane::finish).collect();
+    (results, lane_cycles)
+}
+
+/// A bank of `LANES` lanes loaded with `patients`, lane `l` with
+/// `patients[l]` and each lane past them with `patients[0]`, as the
+/// physics of a lane set. A real parameter set in the padding lanes
+/// (instead of the bank's zeroed defaults) keeps their ODE arithmetic
+/// finite, so no spurious NaNs ride along in the block.
+///
+/// # Panics
+///
+/// Panics when `patients` is empty or mixes patient models.
+fn banks<const LANES: usize>(patients: &[&CohortPatient]) -> Box<dyn LanePhysics> {
+    let patient = |l: usize| *patients.get(l).unwrap_or(&patients[0]);
+    if let CohortPatient::Bergman(_) = patients[0] {
         let mut bank = BatchedBergman::<LANES>::new();
         for l in 0..LANES {
-            match lane_patient(l) {
+            match patient(l) {
                 CohortPatient::Bergman(p) => bank.load_lane(l, p),
                 CohortPatient::DallaMan(_) => unreachable!("one platform yields one patient model"),
             }
         }
-        run_jobs(&mut bank, &mut runs, start)
+        Box::new(Banks(vec![bank]))
     } else {
         let mut bank = BatchedDallaMan::<LANES>::new();
         for l in 0..LANES {
-            match lane_patient(l) {
+            match patient(l) {
                 CohortPatient::DallaMan(p) => bank.load_lane(l, p),
                 CohortPatient::Bergman(_) => unreachable!("one platform yields one patient model"),
             }
         }
-        run_jobs(&mut bank, &mut runs, start)
+        Box::new(Banks(vec![bank]))
     }
 }
 
-/// Runs the jobs' closed loops as the lanes of `physics`, from step
-/// `start` to the end of the run.
-fn run_jobs<const LANES: usize>(
-    physics: &mut dyn BatchedPatientSim<LANES>,
-    runs: &mut [JobRun],
-    start: u32,
-) -> Vec<Result<SimTrace, SimError>> {
-    let steps = runs[0].config.steps;
-    let mut lanes: Vec<Lane<'_>> = runs.iter_mut().map(|run| run.lane().1).collect();
-    run_lanes(physics, &mut lanes, start..steps);
-    lanes.into_iter().map(Lane::finish).collect()
+/// Lockstep physics in banks of `L` lanes: lane `l` is lane `l % L` of
+/// bank `l / L`.
+struct Banks<B, const L: usize>(Vec<B>);
+
+impl<B: SplitLanes<L>, const L: usize> LanePhysics for Banks<B, L> {
+    fn width(&self) -> usize {
+        L
+    }
+
+    fn bg(&self, lane: usize) -> MgDl {
+        self.0[lane / L].bg(lane % L)
+    }
+
+    fn step_bank(&mut self, bank: usize, rates: &[UnitsPerHour], minutes: f64) {
+        let mut all = [UnitsPerHour(0.0); L];
+        all[..rates.len()].copy_from_slice(rates);
+        self.0[bank].step_all(&all, minutes);
+    }
+
+    fn ingest(&mut self, lane: usize, carbs_g: f64) {
+        self.0[lane / L].ingest(lane % L, carbs_g);
+    }
+
+    fn exert(&mut self, lane: usize, intensity: f64, duration_min: f64) {
+        self.0[lane / L].exert(lane % L, intensity, duration_min);
+    }
+
+    fn lane_is_finite(&self, lane: usize) -> bool {
+        self.0[lane / L].lane_is_finite(lane % L)
+    }
+
+    /// A new bank starts as a copy of the bank of `from`, so its
+    /// padding lanes hold the same patient.
+    fn split(&mut self, from: usize, to: usize) {
+        if to / L == self.0.len() {
+            let bank = self.0[from / L].clone();
+            self.0.push(bank);
+        }
+        let state = self.0[from / L].lane(from % L);
+        self.0[to / L].set_lane(to % L, state);
+    }
 }
 
 #[cfg(test)]

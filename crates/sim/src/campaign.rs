@@ -24,15 +24,17 @@
 //! Every parallel executor claims *groups* of pending jobs from the
 //! [ordered executor](crate::exec): a group is the jobs of one
 //! (patient, initial BG) cell. Within a group the fault scenario is
-//! the only per-job input, so the group's fault-free loop runs once,
-//! alone, and every job forks from it at its fault start, as a lane of
-//! a lockstep block of up to [`BATCH_LANES`] jobs that fork at the same
-//! step ([`run_block`] is the block at step 0). Outcomes come back per
-//! job, in job order. A job a block cannot hold (invalid spec, chaos
-//! plan, per-job deadline), every lane of a block that failed or
-//! panicked, and every job whose fork was never made runs on its own
-//! from attempt 1, so outcomes, ledger, digest and retries equal
-//! running each job alone, as [`run_campaign_serial`] does.
+//! the only per-job input, so the group's loop is set up once, as one
+//! lane carrying every job, and a job forks off to a lane of its own
+//! only at the first cycle where its fault changes the loop
+//! differently from its lane's. The lanes step in lockstep banks of
+//! [`BATCH_LANES`] (a group whose monitor cannot fork runs its jobs in
+//! blocks from step 0, as [`run_block`] does). Outcomes come back per
+//! job, in job order. A job a lane cannot hold (invalid spec, chaos
+//! plan, per-job deadline), every job of a lane that failed, and every
+//! job of a group whose lanes panicked runs on its own from attempt 1,
+//! so outcomes, ledger, digest and retries equal running each job
+//! alone, as [`run_campaign_serial`] does.
 //!
 //! [`run_block`]: crate::batch::run_block
 //!
@@ -67,7 +69,7 @@ use crate::checkpoint::{spec_hash, to_hex, CampaignCheckpoint, CheckpointError, 
 use crate::closed_loop::LoopConfig;
 use crate::engine::{run_one, Lane};
 use crate::exec::{is_cancelled, ordered_par_map};
-use crate::fork::{run_group, Resume};
+use crate::fork::run_group;
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
 use crate::platform::Platform;
 use aps_controllers::Controller;
@@ -102,11 +104,11 @@ pub struct ScenarioCtx {
 /// Creates a fresh monitor for a run (monitors are stateful).
 ///
 /// The campaign executors call it once per group of jobs sharing a
-/// patient and initial BG, for the group's fault-free trunk, and the
-/// group's jobs [fork](HazardMonitor::fork) that monitor; they call it
-/// once more per job that runs from step 0 (a fault that starts at
-/// once, or a monitor that cannot fork). The serial reference calls it
-/// once per job. It must therefore be a pure function of the
+/// patient and initial BG, for the lane that first carries them all,
+/// and every lane that splits off [forks](HazardMonitor::fork) that
+/// monitor; they call it once more per job when the monitor cannot
+/// fork, and every job then runs from step 0. The serial reference
+/// calls it once per job. It must therefore be a pure function of the
 /// [`ScenarioCtx`]: equal contexts, equal monitors.
 pub type MonitorFactory<'a> = dyn Fn(&ScenarioCtx) -> Box<dyn HazardMonitor> + Sync + 'a;
 
@@ -322,9 +324,9 @@ impl Cohort {
 }
 
 /// One campaign job's closed loop, set up from the spec: the same
-/// setup whether the job runs alone ([`JobRun::run`]) or as a lane of
-/// a lockstep block ([`crate::batch::run_block`]), from step 0 or
-/// forked from its group's trunk ([`crate::fork`]).
+/// setup whether the job runs alone ([`JobRun::run`]), as a lane of a
+/// lockstep block ([`crate::batch::run_block`]), or as the trunk whose
+/// lanes carry its group's jobs ([`crate::fork`]).
 pub(crate) struct JobRun {
     /// The job's patient; the caller's physics.
     pub(crate) patient: CohortPatient,
@@ -332,8 +334,6 @@ pub(crate) struct JobRun {
     pub(crate) monitor: Option<Box<dyn HazardMonitor>>,
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) config: LoopConfig,
-    /// Where a forked run resumes; `None` runs from step 0.
-    pub(crate) resume: Option<Resume>,
 }
 
 impl JobRun {
@@ -370,19 +370,12 @@ impl JobRun {
             injector: job.scenario.clone().map(FaultInjector::new),
             config,
             patient,
-            resume: None,
         }
-    }
-
-    /// The step the run starts at: 0, or its fork step.
-    pub(crate) fn start(&self) -> u32 {
-        self.resume.as_ref().map_or(0, |r| r.state.step())
     }
 
     /// Runs the job alone from step 0, surfacing mid-run failures as a
     /// typed error.
     pub(crate) fn run(mut self) -> Result<SimTrace, SimError> {
-        debug_assert!(self.resume.is_none(), "a forked run runs in a block");
         run_one(
             self.patient.as_dyn_mut(),
             self.controller.as_mut(),
@@ -395,37 +388,38 @@ impl JobRun {
         )
     }
 
-    /// The job's patient and its closed loop as a lane, set up from
-    /// step 0 or resumed at its fork step. The caller puts the patient
-    /// (reset to the initial glucose when the run starts at step 0) in
-    /// the physics the lane runs on.
-    pub(crate) fn lane(&mut self) -> (&mut CohortPatient, Lane<'_>) {
-        let monitors = self
-            .monitor
-            .as_deref_mut()
-            .map(|m| m as &mut dyn HazardMonitor);
-        let lane = match self.resume.take() {
-            None => Lane::new(
-                self.patient.as_dyn().name(),
-                self.controller.as_mut(),
-                monitors,
-                self.injector.as_mut(),
-                &self.config,
-                None,
-            ),
-            Some(Resume {
-                state,
-                target_before,
-            }) => Lane::resume(
-                state,
-                target_before,
-                self.controller.as_mut(),
-                monitors,
-                self.injector.as_mut(),
-                &self.config,
-            ),
-        };
-        (&mut self.patient, lane)
+    /// The job's closed loop as a lane carrying the job as job `k`. The
+    /// caller puts the patient, reset to the initial glucose, in the
+    /// physics the lane runs on.
+    pub(crate) fn lane(&mut self, k: usize) -> Lane<'_> {
+        Lane::new(
+            self.patient.as_dyn().name(),
+            self.controller.as_mut(),
+            self.monitor
+                .as_deref_mut()
+                .map(|m| m as &mut dyn HazardMonitor),
+            [(k, self.injector.as_mut())],
+            &self.config,
+            None,
+        )
+    }
+
+    /// The run's closed loop as a lane carrying `jobs` (job index and
+    /// injector, in job order) instead of the run's own job.
+    pub(crate) fn lane_with<'a>(
+        &'a mut self,
+        jobs: impl IntoIterator<Item = (usize, Option<&'a mut FaultInjector>)>,
+    ) -> Lane<'a> {
+        Lane::new(
+            self.patient.as_dyn().name(),
+            self.controller.as_mut(),
+            self.monitor
+                .as_deref_mut()
+                .map(|m| m as &mut dyn HazardMonitor),
+            jobs,
+            &self.config,
+            None,
+        )
     }
 }
 
@@ -700,10 +694,11 @@ fn run_job_checked(
 
 /// Runs one group of jobs (`group` indexes `jobs`) and returns each
 /// job's outcome, equal to what [`run_job_checked`] returns for it:
-/// jobs whose attempt 1 runs clean fork from the group's fault-free
-/// trunk in lockstep blocks (the crate-private `fork` module), and
-/// every other job, failed lane, or job whose fork or block did not run
-/// goes through [`run_job_checked`] from attempt 1.
+/// jobs whose attempt 1 runs clean ride one set of lockstep lanes that
+/// forks where a job's fault first changes the loop (the crate-private
+/// `fork` module), and every other job, job of a failed lane, or job
+/// whose lanes or block did not run goes through [`run_job_checked`]
+/// from attempt 1.
 fn run_group_checked(
     spec: &CampaignSpec,
     cohort: &Cohort,
@@ -723,8 +718,8 @@ fn run_group_checked(
     let lanes: Vec<usize> = (0..group.len()).filter(|&k| clean(group[k])).collect();
     let lane_jobs: Vec<&Job> = lanes.iter().map(|&k| &jobs[group[k]]).collect();
     let mut outcomes: Vec<Option<JobOutcome>> = group.iter().map(|_| None).collect();
-    let results = run_group::<BATCH_LANES>(spec, cohort, &lane_jobs, monitor_factory);
-    for (&k, result) in lanes.iter().zip(results) {
+    let group_run = run_group::<BATCH_LANES>(spec, cohort, &lane_jobs, monitor_factory);
+    for (&k, result) in lanes.iter().zip(group_run.results) {
         outcomes[k] = result.and_then(Result::ok).map(JobOutcome::Completed);
     }
     outcomes
@@ -835,10 +830,10 @@ impl EmitState<'_> {
 /// optional deadline) with retries under `options.retry`; outcomes —
 /// [`JobOutcome::Completed`] or [`JobOutcome::Failed`] — stream into
 /// `sink(job_index, outcome)` in **deterministic job order**. Pending
-/// jobs run in groups forked from one fault-free trunk, as lockstep
-/// blocks of up to [`BATCH_LANES`], falling back to one job at a time
-/// wherever a block cannot hold them (see the
-/// [module docs](self)). Cancelling leaves the emitted jobs a prefix
+/// jobs run in groups, each as riders of lockstep lanes in banks of
+/// [`BATCH_LANES`] that fork where a job's fault first changes the
+/// loop, falling back to one job at a time wherever a lane cannot hold
+/// them (see the [module docs](self)). Cancelling leaves the emitted jobs a prefix
 /// of the pending ones, and a failed checkpoint write stops the run.
 /// Failed jobs are final
 /// after their attempt budget: they are ledgered, marked done, and
@@ -959,9 +954,9 @@ pub fn run_campaign_serial(
 /// deterministic job order** — into `sink(job_index, trace)` without
 /// ever materializing the full result vector.
 ///
-/// Jobs run in groups on the [ordered executor](crate::exec), forked
-/// from each group's fault-free trunk in lockstep blocks (see the
-/// [module docs](self)), so peak buffering is O(workers) groups,
+/// Jobs run in groups on the [ordered executor](crate::exec), each
+/// group as lockstep lanes that fork where a job's fault first changes
+/// the loop (see the [module docs](self)), so peak buffering is O(workers) groups,
 /// never O(campaign): paper-scale sweeps can score, aggregate, or
 /// persist traces as they arrive. Output order and contents are
 /// defined to equal [`run_campaign_serial`].

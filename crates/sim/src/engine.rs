@@ -1,11 +1,11 @@
 //! The closed-loop cycle, written once.
 //!
-//! Every run executes [`run_lanes`] over `L` lanes: a
+//! Every run executes [`run_lanes`] over a set of lanes: a
 //! [`Session`](crate::session::Session), the positional
 //! [`closed_loop::run`](crate::closed_loop::run), and a campaign job
 //! run on its own are its one-lane instance ([`run_one`] puts the patient
-//! behind a [`BatchedPatientSim<1>`] adapter), and a lockstep block of
-//! [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs is its batched
+//! behind a one-lane [`LanePhysics`] adapter), and a lockstep block of
+//! up to [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs is its batched
 //! instance over a structure-of-arrays physics bank. Only physics is
 //! batched. Every other stage runs per lane, on that lane's own
 //! components, in the same order whatever the lane count — which is why
@@ -15,20 +15,34 @@
 //! Per cycle, each live lane goes through meals/exercise → CGM → fault
 //! route → decide → rate fault → classify → monitor bank → mitigate →
 //! pump → observe delivery → record (+ observer); then the physics
-//! steps every lane at once and each lane's state is checked for
+//! steps the lanes' bank at once and each lane's state is checked for
 //! finiteness.
 //!
-//! [`run_lanes`] runs a range of steps, so a run can pause at a step
-//! boundary. A campaign group's fault-free trunk ([`crate::fork`])
-//! pauses at each fault start, copies its lane's own state
-//! ([`LaneState`]), and every faulty run of the group resumes from that
-//! copy ([`Lane::resume`]) instead of re-running the steps before its
-//! fault.
+//! # Riders and splits
+//!
+//! A lane carries one or more jobs, its **riders**, in job order. The
+//! jobs of a lane share everything but their fault injectors, so the
+//! lane runs the loop once for all of them. Each cycle every rider's
+//! injector is evaluated on the lane's values: the CGM reading, or the
+//! controller's value of the target, before the decision, and the
+//! decided rate after it. What a rider would do there is its
+//! *effect*: which variable it writes and the written value's bits (or
+//! no write) before the decision, the commanded rate's bits after it.
+//! The first rider is the lane's own job, and its effects are the
+//! lane's. A rider whose effect differs from the lane's **splits** off
+//! to a new lane, a copy of this one as it stands at that point of the
+//! cycle, on a copy of its physics lane ([`LanePhysics::split`]);
+//! riders with equal effects split together, led by the first in job
+//! order. A rider that never splits takes its lane's trace, with its
+//! own meta and `fault_active` column ([`Lane::finish`]). From the
+//! lanes' common start the loop is a pure function of the effect
+//! sequence, so every rider gets, bit for bit, the trace of its job run
+//! alone.
 //!
 //! Hazard labelling is part of a lane's state too. A lane labels its
-//! records with its own labeller when it is forked ([`Lane::label`])
-//! and when it finishes ([`Lane::finish`]), each time only the records
-//! not labelled yet, so a resumed lane labels only its own steps.
+//! records with its own labeller before it splits and when it
+//! finishes, each time only the records not labelled yet, so a split
+//! lane labels only its own steps.
 
 use crate::closed_loop::LoopConfig;
 use crate::outcome::SimError;
@@ -38,13 +52,45 @@ use aps_core::monitors::{HazardMonitor, MonitorInput};
 use aps_fault::FaultInjector;
 use aps_glucose::pump::Pump;
 use aps_glucose::sensor::Cgm;
-use aps_glucose::{BatchedPatientSim, PatientSim};
+use aps_glucose::PatientSim;
 use aps_risk::RiskTracker;
 use aps_types::{
     AlertTrack, ControlAction, Hazard, MgDl, SimTrace, Step, StepRecord, TraceMeta, Units,
     UnitsPerHour, CONTROL_CYCLE_MINUTES,
 };
-use std::ops::Range;
+use std::ops::{Deref, DerefMut};
+
+/// The physics of a set of lanes, lane `l` on physics lane `l`, in
+/// banks of [`width`](LanePhysics::width) lanes stepped one bank at a
+/// time.
+pub(crate) trait LanePhysics {
+    /// Lanes per bank: lane `l` is lane `l % width` of bank
+    /// `l / width`.
+    fn width(&self) -> usize;
+
+    /// Current blood glucose of one lane, as observable by a CGM.
+    fn bg(&self, lane: usize) -> MgDl;
+
+    /// Advances every lane of bank `bank` by `minutes`, its lane `i`
+    /// infusing at `rates[i]` (lanes past the end of `rates` at none).
+    fn step_bank(&mut self, bank: usize, rates: &[UnitsPerHour], minutes: f64);
+
+    /// Adds a meal to one lane's gut absorption model.
+    fn ingest(&mut self, lane: usize, carbs_g: f64);
+
+    /// Starts an exercise bout on one lane.
+    fn exert(&mut self, lane: usize, intensity: f64, duration_min: f64);
+
+    /// Whether every state component of one lane is finite.
+    fn lane_is_finite(&self, lane: usize) -> bool;
+
+    /// Copies lane `from` into lane `to`, the lowest lane not in use,
+    /// adding a bank when `to` starts one.
+    fn split(&mut self, from: usize, to: usize);
+}
+
+/// A job's index in the caller's job list, and its result.
+pub(crate) type JobResult = (usize, Result<SimTrace, SimError>);
 
 /// Where the scenario's target variable sits in the control loop.
 enum FaultRoute {
@@ -52,12 +98,16 @@ enum FaultRoute {
     Rate,
     /// CGM input, perturbed before the decision.
     Glucose,
-    /// Controller-internal variable.
+    /// Controller-internal variable, read and written by name
+    /// (`get_state` / `set_state`) before the decision.
     Internal,
 }
 
-/// A lane's fault injector with its target's route and legitimate
-/// bounds, resolved once per run: the cycle compares no strings.
+/// A rider's fault injector with its target's route and legitimate
+/// bounds, resolved once per run. The route spares the cycle a match
+/// on the target's name, but an internal-variable fault still names
+/// its target to the controller every cycle (`get_state`, and
+/// `set_state` while active).
 struct Fault<'a> {
     injector: &'a mut FaultInjector,
     route: FaultRoute,
@@ -65,35 +115,174 @@ struct Fault<'a> {
     hi: f64,
 }
 
-impl Fault<'_> {
-    /// Brings a fresh injector to the state it has after `step` steps
-    /// of a fault-free prefix, as recorded in `trace`: before its start
-    /// a fault only remembers the last value its route read (for a
-    /// later `Hold`), so this replays the last step's read.
-    /// `target_before` is the controller's value of the target as of
-    /// that step, read by an internal-variable route.
-    fn catch_up(&mut self, step: u32, trace: &SimTrace, target_before: Option<f64>) {
-        let Some(last) = step.checked_sub(1) else {
+/// One job carried by a lane: its own fault injector (none for the
+/// fault-free job), evaluated every cycle on the lane's values, and
+/// what it made of them this cycle.
+struct Rider<'a> {
+    /// The job's index in the caller's job list.
+    job: usize,
+    fault: Option<Fault<'a>>,
+    /// This cycle's write to the target before the decision, if any.
+    write: Option<f64>,
+    /// This cycle's commanded rate.
+    command: UnitsPerHour,
+}
+
+impl<'a> Rider<'a> {
+    /// Resets `injector` for a run of `controller` and resolves the
+    /// target's route and legitimate bounds.
+    ///
+    /// A fault target the controller does not expose falls back to
+    /// unbounded injection (legacy behaviour of the positional API;
+    /// [`SessionBuilder`](crate::session::SessionBuilder) rejects such
+    /// targets before a run is built).
+    fn new(
+        job: usize,
+        injector: Option<&'a mut FaultInjector>,
+        controller: &dyn Controller,
+    ) -> Self {
+        let fault = injector.map(|injector| {
+            injector.reset();
+            let target = injector.scenario().target.as_str();
+            let route = match target {
+                "rate" => FaultRoute::Rate,
+                "glucose" => FaultRoute::Glucose,
+                _ => FaultRoute::Internal,
+            };
+            let (lo, hi) = controller
+                .state_vars()
+                .iter()
+                .find(|v| v.name == target)
+                .map(|v| (v.min, v.max))
+                .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+            Fault {
+                injector,
+                route,
+                lo,
+                hi,
+            }
+        });
+        Rider {
+            job,
+            fault,
+            write: None,
+            command: UnitsPerHour(0.0),
+        }
+    }
+
+    /// The fault's target variable.
+    fn target(&self) -> Option<&str> {
+        let fault = self.fault.as_ref()?;
+        Some(fault.injector.scenario().target.as_str())
+    }
+
+    /// Evaluates the fault before the decision, on the lane's CGM
+    /// `reading` or `controller`'s value of the target, and records the
+    /// write it makes (`write`) without making it. An input or
+    /// internal fault reads its route every cycle, which keeps its
+    /// `Hold` history fresh before it activates.
+    fn before_decision(&mut self, step: Step, reading: MgDl, controller: &dyn Controller) {
+        self.write = None;
+        let Some(f) = self.fault.as_mut() else {
             return;
         };
-        let rec = &trace.records[last as usize];
-        let seen = match self.route {
-            FaultRoute::Rate => Some(rec.commanded.value()),
-            FaultRoute::Glucose => Some(rec.bg.value()),
-            FaultRoute::Internal => target_before,
+        let (inj, lo, hi) = (&mut *f.injector, f.lo, f.hi);
+        match f.route {
+            FaultRoute::Rate => {}
+            FaultRoute::Glucose => {
+                let faulty = inj.perturb_target(step, reading.value(), lo, hi);
+                if inj.is_active(step) {
+                    self.write = Some(faulty);
+                }
+            }
+            FaultRoute::Internal if inj.is_active(step) => {
+                // Perturb last cycle's value (the freshest observable)
+                // and force it for this decision.
+                let base = controller
+                    .get_state(&inj.scenario().target)
+                    .unwrap_or(0.5 * (lo + hi));
+                self.write = Some(inj.perturb_target(step, base, lo, hi));
+            }
+            FaultRoute::Internal => {
+                if let Some(base) = controller.get_state(&inj.scenario().target) {
+                    inj.perturb_target(step, base, lo, hi);
+                }
+            }
+        }
+    }
+
+    /// Evaluates the fault after the decision: the rate it commands
+    /// instead of `decided` (`command`).
+    fn after_decision(&mut self, step: Step, decided: UnitsPerHour) {
+        self.command = match self.fault.as_mut() {
+            Some(Fault {
+                injector,
+                route: FaultRoute::Rate,
+                lo,
+                hi,
+            }) => UnitsPerHour(injector.perturb_target(step, decided.value(), *lo, *hi)),
+            _ => decided,
         };
-        if let Some(value) = seen {
-            self.injector
-                .perturb_target(Step(last), value, self.lo, self.hi);
+    }
+
+    /// Whether this cycle's write is `lead`'s: the same variable and
+    /// value bits, or no write for both.
+    fn writes_as(&self, lead: &Rider<'_>) -> bool {
+        match (self.write, lead.write) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a.to_bits() == b.to_bits() && self.target() == lead.target(),
+            _ => false,
+        }
+    }
+
+    /// Whether this cycle's command has `lead`'s bits.
+    fn commands_as(&self, lead: &Rider<'_>) -> bool {
+        self.command.value().to_bits() == lead.command.value().to_bits()
+    }
+
+    /// `trace`, the trace of the rider's lane, as the rider's own: its
+    /// scenario in the meta and its `fault_active` column.
+    fn claim(&self, mut trace: SimTrace) -> SimTrace {
+        let scenario = self.fault.as_ref().map(|f| f.injector.scenario());
+        trace.meta.fault_name = scenario.map(|s| s.name()).unwrap_or_default();
+        trace.meta.fault_start = scenario.map(|s| s.start);
+        for rec in &mut trace.records {
+            rec.fault_active = scenario.is_some_and(|s| s.is_active(rec.step));
+        }
+        trace
+    }
+}
+
+/// A lane's controller or monitor: the caller's, or the lane's own
+/// copy once it split off.
+enum Part<'a, T: ?Sized> {
+    Lent(&'a mut T),
+    Own(Box<T>),
+}
+
+impl<T: ?Sized> Deref for Part<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Part::Lent(part) => part,
+            Part::Own(part) => part,
+        }
+    }
+}
+
+impl<T: ?Sized> DerefMut for Part<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        match self {
+            Part::Lent(part) => part,
+            Part::Own(part) => part,
         }
     }
 }
 
 /// What a lane owns of its run — every piece of loop state that is not
-/// a borrowed component. A lane paused at a step boundary labels its
-/// records and copies it ([`Lane::label`], [`Lane::state`],
-/// [`LaneState::fork`]) so other lanes can resume from there.
-pub(crate) struct LaneState {
+/// a controller or monitor. A split copies it ([`LaneState::fork`]).
+struct LaneState {
     cgm: Cgm,
     pump: Pump,
     ctx_mitigator: Option<ContextMitigator>,
@@ -113,13 +302,8 @@ pub(crate) struct LaneState {
 }
 
 impl LaneState {
-    /// Steps run so far.
-    pub(crate) fn step(&self) -> u32 {
-        self.trace.records.len() as u32
-    }
-
     /// A copy with room for the rest of a `steps`-step run.
-    pub(crate) fn fork(&self, steps: u32) -> LaneState {
+    fn fork(&self, steps: u32) -> LaneState {
         fn with_room<T: Copy>(prefix: &[T], steps: u32) -> Vec<T> {
             let mut copy = Vec::with_capacity(prefix.len().max(steps as usize));
             copy.extend_from_slice(prefix);
@@ -143,81 +327,70 @@ impl LaneState {
     }
 }
 
-/// One closed-loop run minus its physics: the per-lane state of
-/// [`run_lanes`].
+/// How far a lane has run the current cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Not at all.
+    Start,
+    /// Through the CGM sample and every rider's evaluation before the
+    /// decision.
+    Sampled,
+    /// Through the decision and every rider's evaluation after it.
+    Decided,
+}
+
+/// One closed loop minus its physics, carrying one or more jobs: the
+/// per-lane state of [`run_lanes`].
 pub(crate) struct Lane<'a> {
-    controller: &'a mut dyn Controller,
+    controller: Part<'a, dyn Controller + 'a>,
     /// Primary first: its verdicts drive mitigation and fill
     /// [`StepRecord::alert`].
-    monitors: Vec<&'a mut dyn HazardMonitor>,
-    fault: Option<Fault<'a>>,
+    monitors: Vec<Part<'a, dyn HazardMonitor + 'a>>,
+    /// The jobs the lane carries, in job order; the first is the lane's
+    /// own, and its effects are the lane's.
+    riders: Vec<Rider<'a>>,
     config: &'a LoopConfig,
     observer: Option<&'a mut dyn FnMut(&StepRecord)>,
     state: LaneState,
+    stage: Stage,
+    /// This cycle's true glucose and CGM reading, once sampled.
+    true_bg: MgDl,
+    reading: MgDl,
     dead: Option<SimError>,
 }
 
-/// Resets `injector` for a run of `controller`, names its scenario in
-/// `meta`, and resolves the target's route and legitimate bounds.
-///
-/// A fault target the controller does not expose falls back to
-/// unbounded injection (legacy behaviour of the positional API;
-/// [`SessionBuilder`](crate::session::SessionBuilder) rejects such
-/// targets before a run is built).
-fn attach<'a>(
-    injector: &'a mut FaultInjector,
-    controller: &dyn Controller,
-    meta: &mut TraceMeta,
-) -> Fault<'a> {
-    injector.reset();
-    let scenario = injector.scenario();
-    meta.fault_name = scenario.name();
-    meta.fault_start = Some(scenario.start);
-    let route = match scenario.target.as_str() {
-        "rate" => FaultRoute::Rate,
-        "glucose" => FaultRoute::Glucose,
-        _ => FaultRoute::Internal,
-    };
-    let (lo, hi) = controller
-        .state_vars()
-        .iter()
-        .find(|v| v.name == scenario.target)
-        .map(|v| (v.min, v.max))
-        .unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-    Fault {
-        injector,
-        route,
-        lo,
-        hi,
-    }
-}
-
 impl<'a> Lane<'a> {
-    /// Sets up one run of `patient`: resets the controller, monitors
-    /// and injector, builds the run's own sensor, pump and context
-    /// mitigator, resolves the fault route and bounds, and preallocates
-    /// the trace and verdict streams. The patient itself is the
-    /// caller's physics and is reset by the caller.
+    /// Sets up one run of `patient` carrying `jobs` (job index and
+    /// injector, in job order; at least one): resets the controller,
+    /// monitors and injectors, builds the run's own sensor, pump and
+    /// context mitigator, resolves each fault's route and bounds, and
+    /// preallocates the trace and verdict streams. The patient itself
+    /// is the caller's physics and is reset by the caller.
     pub(crate) fn new(
         patient: &str,
         controller: &'a mut dyn Controller,
         monitors: impl IntoIterator<Item = &'a mut dyn HazardMonitor>,
-        injector: Option<&'a mut FaultInjector>,
+        jobs: impl IntoIterator<Item = (usize, Option<&'a mut FaultInjector>)>,
         config: &'a LoopConfig,
         observer: Option<&'a mut dyn FnMut(&StepRecord)>,
     ) -> Lane<'a> {
         let steps = config.steps as usize;
         controller.reset();
-        let mut monitors: Vec<&'a mut dyn HazardMonitor> = monitors.into_iter().collect();
+        let mut monitors: Vec<Part<'a, dyn HazardMonitor + 'a>> =
+            monitors.into_iter().map(Part::Lent).collect();
         for monitor in monitors.iter_mut() {
             monitor.reset();
         }
-        let mut meta = TraceMeta {
+        let riders: Vec<Rider<'a>> = jobs
+            .into_iter()
+            .map(|(job, injector)| Rider::new(job, injector, &*controller))
+            .collect();
+        debug_assert!(!riders.is_empty(), "a lane carries its own job");
+        let meta = TraceMeta {
             patient: patient.to_owned(),
             initial_bg: config.initial_bg,
             ..TraceMeta::default()
         };
-        let fault = injector.map(|injector| attach(injector, controller, &mut meta));
         let state = LaneState {
             // Configs are `Copy` scalars: no heap allocation here.
             cgm: Cgm::new(config.cgm),
@@ -229,302 +402,340 @@ impl<'a> Lane<'a> {
             prev_commanded: UnitsPerHour(controller.basal_rate().value()),
         };
         Lane {
-            controller,
+            controller: Part::Lent(controller),
             monitors,
-            fault,
+            riders,
             config,
             observer,
             state,
+            stage: Stage::Start,
+            true_bg: MgDl(0.0),
+            reading: MgDl(0.0),
             dead: None,
         }
     }
 
-    /// Resumes a run from `state`, a fault-free run's state after its
-    /// first `state.step()` steps, without resetting anything:
-    /// `controller` and `monitors` are that run's components as of the
-    /// same step (forks of them), and the injector, reset, is brought
-    /// to the state a run from step 0 has at that step.
-    /// `target_before` is the value the fault target read on the last
-    /// of those steps, when it is a controller-internal variable (the
-    /// fault-free controller's one step before `state`).
+    /// A copy of the lane as it stands, carrying no job yet: forks of
+    /// its controller and monitors, and a copy of its state.
     ///
-    /// The lane then runs, from `state.step()` on, exactly as the
-    /// faulty run would have from step 0 — provided its fault is not
-    /// active before `state.step()` and `config` equals the fault-free
-    /// run's.
-    pub(crate) fn resume(
-        mut state: LaneState,
-        target_before: Option<f64>,
-        controller: &'a mut dyn Controller,
-        monitors: impl IntoIterator<Item = &'a mut dyn HazardMonitor>,
-        injector: Option<&'a mut FaultInjector>,
-        config: &'a LoopConfig,
-    ) -> Lane<'a> {
-        let monitors: Vec<&'a mut dyn HazardMonitor> = monitors.into_iter().collect();
-        debug_assert_eq!(
-            monitors.len(),
-            state.alerts.len(),
-            "one verdict stream per monitor"
-        );
-        let fault = injector.map(|injector| {
-            let mut fault = attach(injector, controller, &mut state.trace.meta);
-            debug_assert!(
-                fault.injector.scenario().start.0 >= state.step(),
-                "a fault active before the fork step"
-            );
-            fault.catch_up(state.step(), &state.trace, target_before);
-            fault
-        });
+    /// # Panics
+    ///
+    /// Panics when a monitor cannot [fork](HazardMonitor::fork); the
+    /// campaign executor then reruns the lane's jobs on their own.
+    fn fork(&self) -> Lane<'a> {
+        let monitors = self
+            .monitors
+            .iter()
+            .map(|monitor| {
+                let copy = monitor
+                    .fork()
+                    .unwrap_or_else(|| panic!("monitor `{}` cannot fork", monitor.name()));
+                Part::Own(copy)
+            })
+            .collect();
         Lane {
-            controller,
+            controller: Part::Own(self.controller.fork()),
             monitors,
-            fault,
-            config,
+            riders: Vec::new(),
+            config: self.config,
             observer: None,
-            state,
+            state: self.state.fork(self.config.steps),
+            stage: self.stage,
+            true_bg: self.true_bg,
+            reading: self.reading,
             dead: None,
         }
     }
 
-    /// Hazard-labels the lane's records not labelled yet, so that
-    /// forks of its state inherit the labels and the labeller.
-    pub(crate) fn label(&mut self) {
+    /// Moves every rider whose effect this cycle is not the lead's
+    /// (`same`) to a new lane, riders with equal effects to one lane,
+    /// led by the first of them. The lane is at `stage` of the cycle;
+    /// each new lane is a copy of it there and goes to the end of
+    /// `spawned`, for the caller to give it a copy of this lane's
+    /// physics.
+    fn split(
+        &mut self,
+        stage: Stage,
+        same: fn(&Rider<'a>, &Rider<'a>) -> bool,
+        spawned: &mut Vec<Lane<'a>>,
+    ) {
+        self.stage = stage;
+        let lead = &self.riders[0];
+        if self.riders[1..].iter().all(|rider| same(rider, lead)) {
+            return;
+        }
+        // The copies inherit the records labelled, with the labeller.
         let state = &mut self.state;
         state.labeller.label_tail(&mut state.trace.records);
-    }
-
-    /// The lane's own state, or `None` once the run has died.
-    pub(crate) fn state(&self) -> Option<&LaneState> {
-        self.dead.is_none().then_some(&self.state)
-    }
-
-    /// The lane's controller.
-    pub(crate) fn controller(&self) -> &dyn Controller {
-        &*self.controller
-    }
-
-    /// The lane's primary monitor, if it has any.
-    pub(crate) fn primary_monitor(&self) -> Option<&dyn HazardMonitor> {
-        self.monitors.first().map(|m| &**m)
-    }
-
-    /// The run's result: its first non-finite cycle, or the trace with
-    /// one [`AlertTrack`] per monitor, hazard-labelled as
-    /// [`aps_risk::label_trace`] labels it.
-    pub(crate) fn finish(mut self) -> Result<SimTrace, SimError> {
-        if let Some(e) = self.dead {
-            return Err(e);
+        let first = spawned.len();
+        for rider in std::mem::take(&mut self.riders) {
+            if self.riders.first().is_none_or(|lead| same(&rider, lead)) {
+                self.riders.push(rider);
+            } else if let Some(lane) = spawned[first..]
+                .iter_mut()
+                .find(|lane| same(&rider, &lane.riders[0]))
+            {
+                lane.riders.push(rider);
+            } else {
+                let mut lane = self.fork();
+                lane.riders.push(rider);
+                spawned.push(lane);
+            }
         }
-        // A resumed lane labels only its own steps: its prefix came
-        // labelled, with the labeller, from the run it forked off.
-        self.label();
-        let mut trace = self.state.trace;
-        trace.monitor_tracks = self
-            .monitors
-            .into_iter()
-            .zip(self.state.alerts)
+    }
+
+    /// Runs the lane, physics lane `l`, through this cycle up to its
+    /// pump delivery, from wherever it stands in the cycle, and pushes
+    /// the cycle's record. Riders that split off go to `spawned` (see
+    /// [`split`](Lane::split)).
+    fn run_to_delivery(
+        &mut self,
+        l: usize,
+        step: Step,
+        physics: &mut dyn LanePhysics,
+        spawned: &mut Vec<Lane<'a>>,
+    ) {
+        let config = self.config;
+        if self.stage == Stage::Start {
+            for meal in config.meals.iter().filter(|m| m.step == step) {
+                physics.ingest(l, meal.carbs_g);
+                if meal.announced {
+                    self.controller.announce_meal(meal.carbs_g);
+                }
+            }
+            for bout in config.exercise.iter().filter(|b| b.step == step) {
+                physics.exert(l, bout.intensity, bout.duration_min);
+            }
+            self.true_bg = physics.bg(l);
+            self.reading = self.state.cgm.sample(self.true_bg);
+            let (reading, controller) = (self.reading, &*self.controller);
+            for rider in &mut self.riders {
+                rider.before_decision(step, reading, controller);
+            }
+            self.split(Stage::Sampled, Rider::writes_as, spawned);
+        }
+        if self.stage == Stage::Sampled {
+            // Fault injection on the controller's input/internal
+            // variables; output faults are applied after the decision.
+            let lead = &self.riders[0];
+            if let (Some(value), Some(target)) = (lead.write, lead.target()) {
+                self.controller.set_state(target, value);
+            }
+            let decided = self.controller.decide(step, self.reading);
+            for rider in &mut self.riders {
+                rider.after_decision(step, decided);
+            }
+            self.split(Stage::Decided, Rider::commands_as, spawned);
+        }
+        self.stage = Stage::Start;
+        let (true_bg, reading) = (self.true_bg, self.reading);
+        let lead = &self.riders[0];
+        let commanded = lead.command;
+        let fault_active = lead
+            .fault
+            .as_ref()
+            .is_some_and(|f| f.injector.is_active(step));
+        let state = &mut self.state;
+        let action = ControlAction::classify(commanded, state.prev_commanded);
+
+        // Every monitor sees the same input; the primary's verdict
+        // feeds mitigation and the alert column.
+        let input = MonitorInput {
+            step,
+            bg: reading,
+            commanded,
+            previous_rate: state.prev_commanded,
+        };
+        let mut alert = None;
+        let tracked = self.monitors.iter_mut().zip(&mut state.alerts);
+        for (i, (monitor, alerts)) in tracked.enumerate() {
+            let verdict = monitor.check(&input);
+            alerts.push(verdict);
+            if i == 0 {
+                alert = verdict;
+            }
+        }
+
+        let mitigated = if let Some(cm) = state.ctx_mitigator.as_mut() {
+            let mit_ctx = cm.observe_bg(reading);
+            cm.mitigate(alert, &mit_ctx, commanded)
+        } else {
+            match (&config.mitigator, alert) {
+                (Some(mit), Some(_)) => mit.mitigate(alert, commanded),
+                _ => commanded,
+            }
+        };
+
+        let delivered = state.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
+        state.trace.push(StepRecord {
+            step,
+            bg: reading,
+            bg_true: true_bg,
+            iob: Units(0.0), // read once the delivery is observed
+            commanded,
+            delivered,
+            action,
+            fault_active,
+            hazard: None,
+            alert,
+        });
+    }
+
+    /// Observes this cycle's delivery and completes its record's `iob`
+    /// before the observer sees it. Returns the delivered rate.
+    fn observe_delivery(&mut self) -> UnitsPerHour {
+        let Some(rec) = self.state.trace.records.last_mut() else {
+            return UnitsPerHour(0.0);
+        };
+        self.controller.observe_delivery(rec.delivered);
+        for monitor in self.monitors.iter_mut() {
+            monitor.observe_delivery(rec.delivered);
+        }
+        if let Some(cm) = self.state.ctx_mitigator.as_mut() {
+            cm.observe_delivery(rec.delivered);
+        }
+        rec.iob = self.controller.iob();
+        if let Some(obs) = self.observer.as_mut() {
+            obs(rec);
+        }
+        self.state.prev_commanded = rec.commanded;
+        rec.delivered
+    }
+
+    /// Each rider's job index and result: its lane's first non-finite
+    /// cycle, or the lane's trace as the rider's own, with one
+    /// [`AlertTrack`] per monitor, hazard-labelled as
+    /// [`aps_risk::label_trace`] labels it.
+    pub(crate) fn finish(self) -> Vec<JobResult> {
+        let Lane {
+            riders,
+            monitors,
+            mut state,
+            dead,
+            ..
+        } = self;
+        if let Some(e) = dead {
+            return riders.iter().map(|r| (r.job, Err(e.clone()))).collect();
+        }
+        // A split lane labels only its own steps: its prefix came
+        // labelled, with the labeller, from the lane it split off.
+        state.labeller.label_tail(&mut state.trace.records);
+        let mut trace = state.trace;
+        trace.monitor_tracks = monitors
+            .iter()
+            .zip(state.alerts)
             .map(|(monitor, alerts)| AlertTrack {
                 monitor: monitor.name().to_owned(),
                 alerts,
             })
             .collect();
         trace.refresh_meta();
-        Ok(trace)
+        let Some((lead, rest)) = riders.split_first() else {
+            return Vec::new();
+        };
+        let mut results: Vec<_> = rest
+            .iter()
+            .map(|rider| (rider.job, Ok(rider.claim(trace.clone()))))
+            .collect();
+        results.push((lead.job, Ok(lead.claim(trace))));
+        results
     }
 }
 
-/// Runs `lanes` (at most `L`) through `steps` of their closed loops in
-/// lockstep, lane `l` on physics lane `l`. Every lane has run exactly
-/// the steps before `steps.start`, and `physics` holds their state at
-/// that step boundary.
+/// Runs `lanes` through `steps` cycles of their closed loops in
+/// lockstep from step 0, lane `l` on physics lane `l`, and returns the
+/// lane-cycles it stepped. `physics` holds every lane's state at step
+/// 0.
 ///
 /// Lanes are independent: nothing crosses lanes but the batched
-/// physics step, whose arithmetic is per lane. Padding lanes (beyond
-/// `lanes.len()`) and dead lanes infuse nothing. A lane whose state
-/// turns non-finite dies with [`SimError::NonFinite`] at that cycle
-/// (non-finite state is absorbing, so it cannot recover and never
-/// poisons its lane-mates); the loop stops once every lane is dead.
+/// physics step, whose arithmetic is per lane, and the splits. Padding
+/// lanes (beyond `lanes.len()`) and dead lanes infuse nothing. A lane
+/// whose state turns non-finite dies with [`SimError::NonFinite`] at
+/// that cycle, and so does every rider it carries (non-finite state is
+/// absorbing, so it cannot recover and never poisons its lane-mates);
+/// the loop stops once every lane is dead.
 ///
-/// Each cycle makes two passes over the lanes, split at the pump: the
-/// first runs every lane up to its delivery and pushes its step record,
-/// the second observes the delivery and completes that record's `iob`
-/// in place before the observer sees it. Per lane that is the order of
-/// the cycle; across a block it keeps each half's code hot for all
-/// lanes, which measured about 5% faster at `L = 8` than one pass per
-/// lane (2-core x86-64, Glucosym cohort).
-pub(crate) fn run_lanes<const L: usize>(
-    physics: &mut dyn BatchedPatientSim<L>,
-    lanes: &mut [Lane<'_>],
-    steps: Range<u32>,
-) {
-    debug_assert!(lanes.len() <= L, "{} lanes exceed {L}", lanes.len());
-    debug_assert!(
-        lanes
-            .iter()
-            .all(|lane| lane.dead.is_some() || lane.state.step() == steps.start),
-        "lanes out of step"
-    );
-    for s in steps {
+/// A rider whose effect differs from its lane's splits off mid-cycle
+/// to a lane appended to `lanes`, which runs the rest of the cycle in
+/// its bank's turn (see the [module docs](self)). Appended lanes land
+/// in the last bank or a new one, so their bank has not stepped yet.
+///
+/// Each cycle runs bank by bank, and makes two passes over a bank's
+/// lanes, split at the pump: the first runs every lane up to its
+/// delivery and pushes its step record, the second observes the
+/// delivery and completes that record's `iob` in place before the
+/// observer sees it; then the bank's physics steps. Per lane that is
+/// the order of the cycle; across a bank it keeps each half's code hot
+/// for all lanes, which measured about 5% faster at 8 lanes than one
+/// pass per lane (2-core x86-64, Glucosym cohort). Going bank by bank
+/// keeps the working set of a group with many lanes to one bank's
+/// lanes between the passes.
+pub(crate) fn run_lanes<'a>(
+    physics: &mut dyn LanePhysics,
+    lanes: &mut Vec<Lane<'a>>,
+    steps: u32,
+) -> u64 {
+    let width = physics.width();
+    let mut lane_cycles = 0;
+    let mut spawned = Vec::new();
+    // What each lane of a bank delivers this cycle (the physics input).
+    let mut rates = vec![UnitsPerHour(0.0); width];
+    for s in 0..steps {
         let step = Step(s);
-        // What each lane's pump delivers this cycle (the physics input).
-        let mut rates = [UnitsPerHour(0.0); L];
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            if lane.dead.is_some() {
-                continue;
-            }
-            let config = lane.config;
-            for meal in config.meals.iter().filter(|m| m.step == step) {
-                physics.ingest(l, meal.carbs_g);
-                if meal.announced {
-                    lane.controller.announce_meal(meal.carbs_g);
-                }
-            }
-            for bout in config.exercise.iter().filter(|b| b.step == step) {
-                physics.exert(l, bout.intensity, bout.duration_min);
-            }
-            let true_bg = physics.bg(l);
-            let reading = lane.state.cgm.sample(true_bg);
-
-            // Fault injection on the controller's input/internal
-            // variables; output faults are applied after the decision.
-            if let Some(f) = lane.fault.as_mut() {
-                let (inj, lo, hi) = (&mut *f.injector, f.lo, f.hi);
-                match f.route {
-                    FaultRoute::Rate => {}
-                    FaultRoute::Glucose => {
-                        let faulty = inj.perturb_target(step, reading.value(), lo, hi);
-                        if inj.is_active(step) {
-                            lane.controller.set_state("glucose", faulty);
-                        }
-                    }
-                    FaultRoute::Internal if inj.is_active(step) => {
-                        // Perturb last cycle's value (the freshest
-                        // observable) and force it for this decision.
-                        let base = lane
-                            .controller
-                            .get_state(&inj.scenario().target)
-                            .unwrap_or(0.5 * (lo + hi));
-                        let faulty = inj.perturb_target(step, base, lo, hi);
-                        lane.controller.set_state(&inj.scenario().target, faulty);
-                    }
-                    FaultRoute::Internal => {
-                        // Keep the injector's Hold history fresh
-                        // pre-activation.
-                        if let Some(base) = lane.controller.get_state(&inj.scenario().target) {
-                            inj.perturb_target(step, base, lo, hi);
-                        }
-                    }
-                }
-            }
-
-            let mut commanded = lane.controller.decide(step, reading);
-            if let Some(Fault {
-                injector,
-                route: FaultRoute::Rate,
-                lo,
-                hi,
-            }) = lane.fault.as_mut()
-            {
-                commanded =
-                    UnitsPerHour(injector.perturb_target(step, commanded.value(), *lo, *hi));
-            }
-            let action = ControlAction::classify(commanded, lane.state.prev_commanded);
-
-            // Every monitor sees the same input; the primary's verdict
-            // feeds mitigation and the alert column.
-            let input = MonitorInput {
-                step,
-                bg: reading,
-                commanded,
-                previous_rate: lane.state.prev_commanded,
-            };
-            let mut alert = None;
-            let tracked = lane.monitors.iter_mut().zip(&mut lane.state.alerts);
-            for (i, (monitor, alerts)) in tracked.enumerate() {
-                let verdict = monitor.check(&input);
-                alerts.push(verdict);
-                if i == 0 {
-                    alert = verdict;
-                }
-            }
-
-            let mitigated = if let Some(cm) = lane.state.ctx_mitigator.as_mut() {
-                let mit_ctx = cm.observe_bg(reading);
-                cm.mitigate(alert, &mit_ctx, commanded)
-            } else {
-                match (&config.mitigator, alert) {
-                    (Some(mit), Some(_)) => mit.mitigate(alert, commanded),
-                    _ => commanded,
-                }
-            };
-
-            let delivered = lane.state.pump.deliver(mitigated, CONTROL_CYCLE_MINUTES);
-            rates[l] = delivered;
-            lane.state.trace.push(StepRecord {
-                step,
-                bg: reading,
-                bg_true: true_bg,
-                iob: Units(0.0), // read once the delivery is observed
-                commanded,
-                delivered,
-                action,
-                fault_active: lane
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.injector.is_active(step)),
-                hazard: None,
-                alert,
-            });
-        }
-
-        for lane in lanes.iter_mut() {
-            if lane.dead.is_some() {
-                continue;
-            }
-            let Some(rec) = lane.state.trace.records.last_mut() else {
-                continue;
-            };
-            lane.controller.observe_delivery(rec.delivered);
-            for monitor in lane.monitors.iter_mut() {
-                monitor.observe_delivery(rec.delivered);
-            }
-            if let Some(cm) = lane.state.ctx_mitigator.as_mut() {
-                cm.observe_delivery(rec.delivered);
-            }
-            rec.iob = lane.controller.iob();
-            if let Some(obs) = lane.observer.as_mut() {
-                obs(rec);
-            }
-            lane.state.prev_commanded = rec.commanded;
-        }
-
-        physics.step_all(&rates, CONTROL_CYCLE_MINUTES);
-
         let mut live = false;
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            if lane.dead.is_none() {
-                if physics.lane_is_finite(l) {
-                    live = true;
-                } else {
-                    lane.dead = Some(SimError::NonFinite { cycle: s });
+        let mut first = 0;
+        while first < lanes.len() {
+            let mut l = first;
+            while l < lanes.len().min(first + width) {
+                if lanes[l].dead.is_none() {
+                    lanes[l].run_to_delivery(l, step, physics, &mut spawned);
+                    for lane in spawned.drain(..) {
+                        physics.split(l, lanes.len());
+                        lanes.push(lane);
+                    }
+                    lane_cycles += 1;
+                }
+                l += 1;
+            }
+            let bank = &mut lanes[first..l];
+            for (lane, rate) in bank.iter_mut().zip(&mut rates) {
+                *rate = match lane.dead {
+                    None => lane.observe_delivery(),
+                    Some(_) => UnitsPerHour(0.0),
+                };
+            }
+            physics.step_bank(first / width, &rates[..bank.len()], CONTROL_CYCLE_MINUTES);
+            for (i, lane) in bank.iter_mut().enumerate() {
+                if lane.dead.is_none() {
+                    if physics.lane_is_finite(first + i) {
+                        live = true;
+                    } else {
+                        lane.dead = Some(SimError::NonFinite { cycle: s });
+                    }
                 }
             }
+            first = l;
         }
         if !live {
             break;
         }
     }
+    lane_cycles
 }
 
-/// A scalar patient as a one-lane physics bank.
+/// A scalar patient as the physics of one lane.
 struct OneLane<'p>(&'p mut dyn PatientSim);
 
-impl BatchedPatientSim<1> for OneLane<'_> {
+impl LanePhysics for OneLane<'_> {
+    fn width(&self) -> usize {
+        1
+    }
+
     fn bg(&self, _lane: usize) -> MgDl {
         self.0.bg()
     }
 
-    fn step_all(&mut self, rates: &[UnitsPerHour; 1], minutes: f64) {
+    fn step_bank(&mut self, _bank: usize, rates: &[UnitsPerHour], minutes: f64) {
         self.0.step(rates[0], minutes);
     }
 
@@ -538,6 +749,10 @@ impl BatchedPatientSim<1> for OneLane<'_> {
 
     fn lane_is_finite(&self, _lane: usize) -> bool {
         self.0.state_is_finite()
+    }
+
+    fn split(&mut self, _from: usize, _to: usize) {
+        unreachable!("a lane with one job never splits");
     }
 }
 
@@ -557,21 +772,16 @@ pub(crate) fn run_one<'a>(
     observer: Option<&'a mut dyn FnMut(&StepRecord)>,
 ) -> Result<SimTrace, SimError> {
     patient.reset(MgDl(config.initial_bg));
-    let mut lane = Lane::new(
+    let lane = Lane::new(
         patient.name(),
         controller,
         monitors,
-        injector,
+        [(0, injector)],
         config,
         observer,
     );
-    run_alone(patient, &mut lane, 0..config.steps);
-    lane.finish()
-}
-
-/// Runs one lane through `steps` on `patient` (the one-lane instance
-/// of [`run_lanes`]); the patient holds the lane's physics state at
-/// `steps.start`.
-pub(crate) fn run_alone(patient: &mut dyn PatientSim, lane: &mut Lane<'_>, steps: Range<u32>) {
-    run_lanes::<1>(&mut OneLane(patient), std::slice::from_mut(lane), steps);
+    let mut lanes = vec![lane];
+    run_lanes(&mut OneLane(patient), &mut lanes, config.steps);
+    let (_, result) = lanes.swap_remove(0).finish().swap_remove(0);
+    result
 }

@@ -5,9 +5,9 @@
 //! emit)`. It runs `work(k)` for every unit `k` in `0..n` on scoped
 //! worker threads and hands each result to `emit(k, result)` on the
 //! calling thread. A unit is whatever the caller makes it: a campaign
-//! group (the jobs of one patient and initial BG, forked from one
-//! fault-free trunk and stepped in lockstep blocks of up to
-//! [`BATCH_LANES`](crate::batch::BATCH_LANES)), or a run of up to 32
+//! group (the jobs of one patient and initial BG, run as lockstep lanes
+//! in banks of [`BATCH_LANES`](crate::batch::BATCH_LANES) that fork
+//! where a job's fault first changes the loop), or a run of up to 32
 //! consecutive recorded traces in a [replay](crate::replay). Every
 //! caller therefore shares one contract:
 //!

@@ -16,11 +16,11 @@
 //!   executes, generic over its lane count: sessions, positional runs
 //!   and the serial reference's campaign jobs are its one-lane
 //!   instance, a campaign block its [`batch::BATCH_LANES`]-lane
-//!   instance, and it runs a step range, so a run can pause and be
-//!   resumed from a copy of its state;
+//!   instance, and a lane can carry several jobs and split mid-cycle
+//!   where their faults stop doing the same thing;
 //! * the private `fork` module — a campaign group (the jobs of one
-//!   patient and initial BG) runs its fault-free loop once and forks
-//!   every faulty run from it at the fault start;
+//!   patient and initial BG) runs as one lane carrying every job,
+//!   which forks wherever a job's fault first changes the loop;
 //! * [`platform::Platform`] — the two evaluation platforms (OpenAPS +
 //!   Glucosym-style, Basal-Bolus + UVA-Padova-style);
 //! * [`batch`] — the batched lockstep engine: a block of
@@ -29,9 +29,9 @@
 //!   one lane per job, bit-identical to running each job alone;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
 //!   patients × initial BG × scenarios, multi-threaded). Its one
-//!   engine claims groups of jobs, forks each group's jobs from its
-//!   fault-free trunk in lockstep blocks under per-job fault
-//!   isolation, behind the bounded-memory streaming sink
+//!   engine claims groups of jobs, runs each group as lockstep lanes
+//!   that fork where a job's fault first changes the loop, under
+//!   per-job fault isolation, behind the bounded-memory streaming sink
 //!   ([`campaign::run_campaign_with_workers`]) and the fault-tolerant path
 //!   ([`campaign::run_campaign_resumable`]): panic-isolated jobs,
 //!   retry with bounded backoff, and checkpoint/resume;

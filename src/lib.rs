@@ -103,24 +103,33 @@
 //!   that diverges to NaN free-runs harmlessly (non-finite is absorbing
 //!   under RK4) and surfaces as that job's typed `NonFinite` error
 //!   without poisoning its lane-mates.
-//! * **Faulty runs fork from one fault-free trunk** — an executor's
-//!   unit of work is a *group*: the jobs of one (patient, initial BG)
-//!   cell, which differ only in their fault scenario, so every faulty
-//!   run repeats the group's fault-free run until its fault starts.
-//!   The group's fault-free loop runs once, alone, and pauses at each
-//!   distinct fault start to copy its state (patient, forks of the
-//!   controller and monitor via [`controllers::Controller::fork`] and
+//! * **Jobs fork where their faults first change the loop** — an
+//!   executor's unit of work is a *group*: the jobs of one (patient,
+//!   initial BG) cell, which differ only in their fault scenario, so
+//!   two jobs run the same loop for as long as their faults do the
+//!   same thing to it. The group starts as one lane that carries every
+//!   job as a *rider*. Each cycle each rider's injector is evaluated on
+//!   the lane's values, and a rider splits off to a lane of its own
+//!   only at the first cycle where its *effect* differs from its
+//!   lane's: which variable it writes and the value's bits before the
+//!   decision, the commanded rate's bits after it. A split copies the
+//!   lane mid-cycle (patient into a free lane of a
+//!   [`sim::batch::BATCH_LANES`] bank, forks of the controller and
+//!   monitor via [`controllers::Controller::fork`] and
 //!   [`core::monitors::HazardMonitor::fork`], CGM with its RNG, pump,
-//!   mitigator, trace and verdict prefix). Each job then resumes from
-//!   the copy at its fault start, as a lane of a block of the jobs
-//!   that fork there, with its injector caught up to the state a run
-//!   from step 0 has at that step; the fault-free job forks with the
-//!   latest faulty one. On the paper grid (starts 20, 50 and 90 of 150
-//!   cycles) that cuts a group's lane-cycles from 40 650 to about
-//!   28 000, padding included. A group whose monitor cannot fork runs
+//!   mitigator, labelled trace and verdict prefix). Riders with equal
+//!   effects split together; a rider that never splits takes its
+//!   lane's trace with its own meta and `fault_active` column. So a
+//!   duration family shares a lane until its shortest window ends, a
+//!   clamped rate fault rides while it commands the decided rate, and
+//!   two faults that write the same value to the same variable ride
+//!   together. On the paper grid (starts 20, 50 and 90 of 150 cycles,
+//!   durations 6, 18 and 36) a group steps 18 041 (Glucosym) or
+//!   15 087 (T1DS) lane-cycles where forking each job at its fault
+//!   start stepped 26 250. A group whose monitor cannot fork runs
 //!   every job from step 0. [`sim::campaign::run_campaign_serial`] and
 //!   the per-job isolation path still run every job from step 0, so
-//!   the equivalence suites check every fork against an independent
+//!   the equivalence suites check every rider against an independent
 //!   full run (`tests/fork_equivalence.rs`).
 //! * **Allocation-free integration** — the patient models integrate
 //!   with a const-generic stack scratch
@@ -223,16 +232,15 @@
 //! Campaigns are expected to survive their own failures — the same
 //! philosophy the paper applies to the APS control loop, applied to
 //! the harness itself. The hardened executor
-//! ([`sim::campaign::run_campaign_resumable`]) runs the same forked
-//! lockstep blocks as every other campaign executor and guarantees,
+//! ([`sim::campaign::run_campaign_resumable`]) runs the same forking
+//! lockstep lanes as every other campaign executor and guarantees,
 //! per job:
 //!
 //! * **Isolation** — every job is validated first
 //!   ([`fault::FaultScenario::validate`]) and runs behind
 //!   `catch_unwind`, as a lane of a block or, when the block cannot
-//!   hold it (invalid spec, chaos plan, deadline), the block failed or
-//!   panicked, or its fork was never made (the group's fault-free
-//!   trunk panicked or diverged first), on its own from attempt 1, so
+//!   hold it (invalid spec, chaos plan, deadline), or its lane failed
+//!   or its group's lanes panicked, on its own from attempt 1, so
 //!   the blame lands on the exact job. Its ODE state is checked for finiteness after every
 //!   control cycle ([`glucose::PatientSim::state_is_finite`]; the RK4
 //!   stepper itself rejects non-finite states via

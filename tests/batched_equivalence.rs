@@ -171,9 +171,10 @@ fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
     })
     .expect("no checkpointing configured");
 
-    // The default executor forks each group's jobs from its fault-free
-    // trunk. The 1e308 group's trunk diverges before its fork step, so
-    // its jobs fall back to running alone, with the same error.
+    // The default executor runs each group's jobs as riders of lanes
+    // that fork where a fault first changes the loop. The 1e308 group's
+    // first lane diverges with every job aboard, so its jobs fall back
+    // to running alone, with the same error.
     let mut forked = Vec::new();
     run_campaign_resumable(&spec, None, &CampaignOptions::default(), None, |_, o| {
         forked.push(o)

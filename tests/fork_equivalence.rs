@@ -1,22 +1,37 @@
-//! Equivalence guarantees behind forking a campaign group's faulty runs
-//! from its fault-free trunk.
+//! Equivalence guarantees behind running a campaign group's jobs as
+//! riders of one set of lanes that forks where a job's fault first
+//! changes the loop.
 //!
-//! The campaign executors run each (patient, initial BG) group's
-//! fault-free loop once and fork every job from it at the job's fault
-//! start. Every case here compares that against runs from step 0: the
-//! serial reference `run_campaign_serial`, or the per-job outcomes of
-//! the fault-tolerant executor with a deadline (which routes every job
-//! through its own run), bit for bit:
+//! The campaign executors set each (patient, initial BG) group's loop
+//! up once, as one lane carrying every job, and split a job off to a
+//! lane of its own at the first cycle where its fault's effect (the
+//! variable it writes and the written bits, or the commanded rate's
+//! bits) differs from its lane's. Every case here compares that against
+//! runs from step 0: the serial reference `run_campaign_serial`, or the
+//! per-job outcomes of the fault-tolerant executor with a deadline
+//! (which routes every job through its own run), bit for bit:
 //!
 //! * fault starts at 0, 1, 2, 20, the last step and past the end;
 //! * every primary target (CGM input, controller-internal IOB, rate
 //!   output) × the extended fault alphabet, `Hold` included;
+//! * one target, kind and start at durations 1, 6 and 36, which share a
+//!   lane until the shortest window ends;
+//! * a `Min` rate fault whose command equals the decided one on an
+//!   active cycle, while the controller suspends;
+//! * `Max` on `glucose` and `Max` on `eventual_bg`, which write the same
+//!   400.0 on the same cycle to different variables;
+//! * a paper-grid group that splits into more than 3 × `BATCH_LANES`
+//!   lanes;
 //! * the CAW monitor under both mitigation policies, and a noisy CGM
-//!   whose RNG state crosses the fork;
+//!   whose RNG state crosses the splits;
 //! * campaigns without the fault-free job;
 //! * a monitor that cannot fork (every job then runs from step 0);
 //! * a kill and resume inside a group whose fault-free job was already
 //!   emitted.
+//!
+//! A lane that turns non-finite while carrying riders is covered by the
+//! unit tests of the crate-private `fork` module, which see each
+//! rider's own error.
 
 use aps_repro::fault::CampaignConfig;
 use aps_repro::glucose::sensor::CgmConfig;
@@ -28,8 +43,8 @@ use std::time::Duration;
 
 const STEPS: u32 = 40;
 
-/// Fault starts covering every fork-step edge: at once (no fork), the
-/// first two steps, mid-run, the last step, and at or past the end.
+/// Fault starts covering every edge of a split: at once, the first
+/// two steps, mid-run, the last step, and at or past the end.
 const STARTS: [u32; 7] = [0, 1, 2, 20, STEPS - 1, STEPS, STEPS + 7];
 
 fn spec(platform: Platform) -> CampaignSpec {
@@ -124,6 +139,123 @@ fn every_primary_target_and_extended_kind_matches_serial() {
         }
         assert_forks_match_serial(&spec, None);
         assert_forks_match_serial(&spec, Some(caw_factory().as_ref()));
+    }
+}
+
+#[test]
+fn durations_sharing_a_lane_match_serial() {
+    for platform in Platform::ALL {
+        let spec = CampaignSpec {
+            fault_targets: vec!["glucose".to_owned()],
+            faults: CampaignConfig {
+                starts: vec![5],
+                durations: vec![1, 6, 36],
+            },
+            ..spec(platform)
+        };
+        assert_forks_match_serial(&spec, None);
+        assert_forks_match_serial(&spec, Some(caw_factory().as_ref()));
+    }
+}
+
+/// A `Min` rate fault that starts on a cycle where the controller
+/// suspends commands what it decided: the job rides the fault-free lane
+/// through that active cycle and splits later.
+#[test]
+fn a_rate_fault_commanding_the_decided_rate_matches_serial() {
+    let mut suspended = 0;
+    for platform in Platform::ALL {
+        let base = CampaignSpec {
+            patient_indices: vec![0],
+            initial_bgs: vec![70.0],
+            ..spec(platform)
+        };
+        let fault_free = &run_campaign_serial(
+            &CampaignSpec {
+                faults: CampaignConfig {
+                    starts: Vec::new(),
+                    durations: Vec::new(),
+                },
+                ..base.clone()
+            },
+            None,
+        )[0];
+        let Some(start) = fault_free
+            .records
+            .iter()
+            .skip(1)
+            .find(|r| r.commanded.value() == 0.0)
+            .map(|r| r.step.0)
+        else {
+            continue;
+        };
+        suspended += 1;
+        let spec = CampaignSpec {
+            fault_targets: vec!["rate".to_owned()],
+            faults: CampaignConfig {
+                starts: vec![start],
+                durations: vec![6],
+            },
+            ..base
+        };
+        let serial = run_campaign_serial(&spec, None);
+        let min = serial
+            .iter()
+            .find(|t| t.meta.fault_name.starts_with("min_rate@"))
+            .expect("a Min rate fault");
+        let at = |t: &SimTrace| t.records[start as usize].commanded.value().to_bits();
+        assert_eq!(
+            at(min),
+            at(fault_free),
+            "{platform:?}: active Min equals the decision"
+        );
+        assert_forks_match_serial(&spec, None);
+    }
+    assert_eq!(suspended, 2, "every controller suspends at 70 mg/dL");
+}
+
+/// `Max` on `glucose` and `Max` on `eventual_bg` both write 400.0 on
+/// the same cycle, to different variables, so the jobs must not share
+/// a lane. Here both push oref0 to its maximum rate, so their traces
+/// are equal and only the lane count shows a shared lane (the `fork`
+/// module's unit tests count it); this case holds each to its run from
+/// step 0.
+#[test]
+fn equal_writes_to_different_variables_match_serial() {
+    let spec = CampaignSpec {
+        fault_targets: vec!["glucose".to_owned(), "eventual_bg".to_owned()],
+        faults: CampaignConfig {
+            starts: vec![10],
+            durations: vec![6],
+        },
+        ..spec(Platform::GlucosymOref0)
+    };
+    assert_forks_match_serial(&spec, None);
+}
+
+/// A paper-grid group produces more distinct traces, hence lanes, than
+/// three banks hold.
+#[test]
+fn a_group_of_many_lanes_matches_serial() {
+    for platform in Platform::ALL {
+        let spec = CampaignSpec {
+            patient_indices: vec![2],
+            initial_bgs: vec![140.0],
+            ..CampaignSpec::paper(platform)
+        };
+        let serial = run_campaign_serial(&spec, None);
+        let mut distinct: Vec<&[StepRecord]> = Vec::new();
+        for trace in &serial {
+            if !distinct.contains(&trace.records.as_slice()) {
+                distinct.push(&trace.records);
+            }
+        }
+        assert!(
+            distinct.len() > 3 * BATCH_LANES,
+            "{platform:?}: {} distinct traces",
+            distinct.len()
+        );
+        assert_forks_match_serial(&spec, None);
     }
 }
 
@@ -242,7 +374,7 @@ fn a_monitor_that_cannot_fork_runs_from_step_0_and_matches_serial() {
 }
 
 /// Killed inside a group whose fault-free job was already emitted, a
-/// resume forks the group's remaining jobs from a fresh trunk and
+/// resume runs the group's remaining jobs as riders of a fresh lane and
 /// finishes bit-identical to the per-job reference.
 #[test]
 fn kill_and_resume_inside_a_group_matches_the_per_job_reference() {

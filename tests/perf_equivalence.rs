@@ -12,53 +12,11 @@
 //! * the parallel campaign executor returns exactly the serial
 //!   executor's traces, in the same order.
 
-use aps_repro::glucose::ode::{Dynamics, Rk4Scratch};
+use aps_bench::perf::seed_baseline::integrate_alloc;
+use aps_repro::glucose::ode::Rk4Scratch;
 use aps_repro::prelude::*;
 use aps_repro::sim::campaign::run_campaign_serial;
 use proptest::prelude::*;
-
-/// The seed's RK4 step, verbatim: five `Vec` allocations per step.
-fn seed_rk4_step<D: Dynamics + ?Sized>(dyn_: &D, t: f64, x: &mut [f64], dt: f64) {
-    let n = x.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut tmp = vec![0.0; n];
-    dyn_.derivative(t, x, &mut k1);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * dt * k1[i];
-    }
-    dyn_.derivative(t + 0.5 * dt, &tmp, &mut k2);
-    for i in 0..n {
-        tmp[i] = x[i] + 0.5 * dt * k2[i];
-    }
-    dyn_.derivative(t + 0.5 * dt, &tmp, &mut k3);
-    for i in 0..n {
-        tmp[i] = x[i] + dt * k3[i];
-    }
-    dyn_.derivative(t + dt, &tmp, &mut k4);
-    for i in 0..n {
-        x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
-
-/// The seed's `integrate`, verbatim: one allocating step per substep.
-fn seed_integrate<D: Dynamics + ?Sized>(
-    dyn_: &D,
-    t0: f64,
-    x: &mut [f64],
-    duration: f64,
-    max_dt: f64,
-) {
-    let steps = (duration / max_dt).ceil() as usize;
-    let dt = duration / steps as f64;
-    let mut t = t0;
-    for _ in 0..steps {
-        seed_rk4_step(dyn_, t, x, dt);
-        t += dt;
-    }
-}
 
 /// A randomized but bounded nonlinear system over `N` states: linear
 /// leak per state plus saturated cross-coupling, the structural shape
@@ -97,7 +55,7 @@ fn check_bit_identical<const N: usize>(
     let mut fixed = Rk4Scratch::<N>::new();
     let mut t = 0.0;
     for &w in windows {
-        seed_integrate(&f, t, &mut seed_x, w, 1.0);
+        integrate_alloc(&f, t, &mut seed_x, w, 1.0);
         fixed.integrate(&f, t, &mut fixed_x, w, 1.0);
         t += w;
         if fixed_x.to_vec() != seed_x {

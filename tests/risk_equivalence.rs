@@ -76,8 +76,8 @@ fn labels_via_trace(series: &[f64], config: &LabelConfig) -> Vec<Option<Hazard>>
 
 /// Labels `series` through `label_tail` split at `split`: a tracker
 /// labels the first `split` records, then a copy of it labels a copy of
-/// the records from there on — the way a forked job resumes its trunk's
-/// labelling. Returns the prefix's labels as of the split and the final
+/// the records from there on — the way a lane that splits off resumes
+/// its parent lane's labelling. Returns the prefix's labels as of the split and the final
 /// labels.
 fn labels_split_at(
     series: &[f64],

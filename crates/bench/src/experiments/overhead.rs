@@ -28,6 +28,7 @@ use aps_ml::mlp::{Mlp, MlpConfig};
 use aps_ml::tree::{DecisionTree, TreeConfig};
 use aps_types::{Hazard, MgDl, Step, UnitsPerHour};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Timed batches per row; each row reports the fastest.
@@ -160,17 +161,17 @@ pub fn monitor_rows(samples: usize) -> Vec<OverheadRow> {
         time(
             "DT",
             Some("1.3 ms"),
-            &mut MlMonitor::binary("dt", Box::new(tree), scaler.clone(), basal, target),
+            &mut MlMonitor::binary("dt", Arc::new(tree), scaler.clone(), basal, target),
         ),
         time(
             "MLP 256-128",
             Some("30.7 ms"),
-            &mut MlMonitor::binary("mlp", Box::new(mlp), scaler.clone(), basal, target),
+            &mut MlMonitor::binary("mlp", Arc::new(mlp), scaler.clone(), basal, target),
         ),
         time(
             "LSTM 128-64",
             Some("32.6 ms"),
-            &mut LstmMonitor::binary("lstm", Box::new(lstm), scaler, basal, target, 6),
+            &mut LstmMonitor::binary("lstm", Arc::new(lstm), scaler, basal, target, 6),
         ),
     ]
 }

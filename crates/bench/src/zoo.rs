@@ -17,6 +17,7 @@ use aps_sim::dataset::{balance, build_dataset, build_seq_dataset, LabelMode};
 use aps_sim::platform::Platform;
 use aps_types::{SimTrace, UnitsPerHour};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The monitors of Tables V–VII.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,12 +100,14 @@ pub struct Zoo {
     cawt: Option<LearnedScs>,
     /// Fitted on the binary flat dataset; shared by every ML monitor.
     scaler: Option<StandardScaler>,
-    dt: Option<DecisionTree>,
-    dt_multi: Option<DecisionTree>,
-    mlp: Option<Mlp>,
-    mlp_multi: Option<Mlp>,
-    lstm: Option<Lstm>,
-    forecast: Option<ForecastModel>,
+    /// The trained models, shared by every monitor made from them.
+    dt: Option<Arc<DecisionTree>>,
+    dt_multi: Option<Arc<DecisionTree>>,
+    mlp: Option<Arc<Mlp>>,
+    mlp_multi: Option<Arc<Mlp>>,
+    lstm: Option<Arc<Lstm>>,
+    /// A fresh forecast monitor, forked for each one made.
+    forecast: Option<ForecastMonitor>,
 }
 
 /// Learned thresholds: patient-specific (CAWT) and population
@@ -287,17 +290,19 @@ impl Zoo {
         };
         if wants(MonitorKind::Dt) || wants(MonitorKind::Mlp) {
             let flat_scaled = scaler.transform_dataset(&flat);
-            zoo.dt = wants(MonitorKind::Dt).then(|| DecisionTree::fit(&flat_scaled, &tree_cfg));
-            zoo.mlp = wants(MonitorKind::Mlp).then(|| Mlp::fit(&flat_scaled, &mlp_cfg));
+            zoo.dt = wants(MonitorKind::Dt)
+                .then(|| Arc::new(DecisionTree::fit(&flat_scaled, &tree_cfg)));
+            zoo.mlp = wants(MonitorKind::Mlp).then(|| Arc::new(Mlp::fit(&flat_scaled, &mlp_cfg)));
         }
         if wants(MonitorKind::DtMulti) || wants(MonitorKind::MlpMulti) {
             let flat3 =
                 dataset_across_patients(train_traces, basal_by_patient, LabelMode::MultiClass);
             let flat3 = cap_dataset(balance(&flat3, 3), opts.train_cap);
             let flat3_scaled = scaler.transform_dataset(&flat3);
-            zoo.dt_multi =
-                wants(MonitorKind::DtMulti).then(|| DecisionTree::fit(&flat3_scaled, &tree_cfg));
-            zoo.mlp_multi = wants(MonitorKind::MlpMulti).then(|| Mlp::fit(&flat3_scaled, &mlp_cfg));
+            zoo.dt_multi = wants(MonitorKind::DtMulti)
+                .then(|| Arc::new(DecisionTree::fit(&flat3_scaled, &tree_cfg)));
+            zoo.mlp_multi =
+                wants(MonitorKind::MlpMulti).then(|| Arc::new(Mlp::fit(&flat3_scaled, &mlp_cfg)));
         }
         if wants(MonitorKind::Lstm) {
             let seq =
@@ -315,7 +320,7 @@ impl Zoo {
                 max_epochs: opts.max_epochs.min(30),
                 ..LstmConfig::default()
             };
-            zoo.lstm = Some(Lstm::fit(&seq_scaled, &lstm_cfg));
+            zoo.lstm = Some(Arc::new(Lstm::fit(&seq_scaled, &lstm_cfg)));
         }
         zoo.scaler = Some(scaler);
         zoo
@@ -323,8 +328,12 @@ impl Zoo {
 
     /// Attaches a trained forecast bundle (the `repro train` artifact),
     /// enabling [`MonitorKind::Forecast`].
+    ///
+    /// # Panics
+    ///
+    /// As [`ForecastMonitor::from_model`].
     pub fn with_forecast(mut self, model: ForecastModel) -> Zoo {
-        self.forecast = Some(model);
+        self.forecast = Some(ForecastMonitor::from_model(&model, ForecastBand::default()));
         self
     }
 
@@ -403,42 +412,41 @@ impl Zoo {
             )),
             MonitorKind::Dt => Box::new(MlMonitor::binary(
                 "dt",
-                Box::new(trained(&self.dt, kind).clone()),
+                trained(&self.dt, kind).clone(),
                 scaler(),
                 basal,
                 target,
             )),
             MonitorKind::DtMulti => Box::new(MlMonitor::multiclass(
                 "dt-3c",
-                Box::new(trained(&self.dt_multi, kind).clone()),
+                trained(&self.dt_multi, kind).clone(),
                 scaler(),
                 basal,
                 target,
             )),
             MonitorKind::Mlp => Box::new(MlMonitor::binary(
                 "mlp",
-                Box::new(trained(&self.mlp, kind).clone()),
+                trained(&self.mlp, kind).clone(),
                 scaler(),
                 basal,
                 target,
             )),
             MonitorKind::MlpMulti => Box::new(MlMonitor::multiclass(
                 "mlp-3c",
-                Box::new(trained(&self.mlp_multi, kind).clone()),
+                trained(&self.mlp_multi, kind).clone(),
                 scaler(),
                 basal,
                 target,
             )),
             MonitorKind::RiskIndex => Box::new(RiskIndexMonitor::default()),
-            MonitorKind::Forecast => Box::new(ForecastMonitor::from_model(
-                self.forecast
-                    .as_ref()
-                    .expect("zoo has no forecast model attached (see Zoo::with_forecast)"),
-                ForecastBand::default(),
-            )),
+            MonitorKind::Forecast => self
+                .forecast
+                .as_ref()
+                .expect("zoo has no forecast model attached (see Zoo::with_forecast)")
+                .fork(),
             MonitorKind::Lstm => Box::new(LstmMonitor::binary(
                 "lstm",
-                Box::new(trained(&self.lstm, kind).clone()),
+                trained(&self.lstm, kind).clone(),
                 scaler(),
                 basal,
                 target,

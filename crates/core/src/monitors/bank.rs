@@ -106,6 +106,9 @@ mod tests {
         }
         fn observe_delivery(&mut self, _delivered: UnitsPerHour) {}
         fn reset(&mut self) {}
+        fn fork(&self) -> Box<dyn HazardMonitor> {
+            Box::new(Always(self.0))
+        }
     }
 
     #[test]

@@ -20,12 +20,17 @@
 //! batch forward pass over the same prefix (pinned in
 //! `tests/forecast_pipeline.rs`), so the online monitor scores exactly
 //! the function `repro train` validated offline.
+//!
+//! The trained forecaster and its scaler never change after training,
+//! so a [fork](HazardMonitor::fork) shares them and copies only the
+//! carried [`LstmState`] and the cycle counters.
 
 use crate::monitors::{HazardMonitor, MonitorInput};
 use aps_ml::data::{StandardScaler, TraceDataset};
 use aps_ml::forecast::{ForecastModel, LstmForecaster, LstmState};
 use aps_risk::{risk_high, risk_low, LabelConfig};
 use aps_types::{Hazard, UnitsPerHour};
+use std::sync::Arc;
 
 /// Predicted-BG alert band: alert H1 below `low`, H2 above `high`
 /// (mg/dL).
@@ -81,10 +86,11 @@ impl Default for ForecastBand {
 /// Online learned glucose forecaster: a trained [`LstmForecaster`]
 /// streamed incrementally, alerting when the horizon-BG prediction
 /// crosses the risk-derived [`ForecastBand`].
+#[derive(Clone)]
 pub struct ForecastMonitor {
     name: String,
-    model: LstmForecaster,
-    scaler: StandardScaler,
+    model: Arc<LstmForecaster>,
+    scaler: Arc<StandardScaler>,
     state: LstmState,
     features: [f64; TraceDataset::DIM],
     scaled: [f64; TraceDataset::DIM],
@@ -118,8 +124,8 @@ impl ForecastMonitor {
         ForecastMonitor {
             name: "forecast".to_owned(),
             state: model.lstm.state(),
-            model: model.lstm.clone(),
-            scaler: model.scaler.clone(),
+            model: Arc::new(model.lstm.clone()),
+            scaler: Arc::new(model.scaler.clone()),
             features: [0.0; TraceDataset::DIM],
             scaled: [0.0; TraceDataset::DIM],
             band,
@@ -172,6 +178,10 @@ impl HazardMonitor for ForecastMonitor {
         self.state.reset();
         self.seen = 0;
         self.last = None;
+    }
+
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
     }
 }
 
@@ -311,5 +321,25 @@ mod tests {
         let mut fresh = ForecastMonitor::from_model(model, ForecastBand::default());
         fresh.check(&input(0, 115.0, 1.0));
         assert_eq!(m.last_prediction(), fresh.last_prediction());
+    }
+
+    /// A fork taken mid-run carries the original's LSTM state: checked
+    /// in turn on the same inputs, both give the same verdicts.
+    #[test]
+    fn a_fork_predicts_as_the_original_would() {
+        let mut m = ForecastMonitor::from_model(tiny_model(), ForecastBand::default());
+        let bg = |s: u32| 160.0 - 4.0 * f64::from(s);
+        for s in 0..5u32 {
+            m.check(&input(s, bg(s), 1.0));
+        }
+        let mut fork = m.fork();
+        let mut alerts = 0;
+        for s in 5..40u32 {
+            let original = m.check(&input(s, bg(s), 1.0));
+            let forked = fork.check(&input(s, bg(s), 1.0));
+            assert_eq!(forked, original, "cycle {s}");
+            alerts += usize::from(original.is_some());
+        }
+        assert!(alerts > 0, "the descent never alerted");
     }
 }

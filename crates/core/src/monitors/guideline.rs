@@ -131,8 +131,8 @@ impl HazardMonitor for GuidelineMonitor {
         self.above_lambda90_cycles = 0;
     }
 
-    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
     }
 }
 

@@ -5,6 +5,11 @@
 //! unsafe (binary) or safe / H1 / H2 (multi-class). The feature vector
 //! is shared with the dataset builder through [`MlFeatures`] so train
 //! and inference views cannot drift apart.
+//!
+//! A trained model never changes after training, so the monitors share
+//! it (and its feature scaler) behind an [`Arc`]: a
+//! [fork](HazardMonitor::fork) copies only the run state, the context
+//! builder and the LSTM monitor's sequence window.
 
 use crate::context::{ContextBuilder, ContextVector};
 use crate::monitors::{HazardMonitor, MonitorInput};
@@ -12,6 +17,7 @@ use aps_ml::data::StandardScaler;
 use aps_ml::{Classifier, SequenceClassifier};
 use aps_types::{ControlAction, Hazard, MgDl, UnitsPerHour};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The shared feature encoding: `[bg, bg', iob, iob', rate, action]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,10 +58,11 @@ fn hazard_from_context(ctx: &ContextVector, target: MgDl) -> Hazard {
 }
 
 /// Feature-vector ML monitor (Decision Tree or MLP).
+#[derive(Clone)]
 pub struct MlMonitor {
     name: String,
-    model: Box<dyn Classifier>,
-    scaler: StandardScaler,
+    model: Arc<dyn Classifier>,
+    scaler: Arc<StandardScaler>,
     context: ContextBuilder,
     target: MgDl,
     map: ClassMap,
@@ -65,7 +72,7 @@ impl MlMonitor {
     /// Wraps a trained binary classifier (class 1 = unsafe).
     pub fn binary(
         name: &str,
-        model: Box<dyn Classifier>,
+        model: Arc<dyn Classifier>,
         scaler: StandardScaler,
         basal: UnitsPerHour,
         target: MgDl,
@@ -73,7 +80,7 @@ impl MlMonitor {
         MlMonitor {
             name: name.to_owned(),
             model,
-            scaler,
+            scaler: Arc::new(scaler),
             context: ContextBuilder::new(basal),
             target,
             map: ClassMap::Binary,
@@ -83,19 +90,14 @@ impl MlMonitor {
     /// Wraps a trained 3-class classifier (0 = safe, 1 = H1, 2 = H2).
     pub fn multiclass(
         name: &str,
-        model: Box<dyn Classifier>,
+        model: Arc<dyn Classifier>,
         scaler: StandardScaler,
         basal: UnitsPerHour,
         target: MgDl,
     ) -> MlMonitor {
-        MlMonitor {
-            name: name.to_owned(),
-            model,
-            scaler,
-            context: ContextBuilder::new(basal),
-            target,
-            map: ClassMap::MultiClass,
-        }
+        let mut m = MlMonitor::binary(name, model, scaler, basal, target);
+        m.map = ClassMap::MultiClass;
+        m
     }
 
     fn verdict(&self, class: usize, ctx: &ContextVector) -> Option<Hazard> {
@@ -130,13 +132,18 @@ impl HazardMonitor for MlMonitor {
     fn reset(&mut self) {
         self.context.reset();
     }
+
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
+    }
 }
 
 /// Sliding-window sequence monitor (the LSTM baseline, k = 6 cycles).
+#[derive(Clone)]
 pub struct LstmMonitor {
     name: String,
-    model: Box<dyn SequenceClassifier>,
-    scaler: StandardScaler,
+    model: Arc<dyn SequenceClassifier>,
+    scaler: Arc<StandardScaler>,
     context: ContextBuilder,
     target: MgDl,
     window: usize,
@@ -149,7 +156,7 @@ impl LstmMonitor {
     /// `window` (paper: 6 cycles = 30 minutes).
     pub fn binary(
         name: &str,
-        model: Box<dyn SequenceClassifier>,
+        model: Arc<dyn SequenceClassifier>,
         scaler: StandardScaler,
         basal: UnitsPerHour,
         target: MgDl,
@@ -158,7 +165,7 @@ impl LstmMonitor {
         LstmMonitor {
             name: name.to_owned(),
             model,
-            scaler,
+            scaler: Arc::new(scaler),
             context: ContextBuilder::new(basal),
             target,
             window,
@@ -170,7 +177,7 @@ impl LstmMonitor {
     /// Multi-class variant (0 = safe, 1 = H1, 2 = H2).
     pub fn multiclass(
         name: &str,
-        model: Box<dyn SequenceClassifier>,
+        model: Arc<dyn SequenceClassifier>,
         scaler: StandardScaler,
         basal: UnitsPerHour,
         target: MgDl,
@@ -217,6 +224,10 @@ impl HazardMonitor for LstmMonitor {
     fn reset(&mut self) {
         self.context.reset();
         self.buffer.clear();
+    }
+
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
     }
 }
 
@@ -288,7 +299,7 @@ mod tests {
     fn binary_monitor_maps_hazard_from_context() {
         let mut m = MlMonitor::binary(
             "dt",
-            Box::new(StubClassifier),
+            Arc::new(StubClassifier),
             scaler(),
             UnitsPerHour(1.0),
             MgDl(110.0),
@@ -322,7 +333,7 @@ mod tests {
         }
         let mut m = MlMonitor::multiclass(
             "mlp3",
-            Box::new(AlwaysH2),
+            Arc::new(AlwaysH2),
             scaler(),
             UnitsPerHour(1.0),
             MgDl(110.0),
@@ -334,7 +345,7 @@ mod tests {
     fn lstm_monitor_warms_up_before_predicting() {
         let mut m = LstmMonitor::binary(
             "lstm",
-            Box::new(StubSeq),
+            Arc::new(StubSeq),
             scaler(),
             UnitsPerHour(1.0),
             MgDl(110.0),
@@ -350,7 +361,7 @@ mod tests {
     fn lstm_reset_clears_window() {
         let mut m = LstmMonitor::binary(
             "lstm",
-            Box::new(StubSeq),
+            Arc::new(StubSeq),
             scaler(),
             UnitsPerHour(1.0),
             MgDl(110.0),

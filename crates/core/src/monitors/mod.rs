@@ -63,14 +63,12 @@ pub trait HazardMonitor: Send {
     fn reset(&mut self);
 
     /// A copy of this monitor in its current state, which then checks
-    /// exactly as this one would from here on; `None` when the monitor
-    /// cannot be copied (the default). Campaign groups fork a job's
-    /// run off the loop it shares with other jobs where its fault first
-    /// changes that loop, and run every job of a group whose monitor
-    /// cannot fork from step 0 instead.
-    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
-        None
-    }
+    /// exactly as this one would from here on. Campaign groups fork a
+    /// job's run off the loop it shares with other jobs where its fault
+    /// first changes that loop, so every monitor a campaign runs is
+    /// forked there. State that never changes after construction, such
+    /// as a trained model, may be shared with the copy.
+    fn fork(&self) -> Box<dyn HazardMonitor>;
 }
 
 /// A monitor that never alerts (the "no monitor" baseline).
@@ -90,8 +88,8 @@ impl HazardMonitor for NullMonitor {
 
     fn reset(&mut self) {}
 
-    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
-        Some(Box::new(*self))
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(*self)
     }
 }
 

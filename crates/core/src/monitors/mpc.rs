@@ -129,8 +129,8 @@ impl HazardMonitor for MpcMonitor {
         self.ieff = self.model.si * ip;
     }
 
-    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
     }
 }
 

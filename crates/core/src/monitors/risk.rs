@@ -67,8 +67,8 @@ impl HazardMonitor for RiskIndexMonitor {
         self.last = None;
     }
 
-    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
     }
 }
 

@@ -146,8 +146,8 @@ impl HazardMonitor for StlCawMonitor {
         self.last_rule = None;
     }
 
-    fn fork(&self) -> Option<Box<dyn HazardMonitor>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn HazardMonitor> {
+        Box::new(self.clone())
     }
 }
 

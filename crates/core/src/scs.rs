@@ -121,14 +121,13 @@ impl UcaRule {
     }
 
     /// `true` if issuing `action` in context `ctx` violates this rule.
+    /// The action, one comparison, is tested before the context.
     pub fn violated_by(&self, ctx: &ContextVector, action: ControlAction, target: MgDl) -> bool {
-        if !self.context_matches(ctx, target) {
-            return false;
-        }
-        match self.action {
+        let action_violates = match self.action {
             ActionCond::Forbidden(u) => action == u,
             ActionCond::Required(u) => action != u,
-        }
+        };
+        action_violates && self.context_matches(ctx, target)
     }
 
     /// The rule as a bounded-time STL formula over the signals

@@ -37,7 +37,9 @@ mod train_util;
 pub mod tree;
 
 /// A trained multi-class classifier over fixed-length feature vectors.
-pub trait Classifier: Send {
+///
+/// `Sync`, so that the copies of a monitor can share one trained model.
+pub trait Classifier: Send + Sync {
     /// Class-probability vector for one sample (sums to ≈1).
     fn predict_proba(&self, x: &[f64]) -> Vec<f64>;
 
@@ -56,8 +58,8 @@ pub trait Classifier: Send {
 }
 
 /// A classifier over *sequences* of feature vectors (the LSTM monitor's
-/// sliding window).
-pub trait SequenceClassifier: Send {
+/// sliding window). `Sync` for the same reason as [`Classifier`].
+pub trait SequenceClassifier: Send + Sync {
     /// Class probabilities for one sequence of shape `[T][D]`.
     fn predict_proba_seq(&self, xs: &[Vec<f64>]) -> Vec<f64>;
 

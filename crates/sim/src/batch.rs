@@ -22,8 +22,8 @@
 //! BG) as riders of lanes in such banks: the group starts as one lane
 //! carrying every job, and a lane splits into a free lane of the last
 //! bank, or of a bank added for it, wherever a job's fault first
-//! changes the loop (see the crate-private `fork` module). A group
-//! whose monitor cannot fork runs as blocks, one job per lane.
+//! changes the loop (see the crate-private `fork` module).
+//! [`run_block`] runs its jobs from step 0 instead, one job per lane.
 //!
 //! # Bit-identity
 //!
@@ -91,38 +91,24 @@ pub fn run_block<const LANES: usize>(
         spec.platform,
         "cohort of another platform"
     );
-    let runs = jobs
+    let mut runs: Vec<JobRun> = jobs
         .iter()
         .map(|job| JobRun::new(spec, job, cohort.member(job.patient_idx), monitor_factory))
         .collect();
-    run_runs::<LANES>(runs).0
-}
-
-/// Runs up to `LANES` job runs in lockstep from step 0, one lane
-/// each, returning one result per run in order and the lane-cycles
-/// stepped.
-///
-/// Ragged blocks (fewer runs than lanes) pad the unused lanes with a
-/// copy of the first run's patient under a zero insulin rate; padding
-/// lanes have no closed loop and their physics is discarded.
-pub(crate) fn run_runs<const LANES: usize>(
-    mut runs: Vec<JobRun>,
-) -> (Vec<Result<SimTrace, SimError>>, u64) {
     for run in &mut runs {
         run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
     }
     let patients: Vec<&CohortPatient> = runs.iter().map(|run| &run.patient).collect();
     let mut physics = banks::<LANES>(&patients);
-    let steps = runs[0].config.steps;
     let mut lanes: Vec<Lane<'_>> = runs
         .iter_mut()
         .enumerate()
         .map(|(k, run)| run.lane(k))
         .collect();
-    let lane_cycles = run_lanes(physics.as_mut(), &mut lanes, steps);
+    run_lanes(physics.as_mut(), &mut lanes, spec.steps);
     // One job per lane, in lane order.
     let results = lanes.into_iter().flat_map(Lane::finish);
-    (results.map(|(_, result)| result).collect(), lane_cycles)
+    results.map(|(_, result)| result).collect()
 }
 
 /// Runs `jobs`, jobs of one patient and initial BG, as riders of one
@@ -132,10 +118,6 @@ pub(crate) fn run_runs<const LANES: usize>(
 /// with its result, and the lane-cycles stepped. The lanes sit in
 /// banks of `LANES`, and a bank is added whenever the last one is
 /// full.
-///
-/// # Panics
-///
-/// Panics when the trunk's monitor cannot fork and a lane splits.
 pub(crate) fn run_riders<const LANES: usize>(
     mut trunk: JobRun,
     jobs: &[&CampaignJob],

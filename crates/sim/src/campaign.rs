@@ -28,15 +28,13 @@
 //! lane carrying every job, and a job forks off to a lane of its own
 //! only at the first cycle where its fault changes the loop
 //! differently from its lane's. The lanes step in lockstep banks of
-//! [`BATCH_LANES`] (a group whose monitor cannot fork runs its jobs in
-//! blocks from step 0, as [`run_block`] does). Outcomes come back per
+//! [`BATCH_LANES`], and every lane that splits off forks the group's
+//! monitor, so every group runs this one way. Outcomes come back per
 //! job, in job order. A job a lane cannot hold (invalid spec, chaos
 //! plan, per-job deadline), every job of a lane that failed, and every
-//! job of a group whose lanes panicked runs on its own from attempt 1,
-//! so outcomes, ledger, digest and retries equal running each job
-//! alone, as [`run_campaign_serial`] does.
-//!
-//! [`run_block`]: crate::batch::run_block
+//! job of a group whose set-up or lanes panicked runs on its own from
+//! attempt 1, so outcomes, ledger, digest and retries equal running
+//! each job alone, as [`run_campaign_serial`] does.
 //!
 //! # Job set-up
 //!
@@ -106,10 +104,10 @@ pub struct ScenarioCtx {
 /// The campaign executors call it once per group of jobs sharing a
 /// patient and initial BG, for the lane that first carries them all,
 /// and every lane that splits off [forks](HazardMonitor::fork) that
-/// monitor; they call it once more per job when the monitor cannot
-/// fork, and every job then runs from step 0. The serial reference
-/// calls it once per job. It must therefore be a pure function of the
-/// [`ScenarioCtx`]: equal contexts, equal monitors.
+/// monitor. A job that runs on its own (the serial reference, or the
+/// executors' per-job path) calls it once more. It must therefore be
+/// a pure function of the [`ScenarioCtx`]: equal contexts, equal
+/// monitors.
 pub type MonitorFactory<'a> = dyn Fn(&ScenarioCtx) -> Box<dyn HazardMonitor> + Sync + 'a;
 
 /// What to simulate.
@@ -518,7 +516,7 @@ pub struct CampaignOptions {
     /// deterministically in its effect but the *detection* depends on
     /// host timing — leave `None` (the default) for bit-reproducible
     /// campaigns. With a deadline every job runs on its own from step
-    /// 0, outside any block.
+    /// 0, outside its group's lanes.
     pub deadline: Option<Duration>,
     /// Deterministic executor-fault injection (tests/hardening only).
     pub chaos: Option<ChaosConfig>,
@@ -697,8 +695,8 @@ fn run_job_checked(
 /// jobs whose attempt 1 runs clean ride one set of lockstep lanes that
 /// forks where a job's fault first changes the loop (the crate-private
 /// `fork` module), and every other job, job of a failed lane, or job
-/// whose lanes or block did not run goes through [`run_job_checked`]
-/// from attempt 1.
+/// of a group whose set-up or lanes panicked goes through
+/// [`run_job_checked`] from attempt 1.
 fn run_group_checked(
     spec: &CampaignSpec,
     cohort: &Cohort,
@@ -1370,6 +1368,7 @@ mod tests {
     /// traces equal a `NullMonitor` run), but panics at cycle 20 when
     /// the commanded rate is pinned at `max`: the rate-max fault's
     /// signature, so exactly one scenario per patient and BG panics.
+    #[derive(Clone)]
     struct PanicsOnMaxRate {
         max: f64,
     }
@@ -1390,16 +1389,21 @@ mod tests {
         fn observe_delivery(&mut self, _delivered: UnitsPerHour) {}
 
         fn reset(&mut self) {}
+
+        fn fork(&self) -> Box<dyn HazardMonitor> {
+            Box::new(self.clone())
+        }
     }
 
     #[test]
-    fn blocks_equal_the_per_job_reference() {
+    fn panicking_lane_sets_equal_the_per_job_reference() {
         // Patient 12 is outside the cohort, and rate faults start at
-        // cycle 10, so the rate-max jobs (3 and 14) panic at cycle 20
-        // inside blocks of the first two groups. This monitor cannot
-        // fork, so those groups run from step 0. Chaos perturbs a seeded share of
-        // the jobs; one attempt and two attempts both run, since a retry
-        // can hide a chaos plan mistaken for a clean lane.
+        // cycle 10, so the rate-max jobs (3 and 14) split off their
+        // groups' lanes there and panic at cycle 20, which fails the
+        // lane sets of the first two groups: every job of those groups
+        // reruns on its own. Chaos perturbs a seeded share of the jobs;
+        // one attempt and two attempts both run, since a retry can hide
+        // a chaos plan mistaken for a clean lane.
         let spec = CampaignSpec {
             patient_indices: vec![0, 12],
             initial_bgs: vec![120.0, 160.0],
@@ -1430,10 +1434,9 @@ mod tests {
             scenario.is_some_and(|s| s.name().starts_with("max_rate"))
         };
         let panicking: Vec<usize> = (1..22).filter(max_rate).collect();
-        assert_eq!(panicking, [3, 14], "the rate-max lanes");
+        assert_eq!(panicking, [3, 14], "the rate-max jobs");
 
-        // Their lane-mates among the first 16 jobs equal the serial
-        // reference.
+        // The other jobs of those groups equal the serial reference.
         let serial = run_campaign_serial(
             &CampaignSpec {
                 patient_indices: vec![0],
@@ -1441,15 +1444,16 @@ mod tests {
             },
             Some(&|_: &ScenarioCtx| Box::new(NullMonitor) as Box<dyn HazardMonitor>),
         );
-        let (blocks, _) = run_collecting(&spec, Some(factory), &CampaignOptions::default());
-        let mut lane_mates = 0;
-        for i in (0..2 * BATCH_LANES).filter(|i| !panicking.contains(i)) {
-            if let JobOutcome::Completed(trace) = &blocks[i] {
-                assert_eq!(trace, &serial[i], "lane-mate {i}");
-                lane_mates += 1;
+        assert_eq!(serial.len(), 22, "the first two groups");
+        let (outcomes, _) = run_collecting(&spec, Some(factory), &CampaignOptions::default());
+        let mut group_mates = 0;
+        for i in (0..serial.len()).filter(|i| !panicking.contains(i)) {
+            if let JobOutcome::Completed(trace) = &outcomes[i] {
+                assert_eq!(trace, &serial[i], "group-mate {i}");
+                group_mates += 1;
             }
         }
-        assert_eq!(lane_mates, 2 * BATCH_LANES - 2);
+        assert_eq!(group_mates, serial.len() - 2);
 
         for max_attempts in [1, 2] {
             let base = CampaignOptions {
@@ -1506,10 +1510,10 @@ mod tests {
                 assert_eq!(report.ledger, ledger, "{case}");
                 assert_eq!(report.workers, workers);
 
-                // Kill at every checkpoint boundary (mid-block at every
+                // Kill at every checkpoint boundary (mid-group at every
                 // third job), resume, and get the uninterrupted run back.
                 let path = std::env::temp_dir().join(format!(
-                    "aps_block_ckpt_{}_{max_attempts}_{workers}.json",
+                    "aps_group_ckpt_{}_{max_attempts}_{workers}.json",
                     std::process::id()
                 ));
                 let options = CampaignOptions {
@@ -1567,7 +1571,7 @@ mod tests {
         let groups = spec.patient_indices.len() * spec.initial_bgs.len();
         assert_eq!(wide.workers, groups);
 
-        // A deadline is a per-job clock: no job may share a block's.
+        // A deadline is a per-job clock: no job may share a lane.
         let options = CampaignOptions {
             deadline: Some(Duration::ZERO),
             ..CampaignOptions::default()
@@ -1577,7 +1581,7 @@ mod tests {
         let mut errors = late.ledger.entries.iter().map(|e| &e.error);
         assert!(errors.all(|e| matches!(e, SimError::DeadlineExceeded { .. })));
 
-        // The non-resumable executor runs the same blocks and panics on
+        // The non-resumable executor runs the same groups and panics on
         // the first failed job.
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_campaign_with_workers(&spec, Some(factory), Some(2), |_, _| {});

@@ -5,12 +5,12 @@
 //! [`closed_loop::run`](crate::closed_loop::run), and a campaign job
 //! run on its own are its one-lane instance ([`run_one`] puts the patient
 //! behind a one-lane [`LanePhysics`] adapter), and a lockstep block of
-//! up to [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs is its batched
-//! instance over a structure-of-arrays physics bank. Only physics is
-//! batched. Every other stage runs per lane, on that lane's own
-//! components, in the same order whatever the lane count — which is why
-//! a lane of a block produces, bit for bit, the trace of the same run
-//! alone.
+//! up to [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs and a campaign
+//! group's lanes are its batched instances over structure-of-arrays
+//! physics banks. Only physics is batched. Every other stage runs per
+//! lane, on that lane's own components, in the same order whatever the
+//! lane count — which is why a lane of a block produces, bit for bit,
+//! the trace of the same run alone.
 //!
 //! Per cycle, each live lane goes through meals/exercise → CGM → fault
 //! route → decide → rate fault → classify → monitor bank → mitigate →
@@ -417,22 +417,8 @@ impl<'a> Lane<'a> {
 
     /// A copy of the lane as it stands, carrying no job yet: forks of
     /// its controller and monitors, and a copy of its state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a monitor cannot [fork](HazardMonitor::fork); the
-    /// campaign executor then reruns the lane's jobs on their own.
     fn fork(&self) -> Lane<'a> {
-        let monitors = self
-            .monitors
-            .iter()
-            .map(|monitor| {
-                let copy = monitor
-                    .fork()
-                    .unwrap_or_else(|| panic!("monitor `{}` cannot fork", monitor.name()));
-                Part::Own(copy)
-            })
-            .collect();
+        let monitors = self.monitors.iter().map(|m| Part::Own(m.fork())).collect();
         Lane {
             controller: Part::Own(self.controller.fork()),
             monitors,

@@ -19,11 +19,6 @@
 //! split, so the copied prefix comes labelled and a lane labels only
 //! its own steps.
 //!
-//! A group whose monitor cannot
-//! [fork](aps_core::monitors::HazardMonitor::fork) runs every
-//! job from step 0 instead, as lanes of lockstep blocks of up to
-//! `LANES` jobs, with the monitor factory called per job.
-//!
 //! # Bit-identity
 //!
 //! Every rider produces, bit for bit, the trace of the same job run
@@ -40,13 +35,13 @@
 //!
 //! # Isolation
 //!
-//! The lane set and each block run under their own `catch_unwind`. A
-//! job whose lane set or block panicked comes back `None`, and the
-//! campaign executor reruns it on its own.
+//! The group's set-up and its lane set run under one `catch_unwind`.
+//! When either panics, every job of the group comes back `None`, and
+//! the campaign executor reruns each on its own.
 //!
 //! [`run_campaign_serial`]: crate::campaign::run_campaign_serial
 
-use crate::batch::{run_riders, run_runs};
+use crate::batch::run_riders;
 use crate::campaign::{CampaignJob, CampaignSpec, Cohort, JobRun, MonitorFactory};
 use crate::outcome::SimError;
 use aps_types::SimTrace;
@@ -78,7 +73,7 @@ pub(crate) fn run_group<const LANES: usize>(
     let Some(first) = jobs.first() else {
         return run;
     };
-    let trunk = catch_unwind(AssertUnwindSafe(|| {
+    let riders = catch_unwind(AssertUnwindSafe(|| {
         let fault_free = CampaignJob {
             patient_idx: first.patient_idx,
             initial_bg: first.initial_bg,
@@ -86,38 +81,13 @@ pub(crate) fn run_group<const LANES: usize>(
         };
         let member = cohort.member(first.patient_idx);
         let trunk = JobRun::new(spec, &fault_free, member, monitor_factory);
-        let forkable = trunk.monitor.as_ref().is_none_or(|m| m.fork().is_some());
-        forkable.then_some(trunk)
+        run_riders::<LANES>(trunk, jobs)
     }));
-    match trunk {
-        Ok(Some(trunk)) => {
-            let riders = catch_unwind(AssertUnwindSafe(|| run_riders::<LANES>(trunk, jobs)));
-            if let Ok((results, lane_cycles)) = riders {
-                for (k, result) in results {
-                    run.results[k] = Some(result);
-                }
-                run.lane_cycles = lane_cycles;
-            }
+    if let Ok((results, lane_cycles)) = riders {
+        for (k, result) in results {
+            run.results[k] = Some(result);
         }
-        // The monitor cannot fork, or the set-up panicked (and will
-        // again, per job, on the executor's own path).
-        _ => {
-            for (b, block) in jobs.chunks(LANES).enumerate() {
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    let runs = block.iter().map(|job| {
-                        let member = cohort.member(job.patient_idx);
-                        JobRun::new(spec, job, member, monitor_factory)
-                    });
-                    run_runs::<LANES>(runs.collect())
-                }));
-                if let Ok((results, lane_cycles)) = ran {
-                    for (k, result) in results.into_iter().enumerate() {
-                        run.results[b * LANES + k] = Some(result);
-                    }
-                    run.lane_cycles += lane_cycles;
-                }
-            }
-        }
+        run.lane_cycles = lane_cycles;
     }
     run
 }

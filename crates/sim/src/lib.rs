@@ -15,9 +15,10 @@
 //! * the private `engine` module — the one closed-loop cycle every run
 //!   executes, generic over its lane count: sessions, positional runs
 //!   and the serial reference's campaign jobs are its one-lane
-//!   instance, a campaign block its [`batch::BATCH_LANES`]-lane
-//!   instance, and a lane can carry several jobs and split mid-cycle
-//!   where their faults stop doing the same thing;
+//!   instance, a lockstep block ([`batch::run_block`]) its
+//!   [`batch::BATCH_LANES`]-lane instance, and a lane can carry several
+//!   jobs and split mid-cycle where their faults stop doing the same
+//!   thing, which is how every campaign group runs;
 //! * the private `fork` module — a campaign group (the jobs of one
 //!   patient and initial BG) runs as one lane carrying every job,
 //!   which forks wherever a job's fault first changes the loop;

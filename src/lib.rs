@@ -126,8 +126,9 @@
 //!   together. On the paper grid (starts 20, 50 and 90 of 150 cycles,
 //!   durations 6, 18 and 36) a group steps 18 041 (Glucosym) or
 //!   15 087 (T1DS) lane-cycles where forking each job at its fault
-//!   start stepped 26 250. A group whose monitor cannot fork runs
-//!   every job from step 0. [`sim::campaign::run_campaign_serial`] and
+//!   start stepped 26 250. Every monitor forks (the DT, MLP and LSTM
+//!   monitors share their trained model with their forks), so every
+//!   group runs this one way. [`sim::campaign::run_campaign_serial`] and
 //!   the per-job isolation path still run every job from step 0, so
 //!   the equivalence suites check every rider against an independent
 //!   full run (`tests/fork_equivalence.rs`).
@@ -238,10 +239,10 @@
 //!
 //! * **Isolation** — every job is validated first
 //!   ([`fault::FaultScenario::validate`]) and runs behind
-//!   `catch_unwind`, as a lane of a block or, when the block cannot
-//!   hold it (invalid spec, chaos plan, deadline), or its lane failed
-//!   or its group's lanes panicked, on its own from attempt 1, so
-//!   the blame lands on the exact job. Its ODE state is checked for finiteness after every
+//!   `catch_unwind`, as a rider of its group's lanes or, when a lane
+//!   cannot hold it (invalid spec, chaos plan, deadline), or its lane
+//!   failed or its group's set-up or lanes panicked, on its own from
+//!   attempt 1, so the blame lands on the exact job. Its ODE state is checked for finiteness after every
 //!   control cycle ([`glucose::PatientSim::state_is_finite`]; the RK4
 //!   stepper itself rejects non-finite states via
 //!   [`glucose::ode::Rk4Scratch::try_integrate`]). A panic, a

@@ -25,7 +25,8 @@
 //! * the CAW monitor under both mitigation policies, and a noisy CGM
 //!   whose RNG state crosses the splits;
 //! * campaigns without the fault-free job;
-//! * a monitor that cannot fork (every job then runs from step 0);
+//! * the DT/MLP (binary and 3-class) and LSTM monitors, with the
+//!   factory called once per group;
 //! * a kill and resume inside a group whose fault-free job was already
 //!   emitted.
 //!
@@ -35,6 +36,8 @@
 
 use aps_repro::fault::CampaignConfig;
 use aps_repro::glucose::sensor::CgmConfig;
+use aps_repro::ml::data::Dataset;
+use aps_repro::ml::{Classifier, SequenceClassifier};
 use aps_repro::prelude::*;
 use aps_repro::sim::campaign::run_campaign_serial;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -311,64 +314,148 @@ fn campaigns_without_the_fault_free_job_match_serial() {
     }
 }
 
-/// A CAW monitor that keeps [`HazardMonitor::fork`]'s default, `None`.
-struct Unforkable(CawMonitor);
+/// Flags a cycle whose standardized BG (feature 0) is low, as class 1,
+/// or whose standardized commanded rate (feature 4) is high, as the
+/// last class: a stand-in for a trained DT or MLP.
+struct StubClassifier {
+    classes: usize,
+}
 
-impl HazardMonitor for Unforkable {
-    fn name(&self) -> &str {
-        self.0.name()
+impl Classifier for StubClassifier {
+    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        let class = if x[0] < -1.0 {
+            1
+        } else if x[4] > 1.0 {
+            self.classes - 1
+        } else {
+            0
+        };
+        let mut p = vec![0.0; self.classes];
+        p[class] = 1.0;
+        p
     }
 
-    fn check(&mut self, input: &MonitorInput) -> Option<Hazard> {
-        self.0.check(input)
-    }
-
-    fn observe_delivery(&mut self, delivered: UnitsPerHour) {
-        self.0.observe_delivery(delivered);
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
+    fn n_classes(&self) -> usize {
+        self.classes
     }
 }
 
-/// A monitor that cannot fork runs every job of its group from step 0
-/// and still equals the reference. The factory's call count shows
-/// which path ran: once per group for a forking monitor, and once more
-/// per job for one that cannot fork.
+/// Flags a window in which the rate rose on every cycle but the
+/// first, or that ends in a low BG: a stand-in for a trained LSTM.
+struct StubSequence;
+
+impl SequenceClassifier for StubSequence {
+    fn predict_proba_seq(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+        let rising = xs.windows(2).all(|w| w[1][4] > w[0][4]);
+        let low = xs.last().is_some_and(|x| x[0] < -1.0);
+        if rising || low {
+            vec![0.0, 1.0]
+        } else {
+            vec![1.0, 0.0]
+        }
+    }
+
+    fn n_classes(&self) -> usize {
+        2
+    }
+}
+
+/// A scaler fit on feature vectors spread over the campaigns' BG and
+/// rate ranges.
+fn scaler() -> StandardScaler {
+    let rows: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let i = f64::from(i);
+            vec![80.0 + 3.0 * i, 0.0, 0.5, 0.0, 0.05 * i, 4.0]
+        })
+        .collect();
+    let n = rows.len();
+    StandardScaler::fit(&Dataset::new(rows, vec![0; n]))
+}
+
+/// The DT/MLP (binary and 3-class) and LSTM monitors fork: their
+/// groups run as riders like every other group, with the factory
+/// called once per group, and equal the serial reference with and
+/// without mitigation.
 #[test]
-fn a_monitor_that_cannot_fork_runs_from_step_0_and_matches_serial() {
+fn ml_monitors_fork_and_match_serial() {
+    let binary: Arc<dyn Classifier> = Arc::new(StubClassifier { classes: 2 });
+    let multiclass: Arc<dyn Classifier> = Arc::new(StubClassifier { classes: 3 });
+    let sequence: Arc<dyn SequenceClassifier> = Arc::new(StubSequence);
+    let make = |kind: usize, ctx: &ScenarioCtx| -> Box<dyn HazardMonitor> {
+        match kind {
+            0 => Box::new(MlMonitor::binary(
+                "dt",
+                Arc::clone(&binary),
+                scaler(),
+                ctx.basal,
+                ctx.target,
+            )),
+            1 => Box::new(MlMonitor::multiclass(
+                "mlp-3c",
+                Arc::clone(&multiclass),
+                scaler(),
+                ctx.basal,
+                ctx.target,
+            )),
+            _ => Box::new(LstmMonitor::binary(
+                "lstm",
+                Arc::clone(&sequence),
+                scaler(),
+                ctx.basal,
+                ctx.target,
+                6,
+            )),
+        }
+    };
     for platform in Platform::ALL {
-        let spec = CampaignSpec {
+        let base = CampaignSpec {
             faults: CampaignConfig {
-                starts: vec![20],
-                durations: vec![6],
+                starts: vec![2, 20],
+                durations: vec![12],
             },
             ..spec(platform)
         };
-        let jobs = campaign_jobs(&spec).len();
-        let groups = spec.patient_indices.len() * spec.initial_bgs.len();
-        for forkable in [true, false] {
-            let calls = AtomicUsize::new(0);
-            let factory = |ctx: &ScenarioCtx| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                let caw =
-                    CawMonitor::new("cawot", Scs::with_default_thresholds(ctx.target), ctx.basal);
-                if forkable {
-                    Box::new(caw) as Box<dyn HazardMonitor>
-                } else {
-                    Box::new(Unforkable(caw))
+        let groups = base.patient_indices.len() * base.initial_bgs.len();
+        for kind in 0..3 {
+            for mitigate in [false, true] {
+                let spec = CampaignSpec {
+                    mitigate,
+                    ..base.clone()
+                };
+                let name = ["dt", "mlp-3c", "lstm"][kind];
+                let case = format!("{platform:?}, {name}, mitigate {mitigate}");
+                let calls = AtomicUsize::new(0);
+                let factory = |ctx: &ScenarioCtx| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    make(kind, ctx)
+                };
+                let serial = run_campaign_serial(&spec, Some(&factory));
+                let alerts = serial
+                    .iter()
+                    .flat_map(|t| &t.records)
+                    .filter(|r| r.alert.is_some())
+                    .count();
+                assert!(alerts > 0, "{case}: no alert");
+                for workers in [1, 2] {
+                    let options = CampaignOptions {
+                        workers: Some(workers),
+                        ..CampaignOptions::default()
+                    };
+                    calls.store(0, Ordering::Relaxed);
+                    let mut traces = Vec::new();
+                    run_campaign_resumable(&spec, Some(&factory), &options, None, |_, o| {
+                        traces.push(o.into_trace().expect("clean job failed"));
+                    })
+                    .unwrap();
+                    assert_eq!(traces, serial, "{case}, {workers} workers");
+                    assert_eq!(
+                        calls.load(Ordering::Relaxed),
+                        groups,
+                        "{case}, {workers} workers"
+                    );
                 }
-            };
-            let serial = run_campaign_serial(&spec, Some(&factory));
-            calls.store(0, Ordering::Relaxed);
-            assert_eq!(run_campaign(&spec, Some(&factory)), serial);
-            let expected = if forkable { groups } else { groups + jobs };
-            assert_eq!(
-                calls.load(Ordering::Relaxed),
-                expected,
-                "forkable {forkable}"
-            );
+            }
         }
     }
 }

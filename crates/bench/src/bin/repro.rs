@@ -20,7 +20,7 @@
 //!   train                 stream a campaign into the forecast dataset, train
 //!                         the LSTM + MLP glucose forecasters, save the model
 //!                         bundle to results/forecast_model.json
-//!   zoo                   monitor zoo via MonitorBank: one physics pass per
+//!   zoo                   monitor zoo in one session: one physics pass per
 //!                         scenario, reaction-time/TTH incl. RiskIdx floor
 //!                         and the trained ForecastMonitor row
 //!   run --spec F          one session described by a JSON SessionSpec

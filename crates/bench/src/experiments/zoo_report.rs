@@ -1,17 +1,16 @@
 //! The monitor-zoo latency report: every monitor scored against **one
-//! physics pass per scenario** via the session engine's
-//! [`MonitorBank`], with reaction-time and time-to-hazard columns —
+//! physics pass per scenario** (the whole zoo attached to one
+//! [`Session`]), with reaction-time and time-to-hazard columns —
 //! including the streaming [`RiskIndexMonitor`]'s detection-latency
 //! floor, the ROADMAP item this report closes.
 //!
-//! Before the bank existed, scoring M monitors *live* meant M
+//! Scoring M monitors *live* one session each would mean M
 //! identical patient-ODE integrations per scenario. Here each scenario
 //! is simulated exactly once with the whole zoo attached, and a
 //! step-count probe on the patient model asserts the 1×physics +
 //! M×monitor cost model (the run aborts if any monitor secretly
 //! re-simulates).
 //!
-//! [`MonitorBank`]: aps_core::monitors::MonitorBank
 //! [`RiskIndexMonitor`]: aps_core::monitors::RiskIndexMonitor
 
 use crate::opts::ExpOpts;
@@ -74,7 +73,7 @@ const KINDS: [MonitorKind; 6] = [
 
 /// Runs the zoo report; see the [module docs](self).
 pub fn zoo(opts: &ExpOpts) {
-    println!("Monitor zoo — one physics pass per scenario (MonitorBank)\n");
+    println!("Monitor zoo — one physics pass per scenario\n");
     let platform = Platform::GlucosymOref0;
     let spec = opts.campaign(platform);
 
@@ -103,13 +102,15 @@ pub fn zoo(opts: &ExpOpts) {
         };
         let mut builder = Session::builder(platform)
             .patient_sim(Box::new(counting))
-            .monitor_bank(zoo.bank(&KINDS, &patient_name))
             .config(LoopConfig {
                 steps: spec.steps,
                 initial_bg: job.initial_bg,
                 cgm: spec.cgm,
                 ..LoopConfig::default()
             });
+        for kind in KINDS {
+            builder = builder.monitor(zoo.make(kind, &patient_name));
+        }
         if let Some(scenario) = &job.scenario {
             builder = builder.inject(scenario.clone());
         }

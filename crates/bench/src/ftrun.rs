@@ -68,9 +68,9 @@ impl FtFlags {
             args.remove(pos);
             Ok(value)
         };
-        // Each flag may appear at most once; a repeat simply wins on
-        // the later scan, which the loop below makes impossible to
-        // observe — so scan until the flag stops appearing.
+        // Each pass removes the first copy of each flag, so a repeated
+        // flag's later value overwrites the earlier one: scan until a
+        // pass removes nothing, and the last value wins.
         fn parse_num<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String>
         where
             T::Err: std::fmt::Display,
@@ -78,7 +78,7 @@ impl FtFlags {
             raw.parse::<T>().map_err(|e| format!("{name}: {e}"))
         }
         loop {
-            let before = any;
+            let before = args.len();
             match take(args, "--chaos-seed") {
                 Ok(v) => {
                     flags.chaos_seed = Some(parse_num("--chaos-seed", &v)?);
@@ -155,7 +155,7 @@ impl FtFlags {
                 Err(e) if !e.is_empty() => return Err(e),
                 Err(_) => {}
             }
-            if any == before {
+            if args.len() == before {
                 break;
             }
         }
@@ -317,6 +317,14 @@ mod tests {
         assert_eq!(flags.checkpoint.as_deref(), Some("ck.json"));
         assert_eq!(flags.checkpoint_every, Some(5));
         assert_eq!(a, args(&["--quick", "--steps", "40"]));
+    }
+
+    #[test]
+    fn extract_removes_every_copy_of_a_repeated_flag() {
+        let mut a = args(&["--quick", "--retry", "2", "--retry", "3", "--retry", "4"]);
+        let flags = FtFlags::extract(&mut a).unwrap().unwrap();
+        assert_eq!(flags.retry, Some(4));
+        assert_eq!(a, args(&["--quick"]));
     }
 
     #[test]

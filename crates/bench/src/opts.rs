@@ -1,6 +1,7 @@
 //! Experiment workload options and minimal CLI flag parsing.
 
 use aps_fault::CampaignConfig;
+use aps_glucose::patients::COHORT_SIZE;
 use aps_glucose::sensor::CgmConfig;
 use aps_sim::campaign::CampaignSpec;
 use aps_sim::platform::Platform;
@@ -125,7 +126,9 @@ impl ExpOpts {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown flags or malformed values.
+    /// Returns a message for unknown flags or malformed values: a
+    /// patient index outside the cohort, a non-finite initial BG, or
+    /// fewer than two folds.
     pub fn parse(args: &[String]) -> Result<ExpOpts, String> {
         let mut opts = ExpOpts::default();
         let mut i = 0;
@@ -201,6 +204,17 @@ impl ExpOpts {
         if opts.patients.is_empty() || opts.initial_bgs.is_empty() {
             return Err("patients and bgs must be non-empty".to_owned());
         }
+        if let Some(p) = opts.patients.iter().find(|&&p| p >= COHORT_SIZE) {
+            return Err(format!(
+                "--patients: index {p} out of range (the cohort has {COHORT_SIZE} patients)"
+            ));
+        }
+        if let Some(bg) = opts.initial_bgs.iter().find(|bg| !bg.is_finite()) {
+            return Err(format!("--bgs: initial BG {bg} is not finite"));
+        }
+        if opts.folds < 2 {
+            return Err(format!("--folds: need at least 2, got {}", opts.folds));
+        }
         Ok(opts)
     }
 }
@@ -254,6 +268,19 @@ mod tests {
         assert!(ExpOpts::parse(&args(&["--folds"])).is_err());
         assert!(ExpOpts::parse(&args(&["--folds", "x"])).is_err());
         assert!(ExpOpts::parse(&args(&["--patients", ""])).is_err());
+    }
+
+    #[test]
+    fn out_of_range_workloads_are_rejected() {
+        let err = |a: &[&str]| ExpOpts::parse(&args(a)).unwrap_err();
+        assert!(err(&["--quick", "--patients", "12"]).contains("index 12"));
+        assert!(err(&["--patients", "0,10"]).contains("index 10"));
+        assert!(err(&["--bgs", "nan"]).contains("not finite"));
+        assert!(err(&["--bgs", "120,inf"]).contains("not finite"));
+        assert!(err(&["--folds", "1"]).contains("at least 2"));
+        assert!(err(&["--folds", "0"]).contains("at least 2"));
+        let edge = ExpOpts::parse(&args(&["--patients", "9", "--folds", "2"])).unwrap();
+        assert_eq!((edge.patients, edge.folds), (vec![9], 2));
     }
 
     #[test]

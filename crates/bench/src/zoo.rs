@@ -5,7 +5,7 @@ use crate::opts::ExpOpts;
 use aps_core::learning::{learn_thresholds, traces_for_patient, LearnConfig};
 use aps_core::monitors::{
     CawMonitor, ForecastBand, ForecastMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor,
-    LstmMonitor, MlMonitor, MonitorBank, MpcMonitor, RiskIndexMonitor,
+    LstmMonitor, MlMonitor, MpcMonitor, RiskIndexMonitor,
 };
 use aps_core::scs::Scs;
 use aps_ml::data::{Dataset, StandardScaler};
@@ -372,19 +372,6 @@ impl Zoo {
             .unwrap_or(UnitsPerHour(1.0))
     }
 
-    /// Builds a [`MonitorBank`] of fresh monitors for one patient, in
-    /// the given order (the first kind is the primary member). Attach
-    /// it to a session via repeated
-    /// `SessionBuilder::monitor` calls or feed the members to any bank
-    /// consumer — the whole zoo then scores a *single* physics pass.
-    ///
-    /// # Panics
-    ///
-    /// As [`Zoo::make`].
-    pub fn bank(&self, kinds: &[MonitorKind], patient: &str) -> MonitorBank {
-        kinds.iter().map(|&k| self.make(k, patient)).collect()
-    }
-
     /// Builds a fresh monitor of `kind` for a trace's patient.
     ///
     /// # Panics
@@ -527,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn zoo_builds_monitor_banks_in_order() {
+    fn zoo_makes_each_kind_under_its_name() {
         let platform = Platform::GlucosymOref0;
         let kinds = [
             MonitorKind::Guideline,
@@ -535,9 +522,11 @@ mod tests {
             MonitorKind::RiskIndex,
         ];
         let zoo = Zoo::train(platform, &ExpOpts::quick(), &[], &kinds);
-        let bank = zoo.bank(&kinds, "glucosym/patientA");
-        assert_eq!(bank.len(), 3);
-        assert_eq!(bank.names(), vec!["guideline", "cawot", "risk-index"]);
+        let names: Vec<String> = kinds
+            .iter()
+            .map(|&k| zoo.make(k, "glucosym/patientA").name().to_owned())
+            .collect();
+        assert_eq!(names, vec!["guideline", "cawot", "risk-index"]);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! LSTM glucose forecaster) — implement [`HazardMonitor`]: one `check` per
 //! control cycle over the controller's I/O interface, plus an
 //! `observe_delivery` callback so the monitor's own context tracks what
-//! actually reached the pump. A [`MonitorBank`] steps any number of
-//! monitors against a single closed-loop pass, which is how campaign
-//! tooling scores a whole zoo for the price of one simulation.
+//! actually reached the pump. A monitor that only observes cannot
+//! perturb the loop, so any number of them can be stepped against a
+//! single closed-loop pass (`aps_sim`'s sessions take a list of
+//! monitors), which is how campaign tooling scores a whole zoo for the
+//! price of one simulation.
 
-mod bank;
 pub(crate) mod caw;
 mod forecast;
 mod guideline;
@@ -20,7 +21,6 @@ mod mpc;
 mod risk;
 mod stl_caw;
 
-pub use bank::MonitorBank;
 pub use caw::{CawMonitor, SafeRegion};
 pub use forecast::{ForecastBand, ForecastMonitor};
 pub use guideline::{GuidelineConfig, GuidelineMonitor};

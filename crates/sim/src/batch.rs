@@ -1,173 +1,73 @@
-//! Batched lockstep campaign execution.
+//! The physics banks campaign groups run on.
 //!
 //! A job run on its own pays the full RK4 integration for a single
-//! patient every control cycle. This module steps a *block* of up to
-//! [`BATCH_LANES`] jobs in lockstep instead: each job becomes a lane of a
-//! structure-of-arrays patient bank
+//! patient every control cycle. A campaign group's lanes instead sit
+//! in structure-of-arrays patient banks of [`BATCH_LANES`] lanes
 //! ([`aps_glucose::bergman::BatchedBergman`] /
 //! [`aps_glucose::dalla_man::BatchedDallaMan`]), and the physics
-//! integrates all lanes with per-lane loops over flat arrays (the shape
-//! the auto-vectorizer turns into SIMD).
+//! integrates a bank's lanes with per-lane loops over flat arrays (the
+//! shape the auto-vectorizer turns into SIMD).
 //!
-//! Only the physics is batched. [`run_block`] sets each job up exactly
-//! as a scalar run is set up — cloning its patient and basal rate from
-//! the campaign's [`Cohort`] template, where the serial reference
-//! builds them afresh — loads the patients into the bank, and
-//! hands the bank to the closed-loop cycle every engine shares; a
-//! scalar run is that same cycle with one lane. Controller, CGM, pump,
-//! monitor, injector, mitigation and trace recording are each lane's
-//! own components, stepped by the same code in the same order.
-//!
-//! The campaign executors run a group of jobs (one patient and initial
-//! BG) as riders of lanes in such banks: the group starts as one lane
-//! carrying every job, and a lane splits into a free lane of the last
-//! bank, or of a bank added for it, wherever a job's fault first
-//! changes the loop (see the crate-private `fork` module).
-//! [`run_block`] runs its jobs from step 0 instead, one job per lane.
+//! Only the physics is batched. Controller, CGM, pump, monitor,
+//! injector, mitigation and trace recording are each lane's own
+//! components, stepped by the closed-loop cycle every engine shares
+//! (the crate-private `engine` module), of which a scalar run is the
+//! one-lane instance. A group starts as one live lane in a bank whose
+//! other lanes are padding, and a lane that splits off takes a free
+//! lane of the last bank, or of a bank added for it (see the
+//! crate-private `fork` module).
 //!
 //! # Bit-identity
 //!
-//! [`run_block`] is defined to produce, lane for lane, the same bytes
-//! as [`run_campaign_serial`](crate::campaign::run_campaign_serial)
-//! produces job for job (pinned by `tests/batched_equivalence.rs`).
-//! Lanes are arithmetically independent — no horizontal reductions,
-//! no lane-crossing terms — and the batched physics keeps the scalar
-//! patient's per-lane operation order, so IEEE-754 determinism carries
-//! the equivalence. A lane whose ODE state diverges to NaN/∞ fails its
-//! end-of-cycle finiteness check at the same cycle index as a scalar
-//! run (non-finite state is absorbing under the additive RK4 update),
-//! surfaces as that job's [`SimError::NonFinite`], and — because
-//! nothing crosses lanes — never poisons its lane-mates.
+//! Lanes are arithmetically independent — no horizontal reductions, no
+//! lane-crossing terms — and the batched physics keeps the scalar
+//! patient's per-lane operation order, so IEEE-754 determinism makes
+//! every lane's trace equal, bit for bit, the same job run alone by
+//! [`run_campaign_serial`](crate::campaign::run_campaign_serial)
+//! (pinned by `tests/batched_equivalence.rs` and
+//! `tests/fork_equivalence.rs`). A lane whose ODE state diverges to
+//! NaN/∞ fails its end-of-cycle finiteness check at the same cycle
+//! index as a scalar run (non-finite state is absorbing under the
+//! additive RK4 update), surfaces as its jobs'
+//! [`SimError::NonFinite`](crate::outcome::SimError::NonFinite), and —
+//! because nothing crosses lanes — never poisons its lane-mates.
 
-use crate::campaign::{CampaignJob, CampaignSpec, Cohort, JobRun, MonitorFactory};
-use crate::engine::{run_lanes, JobResult, Lane, LanePhysics};
-use crate::outcome::SimError;
-use aps_fault::FaultInjector;
+use crate::engine::LanePhysics;
 use aps_glucose::bergman::BatchedBergman;
 use aps_glucose::dalla_man::BatchedDallaMan;
 use aps_glucose::patients::CohortPatient;
 use aps_glucose::SplitLanes;
-use aps_types::{MgDl, SimTrace, UnitsPerHour};
+use aps_types::{MgDl, UnitsPerHour};
 
 /// Lane width of the batched campaign executor.
 ///
 /// Eight f64 lanes fill one AVX-512 register or two AVX2 / NEON
 /// registers per state component — wide enough that the per-lane
-/// stage loops vectorize profitably, narrow enough that a block's
-/// scratch stays resident in L1 and ragged campaign tails waste few
-/// lanes.
+/// stage loops vectorize profitably, narrow enough that a bank's
+/// scratch stays resident in L1 and a group with few lanes wastes few
+/// of them.
 pub const BATCH_LANES: usize = 8;
 
-/// Runs a block of up to `LANES` campaign jobs in lockstep from step 0,
-/// returning one result per job in job order — each bit-identical to
-/// what the scalar
-/// [`run_campaign_serial`](crate::campaign::run_campaign_serial) path
-/// produces for that job. Each job's patient and basal rate are copied
-/// from `cohort`, the template of `spec.platform`'s cohort.
-///
-/// Ragged blocks (fewer jobs than lanes) pad the unused lanes with a
-/// copy of the first job's patient under a zero insulin rate; padding
-/// lanes have no closed loop and their physics is discarded.
-///
-/// # Panics
-///
-/// Panics when `jobs` is empty, longer than `LANES`, or names a
-/// patient index outside the platform's cohort, or when `cohort`
-/// belongs to another platform than `spec`.
-pub fn run_block<const LANES: usize>(
-    spec: &CampaignSpec,
-    cohort: &Cohort,
-    jobs: &[CampaignJob],
-    monitor_factory: Option<&MonitorFactory<'_>>,
-) -> Vec<Result<SimTrace, SimError>> {
-    assert!(!jobs.is_empty(), "empty lockstep block");
-    assert!(
-        jobs.len() <= LANES,
-        "block of {} jobs exceeds {LANES} lanes",
-        jobs.len()
-    );
-    assert_eq!(
-        cohort.platform(),
-        spec.platform,
-        "cohort of another platform"
-    );
-    let mut runs: Vec<JobRun> = jobs
-        .iter()
-        .map(|job| JobRun::new(spec, job, cohort.member(job.patient_idx), monitor_factory))
-        .collect();
-    for run in &mut runs {
-        run.patient.as_dyn_mut().reset(MgDl(run.config.initial_bg));
-    }
-    let patients: Vec<&CohortPatient> = runs.iter().map(|run| &run.patient).collect();
-    let mut physics = banks::<LANES>(&patients);
-    let mut lanes: Vec<Lane<'_>> = runs
-        .iter_mut()
-        .enumerate()
-        .map(|(k, run)| run.lane(k))
-        .collect();
-    run_lanes(physics.as_mut(), &mut lanes, spec.steps);
-    // One job per lane, in lane order.
-    let results = lanes.into_iter().flat_map(Lane::finish);
-    results.map(|(_, result)| result).collect()
-}
-
-/// Runs `jobs`, jobs of one patient and initial BG, as riders of one
-/// set of lockstep lanes that starts as `trunk`'s closed loop and
-/// splits wherever a job's fault first changes the loop (see the
-/// crate-private `engine` module). Returns each job's index in `jobs`
-/// with its result, and the lane-cycles stepped. The lanes sit in
-/// banks of `LANES`, and a bank is added whenever the last one is
-/// full.
-pub(crate) fn run_riders<const LANES: usize>(
-    mut trunk: JobRun,
-    jobs: &[&CampaignJob],
-) -> (Vec<JobResult>, u64) {
-    let mut injectors: Vec<Option<FaultInjector>> = jobs
-        .iter()
-        .map(|job| job.scenario.clone().map(FaultInjector::new))
-        .collect();
-    trunk
-        .patient
-        .as_dyn_mut()
-        .reset(MgDl(trunk.config.initial_bg));
-    let mut physics = banks::<LANES>(&[&trunk.patient]);
-    let steps = trunk.config.steps;
-    let lane = trunk.lane_with(injectors.iter_mut().map(Option::as_mut).enumerate());
-    let mut lanes = vec![lane];
-    let lane_cycles = run_lanes(physics.as_mut(), &mut lanes, steps);
-    let results = lanes.into_iter().flat_map(Lane::finish).collect();
-    (results, lane_cycles)
-}
-
-/// A bank of `LANES` lanes loaded with `patients`, lane `l` with
-/// `patients[l]` and each lane past them with `patients[0]`, as the
+/// One bank of `LANES` lanes, each loaded with `patient`, as the
 /// physics of a lane set. A real parameter set in the padding lanes
 /// (instead of the bank's zeroed defaults) keeps their ODE arithmetic
-/// finite, so no spurious NaNs ride along in the block.
-///
-/// # Panics
-///
-/// Panics when `patients` is empty or mixes patient models.
-fn banks<const LANES: usize>(patients: &[&CohortPatient]) -> Box<dyn LanePhysics> {
-    let patient = |l: usize| *patients.get(l).unwrap_or(&patients[0]);
-    if let CohortPatient::Bergman(_) = patients[0] {
-        let mut bank = BatchedBergman::<LANES>::new();
-        for l in 0..LANES {
-            match patient(l) {
-                CohortPatient::Bergman(p) => bank.load_lane(l, p),
-                CohortPatient::DallaMan(_) => unreachable!("one platform yields one patient model"),
+/// finite, so no spurious NaNs ride along in the bank.
+pub(crate) fn banks<const LANES: usize>(patient: &CohortPatient) -> Box<dyn LanePhysics> {
+    match patient {
+        CohortPatient::Bergman(p) => {
+            let mut bank = BatchedBergman::<LANES>::new();
+            for l in 0..LANES {
+                bank.load_lane(l, p);
             }
+            Box::new(Banks(vec![bank]))
         }
-        Box::new(Banks(vec![bank]))
-    } else {
-        let mut bank = BatchedDallaMan::<LANES>::new();
-        for l in 0..LANES {
-            match patient(l) {
-                CohortPatient::DallaMan(p) => bank.load_lane(l, p),
-                CohortPatient::Bergman(_) => unreachable!("one platform yields one patient model"),
+        CohortPatient::DallaMan(p) => {
+            let mut bank = BatchedDallaMan::<LANES>::new();
+            for l in 0..LANES {
+                bank.load_lane(l, p);
             }
+            Box::new(Banks(vec![bank]))
         }
-        Box::new(Banks(vec![bank]))
     }
 }
 
@@ -216,43 +116,8 @@ impl<B: SplitLanes<L>, const L: usize> LanePhysics for Banks<B, L> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::campaign::{campaign_jobs, run_campaign, run_campaign_serial};
+    use crate::campaign::{run_campaign, run_campaign_serial, CampaignSpec};
     use crate::platform::Platform;
-
-    #[test]
-    fn single_block_matches_serial_jobs() {
-        let spec = CampaignSpec {
-            patient_indices: vec![0, 1],
-            steps: 40,
-            ..CampaignSpec::quick(Platform::GlucosymOref0)
-        };
-        let jobs = campaign_jobs(&spec);
-        let serial = run_campaign_serial(&spec, None);
-        let cohort = Cohort::new(spec.platform);
-        let block = run_block::<4>(&spec, &cohort, &jobs[..4], None);
-        for (l, res) in block.into_iter().enumerate() {
-            assert_eq!(res.unwrap(), serial[l], "lane {l} diverged");
-        }
-    }
-
-    #[test]
-    fn ragged_block_pads_and_matches() {
-        let spec = CampaignSpec {
-            patient_indices: vec![0],
-            steps: 30,
-            ..CampaignSpec::quick(Platform::T1dsBasalBolus)
-        };
-        let jobs = campaign_jobs(&spec);
-        let serial = run_campaign_serial(&spec, None);
-        // 3 jobs in an 8-lane block: 5 padding lanes.
-        let cohort = Cohort::new(spec.platform);
-        let block = run_block::<8>(&spec, &cohort, &jobs[..3], None);
-        assert_eq!(block.len(), 3);
-        for (l, res) in block.into_iter().enumerate() {
-            assert_eq!(res.unwrap(), serial[l], "lane {l} diverged");
-        }
-    }
 
     #[test]
     fn batched_campaign_equals_serial() {

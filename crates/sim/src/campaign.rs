@@ -40,7 +40,7 @@
 //!
 //! A job's patient and its controller basal rate are a pure function
 //! of `(platform, patient_idx)`. Every executor therefore builds the
-//! platform's [`Cohort`] once per campaign segment — each member's
+//! platform's cohort template once per campaign segment — each member's
 //! patient, with its basal solved once — and sets each job up by
 //! cloning its member. The serial reference builds each job's patient,
 //! basal and controller afresh, so the equivalence suites compare a
@@ -65,7 +65,7 @@ use crate::batch::BATCH_LANES;
 use crate::chaos::{ChaosConfig, ChaosPlan};
 use crate::checkpoint::{spec_hash, to_hex, CampaignCheckpoint, CheckpointError, CheckpointLog};
 use crate::closed_loop::LoopConfig;
-use crate::engine::{run_one, Lane};
+use crate::engine::run_one;
 use crate::exec::{is_cancelled, ordered_par_map};
 use crate::fork::run_group;
 use crate::outcome::{ErrorLedger, JobOutcome, LedgerEntry, RetryPolicy, SimError};
@@ -277,14 +277,13 @@ pub fn campaign_size(spec: &CampaignSpec) -> usize {
 /// segment; [`run_campaign_serial`] builds each job's patient, basal
 /// and controller afresh instead, so it stays an independent oracle.
 #[derive(Debug)]
-pub struct Cohort {
-    platform: Platform,
+pub(crate) struct Cohort {
     members: Vec<(CohortPatient, UnitsPerHour)>,
 }
 
 impl Cohort {
     /// Builds every member of `platform`'s cohort and solves its basal.
-    pub fn new(platform: Platform) -> Cohort {
+    pub(crate) fn new(platform: Platform) -> Cohort {
         let members = (0..)
             .map_while(|i| platform.concrete_patient(i))
             .map(|p| {
@@ -292,12 +291,7 @@ impl Cohort {
                 (p, basal)
             })
             .collect();
-        Cohort { platform, members }
-    }
-
-    /// The platform whose cohort this is.
-    pub(crate) fn platform(&self) -> Platform {
-        self.platform
+        Cohort { members }
     }
 
     /// Number of members.
@@ -322,9 +316,9 @@ impl Cohort {
 }
 
 /// One campaign job's closed loop, set up from the spec: the same
-/// setup whether the job runs alone ([`JobRun::run`]), as a lane of a
-/// lockstep block ([`crate::batch::run_block`]), or as the trunk whose
-/// lanes carry its group's jobs ([`crate::fork`]).
+/// setup whether the job runs alone ([`JobRun::run`]) or as the trunk
+/// whose lanes carry its group's jobs (the crate-private `fork`
+/// module).
 pub(crate) struct JobRun {
     /// The job's patient; the caller's physics.
     pub(crate) patient: CohortPatient,
@@ -381,40 +375,6 @@ impl JobRun {
                 .as_deref_mut()
                 .map(|m| m as &mut dyn HazardMonitor),
             self.injector.as_mut(),
-            &self.config,
-            None,
-        )
-    }
-
-    /// The job's closed loop as a lane carrying the job as job `k`. The
-    /// caller puts the patient, reset to the initial glucose, in the
-    /// physics the lane runs on.
-    pub(crate) fn lane(&mut self, k: usize) -> Lane<'_> {
-        Lane::new(
-            self.patient.as_dyn().name(),
-            self.controller.as_mut(),
-            self.monitor
-                .as_deref_mut()
-                .map(|m| m as &mut dyn HazardMonitor),
-            [(k, self.injector.as_mut())],
-            &self.config,
-            None,
-        )
-    }
-
-    /// The run's closed loop as a lane carrying `jobs` (job index and
-    /// injector, in job order) instead of the run's own job.
-    pub(crate) fn lane_with<'a>(
-        &'a mut self,
-        jobs: impl IntoIterator<Item = (usize, Option<&'a mut FaultInjector>)>,
-    ) -> Lane<'a> {
-        Lane::new(
-            self.patient.as_dyn().name(),
-            self.controller.as_mut(),
-            self.monitor
-                .as_deref_mut()
-                .map(|m| m as &mut dyn HazardMonitor),
-            jobs,
             &self.config,
             None,
         )
@@ -928,7 +888,7 @@ pub fn run_campaign_resumable(
 /// exactly this output, and the equivalence suites hold them to it.
 ///
 /// Every job builds its own patient, basal rate and controller from
-/// scratch instead of cloning a [`Cohort`] template, so the executors'
+/// scratch instead of cloning a cohort template, so the executors'
 /// shared set-up is checked against an independent one.
 pub fn run_campaign_serial(
     spec: &CampaignSpec,

@@ -144,6 +144,7 @@ impl Default for LoopConfig {
 /// model assumes sensor data is protected and faults target the
 /// controller. The injector perturbs the controller's named input /
 /// internal / output variables while its activation window is open.
+///
 /// # Panics
 ///
 /// Panics if the patient ODE state becomes non-finite mid-run (the
@@ -157,21 +158,6 @@ pub fn run(
     injector: Option<&mut FaultInjector>,
     config: &LoopConfig,
 ) -> SimTrace {
-    try_run(patient, controller, monitor, injector, config)
-        .unwrap_or_else(|e| panic!("closed-loop run failed: {e}"))
-}
-
-/// Checked variant of [`run`]: mid-run failures become a typed
-/// [`SimError`](crate::outcome::SimError). The fault-tolerant
-/// campaign executor runs jobs through this path so a diverging ODE
-/// lands in the error ledger instead of tearing a worker down.
-pub(crate) fn try_run(
-    patient: &mut dyn PatientSim,
-    controller: &mut dyn Controller,
-    monitor: Option<&mut (dyn HazardMonitor + 'static)>,
-    injector: Option<&mut FaultInjector>,
-    config: &LoopConfig,
-) -> Result<SimTrace, crate::outcome::SimError> {
     crate::engine::run_one(
         patient,
         controller,
@@ -180,6 +166,7 @@ pub(crate) fn try_run(
         config,
         None,
     )
+    .unwrap_or_else(|e| panic!("closed-loop run failed: {e}"))
 }
 
 #[cfg(test)]

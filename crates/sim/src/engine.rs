@@ -4,13 +4,13 @@
 //! [`Session`](crate::session::Session), the positional
 //! [`closed_loop::run`](crate::closed_loop::run), and a campaign job
 //! run on its own are its one-lane instance ([`run_one`] puts the patient
-//! behind a one-lane [`LanePhysics`] adapter), and a lockstep block of
-//! up to [`BATCH_LANES`](crate::batch::BATCH_LANES) jobs and a campaign
-//! group's lanes are its batched instances over structure-of-arrays
-//! physics banks. Only physics is batched. Every other stage runs per
-//! lane, on that lane's own components, in the same order whatever the
-//! lane count — which is why a lane of a block produces, bit for bit,
-//! the trace of the same run alone.
+//! behind a one-lane [`LanePhysics`] adapter), and a campaign group's
+//! lanes are its batched instance over structure-of-arrays physics
+//! banks of [`BATCH_LANES`](crate::batch::BATCH_LANES) lanes. Only
+//! physics is batched. Every other stage runs per lane, on that lane's
+//! own components, in the same order whatever the lane count — which
+//! is why a lane of a bank produces, bit for bit, the trace of the same
+//! run alone.
 //!
 //! Per cycle, each live lane goes through meals/exercise → CGM → fault
 //! route → decide → rate fault → classify → monitor bank → mitigate →

@@ -41,10 +41,13 @@
 //!
 //! [`run_campaign_serial`]: crate::campaign::run_campaign_serial
 
-use crate::batch::run_riders;
+use crate::batch::banks;
 use crate::campaign::{CampaignJob, CampaignSpec, Cohort, JobRun, MonitorFactory};
+use crate::engine::{run_lanes, JobResult, Lane};
 use crate::outcome::SimError;
-use aps_types::SimTrace;
+use aps_core::monitors::HazardMonitor;
+use aps_fault::FaultInjector;
+use aps_types::{MgDl, SimTrace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// What [`run_group`] did.
@@ -59,7 +62,10 @@ pub(crate) struct GroupRun {
 
 /// Runs one group's jobs — jobs of one patient and initial BG, valid
 /// and in job order — as riders of one set of lanes in banks of
-/// `LANES` (see the [module docs](self)).
+/// `LANES` (see the [module docs](self)). The lanes start as one lane,
+/// the group's fault-free closed loop carrying every job, in a bank
+/// whose other lanes are padding; a bank is added whenever the last
+/// one is full.
 pub(crate) fn run_group<const LANES: usize>(
     spec: &CampaignSpec,
     cohort: &Cohort,
@@ -80,8 +86,31 @@ pub(crate) fn run_group<const LANES: usize>(
             scenario: None,
         };
         let member = cohort.member(first.patient_idx);
-        let trunk = JobRun::new(spec, &fault_free, member, monitor_factory);
-        run_riders::<LANES>(trunk, jobs)
+        let mut trunk = JobRun::new(spec, &fault_free, member, monitor_factory);
+        let mut injectors: Vec<Option<FaultInjector>> = jobs
+            .iter()
+            .map(|job| job.scenario.clone().map(FaultInjector::new))
+            .collect();
+        trunk
+            .patient
+            .as_dyn_mut()
+            .reset(MgDl(trunk.config.initial_bg));
+        let mut physics = banks::<LANES>(&trunk.patient);
+        let lane = Lane::new(
+            trunk.patient.as_dyn().name(),
+            trunk.controller.as_mut(),
+            trunk
+                .monitor
+                .as_deref_mut()
+                .map(|m| m as &mut dyn HazardMonitor),
+            injectors.iter_mut().map(Option::as_mut).enumerate(),
+            &trunk.config,
+            None,
+        );
+        let mut lanes = vec![lane];
+        let lane_cycles = run_lanes(physics.as_mut(), &mut lanes, trunk.config.steps);
+        let results: Vec<JobResult> = lanes.into_iter().flat_map(Lane::finish).collect();
+        (results, lane_cycles)
     }));
     if let Ok((results, lane_cycles)) = riders {
         for (k, result) in results {
@@ -144,6 +173,26 @@ mod tests {
         let cohort = Cohort::new(spec.platform);
         let run = |job: &&CampaignJob| JobRun::new(spec, job, cohort.member(0), None).run();
         jobs.iter().map(run).collect()
+    }
+
+    /// Every group size from one job to one more than a bank's lanes:
+    /// each rider equals its job run alone, however many of the bank's
+    /// lanes stay padding.
+    #[test]
+    fn every_group_size_matches_solo_runs() {
+        let spec = CampaignSpec {
+            patient_indices: vec![0],
+            steps: 25,
+            ..CampaignSpec::quick(Platform::GlucosymOref0)
+        };
+        let all = campaign_jobs(&spec);
+        assert!(all.len() > BATCH_LANES);
+        for size in 1..=BATCH_LANES + 1 {
+            let jobs: Vec<&CampaignJob> = all[..size].iter().collect();
+            let run = run_group::<BATCH_LANES>(&spec, &Cohort::new(spec.platform), &jobs, None);
+            let results: Vec<_> = run.results.into_iter().map(Option::unwrap).collect();
+            assert_eq!(results, solo(&spec, &jobs), "group of {size}");
+        }
     }
 
     /// `Max` on `glucose` and `Max` on `eventual_bg` write the same

@@ -6,28 +6,26 @@
 //!
 //! * [`session`] — **the primary entry point**:
 //!   [`Session::builder`](session::Session::builder) composes one run
-//!   fluently (patient, controller, repeatable monitors feeding a
-//!   [`MonitorBank`](aps_core::monitors::MonitorBank), fault, config,
-//!   per-step observer), and a serde
+//!   fluently (patient, controller, repeatable monitors stepped against
+//!   one physics pass, fault, config, per-step observer), and a serde
 //!   [`SessionSpec`](session::SessionSpec) describes runs as data;
 //! * [`closed_loop::run`] — the legacy positional wrapper over the
 //!   same cycle, one optional monitor;
 //! * the private `engine` module — the one closed-loop cycle every run
 //!   executes, generic over its lane count: sessions, positional runs
 //!   and the serial reference's campaign jobs are its one-lane
-//!   instance, a lockstep block ([`batch::run_block`]) its
-//!   [`batch::BATCH_LANES`]-lane instance, and a lane can carry several
-//!   jobs and split mid-cycle where their faults stop doing the same
-//!   thing, which is how every campaign group runs;
+//!   instance, and a campaign group's lanes, in banks of
+//!   [`batch::BATCH_LANES`], its batched instance: a lane can carry
+//!   several jobs and split mid-cycle where their faults stop doing
+//!   the same thing;
 //! * the private `fork` module — a campaign group (the jobs of one
 //!   patient and initial BG) runs as one lane carrying every job,
 //!   which forks wherever a job's fault first changes the loop;
 //! * [`platform::Platform`] — the two evaluation platforms (OpenAPS +
 //!   Glucosym-style, Basal-Bolus + UVA-Padova-style);
-//! * [`batch`] — the batched lockstep engine: a block of
-//!   [`batch::BATCH_LANES`] jobs shares one structure-of-arrays
-//!   physics bank ([`batch::run_block`]) and runs the same cycle with
-//!   one lane per job, bit-identical to running each job alone;
+//! * [`batch`] — the structure-of-arrays physics banks of
+//!   [`batch::BATCH_LANES`] lanes that a campaign group's lanes step
+//!   on, bit-identical to running each job alone;
 //! * [`campaign`] — the fault-injection campaign runner (grid of
 //!   patients × initial BG × scenarios, multi-threaded). Its one
 //!   engine claims groups of jobs, runs each group as lockstep lanes
@@ -50,8 +48,9 @@
 //!   ([`chaos::ChaosConfig`]): seeded worker panics, delays, and
 //!   poisoned specs for hardening tests;
 //! * [`replay`] — offline (parallel) monitor replay over recorded
-//!   campaigns, either in memory or streamed from an open binary
-//!   trace store ([`replay::replay_store_with`]);
+//!   campaigns, either in memory ([`replay::replay_campaign`]) or
+//!   straight out of an open binary trace store
+//!   ([`replay::replay_store`]);
 //! * [`dataset`] — supervised dataset extraction for the ML baselines
 //!   and threshold learning, plus the columnar store→forecast-dataset
 //!   path ([`dataset::push_store_traces`]);

@@ -6,19 +6,20 @@
 //! campaign be evaluated against any number of monitors — the paper's
 //! Table V/VI/Fig. 9 comparisons — at a fraction of the cost of
 //! re-simulating. (For *live* multi-monitor scoring in a single
-//! physics pass, see a session's
-//! [`MonitorBank`](aps_core::monitors::MonitorBank).)
+//! physics pass, attach several monitors to one
+//! [`Session`](crate::session::Session).)
 //!
-//! Campaign-scale replay is parallel ([`replay_campaign`]) and can
-//! stream results through a bounded-memory ordered sink
-//! ([`replay_campaign_with`]), on the same
-//! [ordered executor](crate::exec) as the live campaign. One executor
-//! unit replays a run of consecutive traces, up to 32 of them, so the
-//! per-unit claim and reorder cost is shared by the run. Recorded
-//! corpora in the binary trace store replay without loading the whole
-//! campaign as owned traces: [`replay_store_with`]
-//! materializes each trace from the store's columns only while it is
-//! in flight.
+//! Campaign-scale replay is parallel, on the same
+//! [ordered executor](crate::exec) as the live campaign, and comes in
+//! two forms that share one implementation: [`replay_campaign`] over
+//! traces in memory, and [`replay_store`] straight out of a binary
+//! trace store, which materializes each trace from the store's columns
+//! only while it is in flight instead of loading the whole campaign as
+//! owned traces. One executor unit replays a run of consecutive
+//! traces, up to 32 of them, so the per-unit claim and reorder cost is
+//! shared by the run. The worker count, like every campaign
+//! executor's, comes from [`crate::campaign::worker_count`], so
+//! `APS_WORKERS` applies to replay too.
 
 use crate::campaign::worker_count;
 use crate::exec::ordered_par_map;
@@ -75,49 +76,15 @@ fn replay_owned(mut out: SimTrace, monitor: &mut dyn HazardMonitor) -> SimTrace 
     out
 }
 
-/// Replays a whole campaign through monitors produced per trace by
-/// `factory` (monitors are stateful and patient-specific, so each
-/// trace gets a fresh one), streaming each replayed trace — in input
-/// order — into `sink(index, trace)`.
-///
-/// Runs of up to 32 consecutive traces are the units of the
-/// [ordered executor](crate::exec), so at most O(32 × workers) traces
-/// are in flight however large the recorded campaign is.
-pub fn replay_campaign_with<F>(traces: &[SimTrace], factory: F, sink: impl FnMut(usize, SimTrace))
-where
-    F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
-{
-    replay_source_with(traces.len(), |i| Cow::Borrowed(&traces[i]), factory, sink);
-}
-
-/// Replays a recorded campaign straight out of an open binary trace
-/// store, streaming each replayed trace — in store order — into
-/// `sink(index, trace)`. Workers materialize traces from the store's
-/// columns on demand, so only the traces currently in flight are ever
-/// held as owned `SimTrace`s; the corpus itself stays in its single
-/// mapped buffer. Same executor, ordering, and backpressure as
-/// [`replay_campaign_with`]; the worker count, like every campaign
-/// executor's, comes from [`crate::campaign::worker_count`], so
-/// `APS_WORKERS` applies to replay too.
-pub fn replay_store_with<F>(store: &TraceStoreReader, factory: F, sink: impl FnMut(usize, SimTrace))
-where
-    F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
-{
-    replay_source_with(store.len(), |i| Cow::Owned(store.get(i)), factory, sink);
-}
-
-/// Replays a whole stored campaign; results come back in store order.
-/// Thin wrapper over [`replay_store_with`].
+/// Replays a whole stored campaign through monitors produced per trace
+/// by `factory`; results come back in store order. Workers materialize
+/// traces from the store's columns on demand, so only the traces in
+/// flight are ever held as owned `SimTrace`s besides the results.
 pub fn replay_store<F>(store: &TraceStoreReader, factory: F) -> Vec<SimTrace>
 where
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
 {
-    let mut out = Vec::with_capacity(store.len());
-    replay_store_with(store, factory, |i, trace| {
-        debug_assert_eq!(i, out.len(), "replay stream out of order");
-        out.push(trace);
-    });
-    out
+    replay_source(store.len(), |i| Cow::Owned(store.get(i)), factory)
 }
 
 /// Most traces in one replay unit. A unit of one trace holds about as
@@ -142,16 +109,17 @@ fn replay_unit(u: usize, len: usize, n: usize) -> Range<usize> {
 
 /// The replay shared by the in-memory and store paths: `get(i)`
 /// supplies trace `i` (borrowed from a slice, or materialized from
-/// store columns). Each unit of the [ordered executor](crate::exec) is
-/// a run of [`replay_unit_len`] consecutive traces, which the emit side
-/// hands to `sink` one at a time in index order.
-fn replay_source_with<'a, G, F>(n: usize, get: G, factory: F, mut sink: impl FnMut(usize, SimTrace))
+/// store columns), and the replayed traces come back in index order.
+/// Each unit of the [ordered executor](crate::exec) is a run of
+/// [`replay_unit_len`] consecutive traces.
+fn replay_source<'a, G, F>(n: usize, get: G, factory: F) -> Vec<SimTrace>
 where
     G: Fn(usize) -> Cow<'a, SimTrace> + Sync,
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
 {
     let workers = worker_count(None).0;
     let len = replay_unit_len(n, workers);
+    let mut out = Vec::with_capacity(n);
     let Ok(_) = ordered_par_map(
         n.div_ceil(len),
         workers,
@@ -165,19 +133,20 @@ where
                 })
                 .collect::<Vec<_>>()
         },
-        |u, traces| -> Result<(), Infallible> {
-            for (i, trace) in replay_unit(u, len, n).zip(traces) {
-                sink(i, trace);
-            }
+        |_, traces| -> Result<(), Infallible> {
+            out.extend(traces);
             Ok(())
         },
     );
+    out
 }
 
-/// Replays a whole campaign, parallelized over the available cores
+/// Replays a whole campaign through monitors produced per trace by
+/// `factory` (monitors are stateful and patient-specific, so each
+/// trace gets a fresh one), parallelized over the available cores
 /// (replays are independent, so this is the same embarrassingly
 /// parallel shape as [`run_campaign`]); results come back in input
-/// order. Thin wrapper over [`replay_campaign_with`].
+/// order.
 ///
 /// The factory bound is `Fn + Sync` (it is called concurrently from
 /// worker threads); a factory that must mutate shared state can wrap
@@ -189,12 +158,7 @@ pub fn replay_campaign<F>(traces: &[SimTrace], factory: F) -> Vec<SimTrace>
 where
     F: Fn(&SimTrace) -> Box<dyn HazardMonitor> + Sync,
 {
-    let mut out = Vec::with_capacity(traces.len());
-    replay_campaign_with(traces, factory, |i, trace| {
-        debug_assert_eq!(i, out.len(), "replay stream out of order");
-        out.push(trace);
-    });
-    out
+    replay_source(traces.len(), |i| Cow::Borrowed(&traces[i]), factory)
 }
 
 #[cfg(test)]
@@ -319,7 +283,7 @@ mod tests {
     /// The parallel executor must be invisible: same traces, same
     /// order as replaying one by one on the calling thread.
     #[test]
-    fn parallel_replay_matches_sequential_and_streams_in_order() {
+    fn parallel_replay_matches_sequential() {
         let platform = Platform::GlucosymOref0;
         let spec = CampaignSpec {
             patient_indices: (0..10).collect(),
@@ -353,14 +317,5 @@ mod tests {
             .collect();
         let parallel = replay_campaign(&recorded, factory);
         assert_eq!(parallel, sequential);
-
-        let mut indices = Vec::new();
-        let mut streamed = Vec::new();
-        replay_campaign_with(&recorded, factory, |i, t| {
-            indices.push(i);
-            streamed.push(t);
-        });
-        assert_eq!(indices, (0..recorded.len()).collect::<Vec<_>>());
-        assert_eq!(streamed, sequential);
     }
 }

@@ -2,9 +2,9 @@
 //! closed-loop harness.
 //!
 //! A [`Session`] owns everything one closed-loop run needs — patient,
-//! controller, a [`MonitorBank`] of any number of hazard monitors, an
-//! optional fault injector, the [`LoopConfig`], and an optional
-//! per-step observer — and is assembled fluently:
+//! controller, any number of hazard monitors, an optional fault
+//! injector, the [`LoopConfig`], and an optional per-step observer —
+//! and is assembled fluently:
 //!
 //! ```
 //! use aps_sim::platform::Platform;
@@ -31,8 +31,8 @@
 //!
 //! This module only assembles runs; it holds no control loop. A session
 //! runs as the one-lane instance of the closed-loop cycle every engine
-//! shares, the same cycle a lockstep block of the
-//! [batched engine](crate::batch) runs with one lane per job. The
+//! shares, the same cycle a campaign group runs as lanes of
+//! [batched physics banks](crate::batch). The
 //! legacy positional entry point [`closed_loop::run`] runs that cycle
 //! too and remains supported; new code should prefer the builder, which
 //! validates the fault target at build time instead of silently
@@ -46,7 +46,7 @@ use crate::platform::Platform;
 use aps_controllers::Controller;
 use aps_core::monitors::{
     CawMonitor, ForecastBand, ForecastMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor,
-    MonitorBank, MpcMonitor, NullMonitor, RiskIndexMonitor,
+    MpcMonitor, NullMonitor, RiskIndexMonitor,
 };
 use aps_core::scs::Scs;
 use aps_fault::{FaultInjector, FaultScenario};
@@ -285,11 +285,14 @@ impl<'obs> SessionBuilder<'obs> {
         self
     }
 
-    /// Attaches a monitor. Repeatable: every monitor added here joins
-    /// the session's [`MonitorBank`] and gets its own alert stream in
-    /// [`SimTrace::monitor_tracks`]; the *first* monitor is the primary
-    /// one whose alerts drive mitigation (when enabled) and fill the
-    /// classic [`StepRecord::alert`] column.
+    /// Attaches a monitor. Repeatable: every monitor added here is
+    /// stepped against the session's one physics pass and gets its own
+    /// alert stream in [`SimTrace::monitor_tracks`]; the *first*
+    /// monitor is the primary one whose alerts drive mitigation (when
+    /// enabled) and fill the classic [`StepRecord::alert`] column.
+    /// Under active mitigation the other streams therefore describe how
+    /// each monitor judges the *mitigated* loop, not the loop it would
+    /// itself have produced.
     pub fn monitor(mut self, monitor: Box<dyn HazardMonitor>) -> Self {
         self.monitors.push(MonitorSel::Boxed(monitor));
         self
@@ -300,14 +303,6 @@ impl<'obs> SessionBuilder<'obs> {
     /// platform/patient context at build time.
     pub fn monitor_spec(mut self, spec: MonitorSpec) -> Self {
         self.monitors.push(MonitorSel::Spec(spec));
-        self
-    }
-
-    /// Attaches every member of a pre-assembled [`MonitorBank`] (in
-    /// bank order, after any monitors already added).
-    pub fn monitor_bank(mut self, bank: MonitorBank) -> Self {
-        self.monitors
-            .extend(bank.into_monitors().into_iter().map(MonitorSel::Boxed));
         self
     }
 
@@ -390,7 +385,7 @@ impl<'obs> SessionBuilder<'obs> {
             platform,
             patient,
             controller,
-            monitors: MonitorBank::from_monitors(monitors),
+            monitors,
             injector: self.scenario.map(FaultInjector::new),
             config: self.config,
             observer: self.observer,
@@ -414,7 +409,7 @@ pub struct Session<'obs> {
     platform: Platform,
     patient: BoxedPatient,
     controller: Box<dyn Controller>,
-    monitors: MonitorBank,
+    monitors: Vec<Box<dyn HazardMonitor>>,
     injector: Option<FaultInjector>,
     config: LoopConfig,
     observer: Option<Observer<'obs>>,
@@ -458,7 +453,7 @@ impl<'obs> Session<'obs> {
 
     /// Names of the attached monitors, primary first.
     pub fn monitor_names(&self) -> Vec<String> {
-        self.monitors.names()
+        self.monitors.iter().map(|m| m.name().to_owned()).collect()
     }
 
     /// The loop configuration.
@@ -494,7 +489,9 @@ impl<'obs> Session<'obs> {
         crate::engine::run_one(
             self.patient.as_mut(),
             self.controller.as_mut(),
-            self.monitors.as_dyn_mut(),
+            self.monitors
+                .iter_mut()
+                .map(|m| m.as_mut() as &mut dyn HazardMonitor),
             self.injector.as_mut(),
             &self.config,
             self.observer
@@ -509,7 +506,7 @@ impl fmt::Debug for Session<'_> {
         f.debug_struct("Session")
             .field("platform", &self.platform.name())
             .field("patient", &self.patient.name())
-            .field("monitors", &self.monitors.names())
+            .field("monitors", &self.monitor_names())
             .field(
                 "fault",
                 &self.injector.as_ref().map(|i| i.scenario().name()),
@@ -568,6 +565,29 @@ mod tests {
         let column: Vec<_> = trace.records.iter().map(|r| r.alert).collect();
         assert_eq!(trace.monitor_tracks[0].alerts, column);
         assert_eq!(trace.track("cawot").unwrap().alerts.len(), trace.len());
+    }
+
+    #[test]
+    fn monitors_keep_attach_order() {
+        let platform = Platform::GlucosymOref0;
+        let mut session = Session::builder(platform)
+            .monitor(Box::new(NullMonitor))
+            .monitor_spec(MonitorSpec::Cawot)
+            .monitor(Box::new(NullMonitor))
+            .config(LoopConfig {
+                steps: 20,
+                ..LoopConfig::default()
+            })
+            .build()
+            .unwrap();
+        assert_eq!(session.monitor_names(), vec!["none", "cawot", "none"]);
+        let tracks: Vec<String> = session
+            .run()
+            .monitor_tracks
+            .into_iter()
+            .map(|t| t.monitor)
+            .collect();
+        assert_eq!(tracks, session.monitor_names());
     }
 
     #[test]

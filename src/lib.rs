@@ -61,7 +61,7 @@
 //! Option<monitor>, Option<injector>, &config)`, is retained as a
 //! documented thin wrapper over the same engine and produces
 //! bit-identical traces (pinned by `tests/session_equivalence.rs`).
-//! It is frozen, not deprecated: new capabilities — monitor banks,
+//! It is frozen, not deprecated: new capabilities — several monitors,
 //! per-step observers, spec files, target validation — land only on
 //! [`Session`](sim::session::Session).
 //!
@@ -75,9 +75,8 @@
 //! * **Batched lockstep stepping (SoA lanes)** — every campaign
 //!   executor ([`sim::campaign::run_campaign_with_workers`] and the
 //!   fault-tolerant [`sim::campaign::run_campaign_resumable`] alike)
-//!   steps *blocks* of up to [`sim::batch::BATCH_LANES`] = 8 scenario
-//!   jobs in lockstep ([`sim::batch::run_block`]) through
-//!   structure-of-arrays compartment banks
+//!   steps a group's lanes in lockstep, [`sim::batch::BATCH_LANES`] = 8
+//!   lanes to a bank, through structure-of-arrays compartment banks
 //!   (`BatchedBergman` / `BatchedDallaMan`: one `[f64; LANES]` row per
 //!   ODE compartment) integrated by a single
 //!   [`glucose::ode::BatchedRk4Scratch`] pass whose stage math is
@@ -96,10 +95,10 @@
 //!   to drift.
 //!   8 lanes = two AVX2 (or one AVX-512) f64 vectors per compartment
 //!   row — wide enough to saturate 256-bit units, small enough that a
-//!   ragged final block wastes at most 7 lanes. Bit-identity against
+//!   part-filled bank wastes at most 7 lanes. Bit-identity against
 //!   [`sim::campaign::run_campaign_serial`] across both patient
 //!   models, the full fault alphabet, mitigation, sensor noise and
-//!   ragged tails is pinned by `tests/batched_equivalence.rs`; a lane
+//!   padding lanes is pinned by `tests/batched_equivalence.rs`; a lane
 //!   that diverges to NaN free-runs harmlessly (non-finite is absorbing
 //!   under RK4) and surfaces as that job's typed `NonFinite` error
 //!   without poisoning its lane-mates.
@@ -163,9 +162,11 @@
 //!   stream ([`sim::campaign::run_campaign_with_workers`]);
 //!   [`sim::campaign::run_campaign`] is the collecting wrapper, defined
 //!   to equal [`sim::campaign::run_campaign_serial`].
-//! * **Monitor banks** — a [`core::monitors::MonitorBank`] steps N
-//!   monitors against one physics pass (alert streams recorded per
-//!   member in the trace), so scoring a zoo of M monitors live costs
+//! * **Many monitors, one physics pass** — a
+//!   [`Session`](sim::session::Session) steps every monitor attached
+//!   with [`SessionBuilder::monitor`](sim::session::SessionBuilder::monitor)
+//!   against one physics pass (alert streams recorded per monitor in
+//!   the trace), so scoring a zoo of M monitors live costs
 //!   1×physics + M×monitor instead of M×physics. The `repro zoo`
 //!   report asserts the step count and measures every monitor's
 //!   reaction time, including the `RiskIndexMonitor` latency floor.
@@ -183,7 +184,7 @@
 //!   variable arrays; no `HashMap` lookups or profile clones in
 //!   `decide`.
 //! * **Cohort template per campaign** — job set-up clones its patient
-//!   and basal rate from a [`sim::campaign::Cohort`] built once per
+//!   and basal rate from a cohort template built once per
 //!   campaign (every member constructed, its equilibrium basal solved
 //!   once) instead of building all ten patients for every job, which
 //!   took about a third of a T1DS job's time.
@@ -203,7 +204,7 @@
 //! current). The committed report was recorded while two executors
 //! existed: ≈10× for one job at a time (`speedup`) and ≈15.3× for
 //! lockstep blocks (`batched_speedup`). Every executor now runs
-//! blocks, so `repro bench-campaign` times the one campaign executor
+//! lockstep lanes, so `repro bench-campaign` times the one campaign executor
 //! ([`sim::campaign::run_campaign`]). The report also records a
 //! workers-scaling sweep (its throughput at 1/2/4/… pinned workers).
 //! Regenerate it with:
@@ -397,7 +398,7 @@
 //!   `f64` bits; pinned by proptest in
 //!   `tests/tracestore_roundtrip.rs`).
 //! * **Wired through the stack** —
-//!   [`sim::replay::replay_store_with`] replays monitors straight out
+//!   [`sim::replay::replay_store`] replays monitors straight out
 //!   of a store, [`sim::dataset::push_store_traces`] streams forecast
 //!   windows off the `bg`/`commanded` columns into a
 //!   [`ml::data::TraceDataset`] (bit-identical to the JSONL path), and
@@ -574,7 +575,6 @@ pub mod prelude {
     pub use aps_core::hms::{ContextMitigator, ContextMitigatorConfig, Hms, TsLearnConfig};
     pub use aps_core::learning::{learn_thresholds, LearnConfig};
     pub use aps_core::mitigation::Mitigator;
-    pub use aps_core::monitors::MonitorBank;
     pub use aps_core::monitors::{
         CawMonitor, ForecastBand, ForecastMonitor, GuidelineMonitor, HazardMonitor, LstmMonitor,
         MlMonitor, MonitorInput, MpcMonitor, NullMonitor, RiskIndexMonitor, StlCawMonitor,
@@ -590,11 +590,11 @@ pub mod prelude {
     };
     pub use aps_risk::{LabelConfig, RiskSample, RiskTracker};
     pub use aps_service::{Client, JobManifest, ServiceConfig};
-    pub use aps_sim::batch::{run_block, BATCH_LANES};
+    pub use aps_sim::batch::BATCH_LANES;
     pub use aps_sim::campaign::{
         campaign_jobs, campaign_size, run_campaign, run_campaign_resumable,
         run_campaign_with_workers, CampaignJob, CampaignOptions, CampaignReport, CampaignSpec,
-        CheckpointPolicy, Cohort, MonitorFactory, ScenarioCtx, WorkerSource,
+        CheckpointPolicy, MonitorFactory, ScenarioCtx, WorkerSource,
     };
     pub use aps_sim::chaos::ChaosConfig;
     pub use aps_sim::checkpoint::{CampaignCheckpoint, CheckpointError};
@@ -602,9 +602,7 @@ pub mod prelude {
     pub use aps_sim::dataset::push_store_traces;
     pub use aps_sim::outcome::{Backoff, ErrorLedger, JobOutcome, RetryPolicy, SimError};
     pub use aps_sim::platform::Platform;
-    pub use aps_sim::replay::{
-        replay_campaign, replay_campaign_with, replay_monitor, replay_store, replay_store_with,
-    };
+    pub use aps_sim::replay::{replay_campaign, replay_monitor, replay_store};
     pub use aps_sim::session::{MonitorSpec, Session, SessionBuilder, SessionError, SessionSpec};
     pub use aps_sim::shard::{plan_shards, ShardPlan};
     pub use aps_tracestore::{

@@ -1,18 +1,20 @@
 //! Equivalence guarantees behind the batched lockstep campaign engine.
 //!
-//! The structure-of-arrays physics banks ([`BatchedBergman`],
-//! [`BatchedDallaMan`] behind [`run_block`]) are required to be
-//! *behavior-preserving*: a campaign stepped in lockstep blocks of
-//! [`BATCH_LANES`] must emit exactly the traces the scalar serial
-//! executor emits, bit for bit. These tests pin that down:
+//! The structure-of-arrays physics banks (`BatchedBergman`,
+//! `BatchedDallaMan`) are required to be *behavior-preserving*: a
+//! campaign whose groups step in lockstep banks of [`BATCH_LANES`]
+//! lanes must emit exactly the traces the scalar serial executor
+//! emits, bit for bit. These tests pin that down:
 //!
 //! * full quick-campaign corpora on **both** platforms (Bergman and
 //!   Dalla Man), with and without a monitor factory, and with
 //!   alert-driven mitigation (both policies) or a noisy CGM;
 //! * the **extended fault alphabet** (every injectable target ×
 //!   fault kind the campaign generator knows);
-//! * **ragged tails** — corpus sizes that are not a multiple of the
-//!   lane width, so the final block runs with padding lanes;
+//! * **padding lanes** — every group starts as one live lane in a
+//!   bank whose other lanes are padding, so every case here runs
+//!   beside them, and groups of every size from one rider to a full
+//!   bank are checked on their own;
 //! * randomized campaign shapes under proptest;
 //! * a **non-finite lane** fails with the same typed
 //!   [`SimError::NonFinite`] (same cycle index) as the scalar
@@ -20,7 +22,8 @@
 
 use aps_repro::glucose::sensor::CgmConfig;
 use aps_repro::prelude::*;
-use aps_repro::sim::campaign::run_campaign_serial;
+use aps_repro::sim::campaign::{run_campaign_resumable, run_campaign_serial, CampaignOptions};
+use aps_repro::sim::checkpoint::{spec_hash, to_hex, CampaignCheckpoint};
 use proptest::prelude::*;
 
 /// A monitor factory mirroring the one used by the parallel-executor
@@ -38,8 +41,8 @@ fn caw_factory() -> Box<MonitorFactory<'static>> {
 
 /// Quick corpus, both platforms, with and without monitors: the
 /// batched engine's output equals the serial executor's exactly. The
-/// quick corpus (62 jobs) is deliberately ragged at `BATCH_LANES = 8`
-/// (62 = 7×8 + 6), so the padded tail block is always exercised.
+/// quick corpus (62 jobs) is deliberately not a multiple of
+/// `BATCH_LANES = 8` (62 = 7×8 + 6).
 #[test]
 fn batched_campaign_equals_serial_on_both_platforms() {
     for platform in Platform::ALL {
@@ -140,8 +143,8 @@ fn batched_streaming_sink_preserves_job_order() {
 
 /// One lane going non-finite must surface as that job's typed
 /// [`SimError::NonFinite`] at the same cycle the scalar executor
-/// reports, and every lane-mate in the block must stay bit-identical
-/// to its serial twin — a dead lane is isolated, not contagious.
+/// reports, and every other job must stay bit-identical to its serial
+/// twin — a dead lane is isolated, not contagious.
 #[test]
 fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
     // An initial BG of 1e308 overflows the Dalla Man plasma-glucose
@@ -184,29 +187,14 @@ fn nonfinite_lane_is_isolated_and_matches_scalar_error() {
         assert_eq!(s.as_ref(), Some(f), "job {i}: forked executor diverged");
     }
 
-    // Batched: run the same corpus block by block through run_block,
-    // which exposes per-lane Results.
-    let mut batched = Vec::with_capacity(jobs.len());
-    let cohort = Cohort::new(spec.platform);
-    for block in jobs.chunks(BATCH_LANES) {
-        batched.extend(run_block::<BATCH_LANES>(&spec, &cohort, block, None));
-    }
-
     let mut nonfinite_seen = 0;
-    for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-        match (s.as_ref().expect("sink covered every job"), b) {
-            (JobOutcome::Completed(st), Ok(bt)) => {
-                assert_eq!(st, bt, "lane-mate {i} diverged from serial");
-            }
-            (JobOutcome::Failed { error, .. }, Err(be)) => {
-                assert_eq!(error, be, "job {i} failed differently");
-                assert!(
-                    matches!(be, SimError::NonFinite { .. }),
-                    "job {i}: expected NonFinite, got {be:?}"
-                );
-                nonfinite_seen += 1;
-            }
-            (s, b) => panic!("job {i}: scalar {s:?} vs batched {b:?}"),
+    for (i, outcome) in forked.iter().enumerate() {
+        if let JobOutcome::Failed { error, .. } = outcome {
+            assert!(
+                matches!(error, SimError::NonFinite { .. }),
+                "job {i}: expected NonFinite, got {error:?}"
+            );
+            nonfinite_seen += 1;
         }
     }
     assert!(nonfinite_seen > 0, "the poison BG produced no failures");
@@ -264,26 +252,44 @@ proptest! {
         }
     }
 
-    /// Every block occupancy from one lane to a full block: direct
-    /// `run_block` calls over corpus prefixes equal the serial traces
-    /// regardless of how many padding lanes ride along.
+    /// Every group occupancy from one rider to a full bank: a one-group
+    /// campaign resumed with only its first `occupancy` jobs pending
+    /// runs them as one group of that many riders, beside however many
+    /// padding lanes, and each equals its serial trace.
     #[test]
     fn every_ragged_block_size_matches_serial(occupancy in 1usize..BATCH_LANES + 1) {
         let spec = CampaignSpec {
-            patient_indices: vec![0, 1],
+            patient_indices: vec![0],
             steps: 25,
             ..CampaignSpec::quick(Platform::GlucosymOref0)
         };
-        let jobs = campaign_jobs(&spec);
-        prop_assert!(jobs.len() >= BATCH_LANES);
         let serial = run_campaign_serial(&spec, None);
-        let cohort = Cohort::new(spec.platform);
-        let block = run_block::<BATCH_LANES>(&spec, &cohort, &jobs[..occupancy], None);
-        prop_assert_eq!(block.len(), occupancy);
-        for (i, r) in block.into_iter().enumerate() {
-            match r {
-                Ok(trace) => prop_assert_eq!(&trace, &serial[i], "lane {} diverged", i),
-                Err(e) => prop_assert!(false, "lane {} failed: {:?}", i, e),
+        prop_assert!(serial.len() >= BATCH_LANES);
+        let mut resume = CampaignCheckpoint::fresh(to_hex(spec_hash(&spec)), None, serial.len());
+        for (i, trace) in serial.iter().enumerate().skip(occupancy) {
+            resume.completed.set(i);
+            resume.partials.fold_completed(trace);
+        }
+        let mut ran = Vec::new();
+        let report = run_campaign_resumable(
+            &spec,
+            None,
+            &CampaignOptions::default(),
+            Some(&resume),
+            |i, outcome| ran.push((i, outcome)),
+        )
+        .expect("checkpoint belongs to this campaign");
+        prop_assert_eq!(report.skipped_resumed, serial.len() - occupancy);
+        prop_assert_eq!(ran.len(), occupancy);
+        for (lane, (i, outcome)) in ran.into_iter().enumerate() {
+            prop_assert_eq!(i, lane);
+            match outcome {
+                JobOutcome::Completed(trace) => {
+                    prop_assert_eq!(&trace, &serial[i], "rider {} diverged", i)
+                }
+                JobOutcome::Failed { error, .. } => {
+                    prop_assert!(false, "rider {} failed: {:?}", i, error)
+                }
             }
         }
     }

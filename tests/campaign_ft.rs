@@ -225,7 +225,7 @@ fn chaos_is_deterministic_and_degrades_gracefully() {
 }
 
 /// Non-contiguous, repeated patient indices on the Dalla Man cohort:
-/// lockstep blocks and the per-job path (which chaos sends jobs down)
+/// forked groups and the per-job path (which chaos sends jobs down)
 /// both set a job up from its cohort index, so every completed job
 /// equals the serial reference.
 #[test]

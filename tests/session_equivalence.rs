@@ -2,9 +2,9 @@
 //! builder is a *re-surfacing* of the closed-loop engine, not a
 //! reimplementation, so its traces must be bit-identical to the legacy
 //! positional `closed_loop::run` — across random platforms, patients,
-//! configurations, and fault scenarios — and every member of a
-//! `MonitorBank` must produce exactly the alert stream it would
-//! produce running solo.
+//! configurations, and fault scenarios — and every one of several
+//! monitors attached to one session must produce exactly the alert
+//! stream it would produce running solo.
 
 use aps_repro::prelude::*;
 use aps_repro::sim::closed_loop;
@@ -111,7 +111,7 @@ proptest! {
     }
 }
 
-/// Every `MonitorBank` member's alert stream over the quick-campaign
+/// Every attached monitor's alert stream over the quick-campaign
 /// corpus is bit-identical to that monitor running solo — the property
 /// that makes 1×physics + M×monitor a legitimate replacement for
 /// M×(physics + monitor).

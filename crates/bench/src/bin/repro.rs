@@ -17,12 +17,8 @@
 //!   ablation-faultfree    monitors on fault-free data
 //!   ablation-hms          Eq.2 deadlines + context-dependent mitigation
 //!   ablation-noise        CAWT accuracy under CGM sensor error
-//!   train                 stream a campaign into the forecast dataset, train
-//!                         the LSTM + MLP glucose forecasters, save the model
-//!                         bundle to results/forecast_model.json
 //!   zoo                   monitor zoo in one session: one physics pass per
 //!                         scenario, reaction-time/TTH incl. RiskIdx floor
-//!                         and the trained ForecastMonitor row
 //!   run --spec F          one session described by a JSON SessionSpec
 //!   summary               digest of all recorded results
 //!   bench-campaign        campaign-throughput baseline -> BENCH_campaign.json
@@ -54,8 +50,7 @@
 //! ```
 
 use aps_bench::experiments::{
-    ablations, accuracy, fig3, hms, mitigation, overhead, patient_specific, resilience, train,
-    zoo_report,
+    ablations, accuracy, fig3, hms, mitigation, overhead, patient_specific, resilience, zoo_report,
 };
 use aps_bench::ftrun::FtFlags;
 use aps_bench::opts::ExpOpts;
@@ -263,7 +258,6 @@ fn main() {
         "ablation-faultfree" => ablations::fault_free_eval(&opts),
         "ablation-hms" => hms::hms_mitigation(&opts),
         "ablation-noise" => ablations::sensor_noise(&opts),
-        "train" => train::train(&opts),
         "zoo" => zoo_report::zoo(&opts),
         "summary" => {
             let dir = opts.out_dir.clone().unwrap_or_else(|| "results".to_owned());
@@ -323,7 +317,6 @@ fn main() {
             "ablation-faultfree",
             "ablation-hms",
             "ablation-noise",
-            "train",
             "zoo",
         ] {
             println!("\n{}\n## {}\n{}", "=".repeat(72), name, "=".repeat(72));
@@ -342,15 +335,7 @@ usage: repro <experiment> [flags]
 experiments:
   fig3, fig7, fig8, fig9, table5, table6, table7, table8,
   ablation-adversarial, ablation-multiclass, ablation-faultfree,
-  ablation-hms, ablation-noise, train, zoo, summary, all
-
-prediction:
-  train                      stream a fault campaign into the forecast
-                             dataset (bounded memory), train the LSTM +
-                             MLP glucose forecasters, report val RMSE vs
-                             the persistence baseline, and save
-                             results/forecast_model.json for the zoo and
-                             MonitorSpec::Forecast sessions
+  ablation-hms, ablation-noise, zoo, summary, all
 
 sessions:
   run --spec <file.json>     one closed-loop run described as data (a
@@ -453,6 +438,5 @@ flags:
   --folds N                  cross-validation folds (default 4)
   --steps N                  cycles per simulation (default 150)
   --epochs N                 max MLP/LSTM training epochs
-  --forecast-epochs N        max forecaster training epochs (train/zoo)
   --out DIR | --no-out       JSON result directory (default results/)
 "#;

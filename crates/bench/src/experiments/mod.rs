@@ -8,7 +8,6 @@ pub mod mitigation;
 pub mod overhead;
 pub mod patient_specific;
 pub mod resilience;
-pub mod train;
 pub mod zoo_report;
 
 use aps_metrics::simulation::campaign_simulation_counts;

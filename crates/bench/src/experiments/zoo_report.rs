@@ -60,15 +60,13 @@ impl PatientSim for CountingPatient {
 }
 
 /// The zoo members this report scores (everything that needs at most
-/// threshold training plus the trained forecaster; the ML
-/// *classifier* monitors live in Table VI).
-const KINDS: [MonitorKind; 6] = [
+/// threshold training; the ML classifier monitors live in Table VI).
+const KINDS: [MonitorKind; 5] = [
     MonitorKind::Guideline,
     MonitorKind::Mpc,
     MonitorKind::Cawot,
     MonitorKind::Cawt,
     MonitorKind::RiskIndex,
-    MonitorKind::Forecast,
 ];
 
 /// Runs the zoo report; see the [module docs](self).
@@ -80,12 +78,8 @@ pub fn zoo(opts: &ExpOpts) {
     // Threshold training (CAWT) on the recorded campaign. In-sample on
     // purpose: this report measures detection *latency*, not
     // generalization — Table V/VI own the cross-validated accuracy.
-    // The forecast model comes from `repro train` (loaded when its
-    // artifact exists, trained-and-saved from the same recorded traces
-    // otherwise — no second physics pass).
     let train = run_campaign(&spec, None);
-    let forecast = crate::experiments::train::load_or_train(opts, &train);
-    let zoo = Zoo::train(platform, opts, &train, &KINDS).with_forecast(forecast);
+    let zoo = Zoo::train(platform, opts, &train, &KINDS);
 
     let jobs = campaign_jobs(&spec);
     let physics_steps = Arc::new(AtomicUsize::new(0));
@@ -209,9 +203,7 @@ pub fn zoo(opts: &ExpOpts) {
          is the detection-latency floor — how long after onset a purely risk-threshold\n\
          detector needs before the rolling LBGI/HBGI window confirms the hazard. Any monitor\n\
          worth deploying must sit above that row; the context-aware monitors' margin over it\n\
-         is their prediction value. Forecast is the learned predictive arm (`repro train`):\n\
-         an incremental LSTM whose horizon-BG prediction crosses the same risk-derived band\n\
-         — its row is the data-driven counterpart to CAWOT/CAWT's rule-based early warning."
+         is their prediction value."
     );
     write_json(
         &opts.out_dir,

@@ -28,11 +28,6 @@ pub struct ExpOpts {
     pub lstm_hidden: Vec<usize>,
     /// Max training epochs for neural baselines.
     pub max_epochs: usize,
-    /// Max training epochs for the glucose forecasters (`repro
-    /// train`). Separate from `max_epochs`: the classifier presets are
-    /// sized for minutes-long fits, while forecaster fits run in
-    /// milliseconds and need more passes to beat persistence.
-    pub forecast_epochs: usize,
     /// Cap on flat training samples after balancing (0 = no cap).
     pub train_cap: usize,
     /// Cap on sequence training samples (0 = no cap).
@@ -53,7 +48,6 @@ impl Default for ExpOpts {
             mlp_hidden: vec![64, 32],
             lstm_hidden: vec![32],
             max_epochs: 20,
-            forecast_epochs: 120,
             train_cap: 6000,
             seq_train_cap: 1500,
             out_dir: Some("results".to_owned()),
@@ -121,14 +115,14 @@ impl ExpOpts {
     ///
     /// Supported: `--full`, `--quick`, `--patients 0,1,2`,
     /// `--bgs 100,140`, `--starts 20,60`, `--durations 12,30`,
-    /// `--folds N`, `--steps N`, `--epochs N`, `--forecast-epochs N`,
-    /// `--out DIR`, `--no-out`.
+    /// `--folds N`, `--steps N`, `--epochs N`, `--out DIR`,
+    /// `--no-out`.
     ///
     /// # Errors
     ///
     /// Returns a message for unknown flags or malformed values: a
-    /// patient index outside the cohort, a non-finite initial BG, or
-    /// fewer than two folds.
+    /// patient index outside the cohort, a non-finite initial BG, zero
+    /// steps, or fewer than two folds.
     pub fn parse(args: &[String]) -> Result<ExpOpts, String> {
         let mut opts = ExpOpts::default();
         let mut i = 0;
@@ -184,12 +178,6 @@ impl ExpOpts {
                         .map_err(|e| format!("--epochs: {e}"))?;
                     i += 2;
                 }
-                "--forecast-epochs" => {
-                    opts.forecast_epochs = take("--forecast-epochs")?
-                        .parse()
-                        .map_err(|e| format!("--forecast-epochs: {e}"))?;
-                    i += 2;
-                }
                 "--out" => {
                     opts.out_dir = Some(take("--out")?);
                     i += 2;
@@ -211,6 +199,9 @@ impl ExpOpts {
         }
         if let Some(bg) = opts.initial_bgs.iter().find(|bg| !bg.is_finite()) {
             return Err(format!("--bgs: initial BG {bg} is not finite"));
+        }
+        if opts.steps == 0 {
+            return Err("--steps: need at least 1 cycle".to_owned());
         }
         if opts.folds < 2 {
             return Err(format!("--folds: need at least 2, got {}", opts.folds));
@@ -268,6 +259,10 @@ mod tests {
         assert!(ExpOpts::parse(&args(&["--folds"])).is_err());
         assert!(ExpOpts::parse(&args(&["--folds", "x"])).is_err());
         assert!(ExpOpts::parse(&args(&["--patients", ""])).is_err());
+        // Flags of removed experiments are rejected, not ignored.
+        assert!(ExpOpts::parse(&args(&["--forecast-epochs", "3"]))
+            .unwrap_err()
+            .contains("unknown flag"));
     }
 
     #[test]
@@ -279,8 +274,10 @@ mod tests {
         assert!(err(&["--bgs", "120,inf"]).contains("not finite"));
         assert!(err(&["--folds", "1"]).contains("at least 2"));
         assert!(err(&["--folds", "0"]).contains("at least 2"));
-        let edge = ExpOpts::parse(&args(&["--patients", "9", "--folds", "2"])).unwrap();
-        assert_eq!((edge.patients, edge.folds), (vec![9], 2));
+        assert!(err(&["--quick", "--steps", "0"]).contains("at least 1"));
+        let edge =
+            ExpOpts::parse(&args(&["--patients", "9", "--folds", "2", "--steps", "1"])).unwrap();
+        assert_eq!((edge.patients, edge.folds, edge.steps), (vec![9], 2, 1));
     }
 
     #[test]

@@ -4,12 +4,11 @@
 use crate::opts::ExpOpts;
 use aps_core::learning::{learn_thresholds, traces_for_patient, LearnConfig};
 use aps_core::monitors::{
-    CawMonitor, ForecastBand, ForecastMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor,
-    LstmMonitor, MlMonitor, MpcMonitor, RiskIndexMonitor,
+    CawMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor, LstmMonitor, MlMonitor,
+    MpcMonitor, RiskIndexMonitor,
 };
 use aps_core::scs::Scs;
 use aps_ml::data::{Dataset, StandardScaler};
-use aps_ml::forecast::ForecastModel;
 use aps_ml::lstm::{Lstm, LstmConfig, SeqDataset};
 use aps_ml::mlp::{Mlp, MlpConfig};
 use aps_ml::tree::{DecisionTree, TreeConfig};
@@ -45,10 +44,6 @@ pub enum MonitorKind {
     /// Streaming BG-risk-index ground truth (alerts at hazard onset;
     /// the reaction-time floor every predictive monitor should beat).
     RiskIndex,
-    /// Learned predictive glucose forecaster (`repro train` artifact):
-    /// an incremental LSTM predicting BG at a fixed horizon, alerting
-    /// when the prediction crosses the risk-derived hazard band.
-    Forecast,
 }
 
 impl MonitorKind {
@@ -66,7 +61,6 @@ impl MonitorKind {
             MonitorKind::DtMulti => "DT-3c",
             MonitorKind::MlpMulti => "MLP-3c",
             MonitorKind::RiskIndex => "RiskIdx",
-            MonitorKind::Forecast => "Forecast",
         }
     }
 
@@ -106,8 +100,6 @@ pub struct Zoo {
     mlp: Option<Arc<Mlp>>,
     mlp_multi: Option<Arc<Mlp>>,
     lstm: Option<Arc<Lstm>>,
-    /// A fresh forecast monitor, forked for each one made.
-    forecast: Option<ForecastMonitor>,
 }
 
 /// Learned thresholds: patient-specific (CAWT) and population
@@ -271,7 +263,6 @@ impl Zoo {
             mlp: None,
             mlp_multi: None,
             lstm: None,
-            forecast: None,
         };
         if !ML_KINDS.into_iter().any(wants) {
             return zoo;
@@ -326,17 +317,6 @@ impl Zoo {
         zoo
     }
 
-    /// Attaches a trained forecast bundle (the `repro train` artifact),
-    /// enabling [`MonitorKind::Forecast`].
-    ///
-    /// # Panics
-    ///
-    /// As [`ForecastMonitor::from_model`].
-    pub fn with_forecast(mut self, model: ForecastModel) -> Zoo {
-        self.forecast = Some(ForecastMonitor::from_model(&model, ForecastBand::default()));
-        self
-    }
-
     /// The platform the zoo was trained for.
     pub fn platform(&self) -> Platform {
         self.platform
@@ -376,9 +356,7 @@ impl Zoo {
     ///
     /// # Panics
     ///
-    /// Panics, naming `kind`, when the zoo was not trained for it, and
-    /// for [`MonitorKind::Forecast`] without a [`Zoo::with_forecast`]
-    /// model.
+    /// Panics, naming `kind`, when the zoo was not trained for it.
     pub fn make(&self, kind: MonitorKind, patient: &str) -> Box<dyn HazardMonitor> {
         let basal = self.basal(patient);
         let target = self.platform.target();
@@ -426,11 +404,6 @@ impl Zoo {
                 target,
             )),
             MonitorKind::RiskIndex => Box::new(RiskIndexMonitor::default()),
-            MonitorKind::Forecast => self
-                .forecast
-                .as_ref()
-                .expect("zoo has no forecast model attached (see Zoo::with_forecast)")
-                .fork(),
             MonitorKind::Lstm => Box::new(LstmMonitor::binary(
                 "lstm",
                 trained(&self.lstm, kind).clone(),
@@ -527,47 +500,6 @@ mod tests {
             .map(|&k| zoo.make(k, "glucosym/patientA").name().to_owned())
             .collect();
         assert_eq!(names, vec!["guideline", "cawot", "risk-index"]);
-    }
-
-    #[test]
-    fn zoo_builds_forecast_monitor_when_attached() {
-        let platform = Platform::GlucosymOref0;
-        let opts = ExpOpts {
-            patients: vec![0],
-            steps: 40,
-            lstm_hidden: vec![6],
-            mlp_hidden: vec![6],
-            max_epochs: 1,
-            forecast_epochs: 1,
-            seq_train_cap: 20,
-            out_dir: None,
-            ..ExpOpts::quick()
-        };
-        let model = crate::experiments::train::train_model(&opts);
-        let zoo = Zoo::train(platform, &opts, &[], &[MonitorKind::Forecast]).with_forecast(model);
-        let mut m = zoo.make(MonitorKind::Forecast, "glucosym/patientA");
-        assert_eq!(m.name(), "forecast");
-        let spec = CampaignSpec {
-            patient_indices: vec![0],
-            initial_bgs: vec![140.0],
-            steps: 40,
-            ..CampaignSpec::quick(platform)
-        };
-        let trace = &run_campaign(&spec, None)[0];
-        let replayed = aps_sim::replay::replay_monitor(trace, m.as_mut());
-        assert_eq!(replayed.len(), trace.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "no forecast model")]
-    fn forecast_kind_without_model_panics() {
-        let zoo = Zoo::train(
-            Platform::GlucosymOref0,
-            &ExpOpts::quick(),
-            &[],
-            &[MonitorKind::Forecast],
-        );
-        let _ = zoo.make(MonitorKind::Forecast, "glucosym/patientA");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! All monitors — the proposed [`CawMonitor`] (CAWT/CAWOT), the
 //! baselines ([`GuidelineMonitor`], [`MpcMonitor`], [`MlMonitor`],
-//! [`LstmMonitor`]), the streaming ground-truth [`RiskIndexMonitor`],
-//! and the learned predictive [`ForecastMonitor`] (an incremental
-//! LSTM glucose forecaster) — implement [`HazardMonitor`]: one `check` per
+//! [`LstmMonitor`]) and the streaming ground-truth
+//! [`RiskIndexMonitor`] — implement [`HazardMonitor`]: one `check` per
 //! control cycle over the controller's I/O interface, plus an
 //! `observe_delivery` callback so the monitor's own context tracks what
 //! actually reached the pump. A monitor that only observes cannot
@@ -14,7 +13,6 @@
 //! price of one simulation.
 
 pub(crate) mod caw;
-mod forecast;
 mod guideline;
 mod ml;
 mod mpc;
@@ -22,7 +20,6 @@ mod risk;
 mod stl_caw;
 
 pub use caw::{CawMonitor, SafeRegion};
-pub use forecast::{ForecastBand, ForecastMonitor};
 pub use guideline::{GuidelineConfig, GuidelineMonitor};
 pub use ml::{LstmMonitor, MlFeatures, MlMonitor};
 pub use mpc::{MpcConfig, MpcMonitor};

@@ -13,13 +13,7 @@
 //! * [`lstm::Lstm`] — stacked LSTM with full BPTT and gradient
 //!   clipping (allocation-free scratch training; see
 //!   [`lstm::LstmTrainer`]);
-//! * [`forecast`] — glucose *forecasters* (sequence regression):
-//!   [`forecast::LstmForecaster`] with an O(1) streaming inference
-//!   state and the [`forecast::MlpForecaster`] baseline, bundled with
-//!   their scaler as a serializable [`forecast::ForecastModel`];
-//! * [`data`] — standardization, splits, k-fold indices, and the
-//!   streaming [`data::TraceDataset`] adapter from simulation traces
-//!   to forecast training pairs.
+//! * [`data`] — standardization, splits and k-fold indices.
 //!
 //! All classifiers implement [`Classifier`]. Training is deterministic
 //! per seed.
@@ -29,7 +23,6 @@
 
 pub mod adam;
 pub mod data;
-pub mod forecast;
 pub mod lstm;
 pub mod matrix;
 pub mod mlp;

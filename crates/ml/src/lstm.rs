@@ -110,17 +110,17 @@ impl SeqDataset {
 
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
-pub(crate) struct Cell {
+struct Cell {
     /// (input_dim + hidden) × 4*hidden, gate order [i | f | o | g].
-    pub(crate) w: Matrix,
-    pub(crate) b: Vec<f64>,
-    pub(crate) hidden: usize,
-    pub(crate) input_dim: usize,
+    w: Matrix,
+    b: Vec<f64>,
+    hidden: usize,
+    input_dim: usize,
 }
 
 /// Per-sequence forward cache of the *reference* (allocating) path.
 #[derive(Debug, Clone)]
-pub(crate) struct RefCache {
+struct RefCache {
     /// Per t: concatenated input [x_t, h_{t-1}].
     zs: Vec<Vec<f64>>,
     /// Per t: gate activations i, f, o, g.
@@ -128,7 +128,7 @@ pub(crate) struct RefCache {
     /// Per t: cell state c_t.
     cs: Vec<Vec<f64>>,
     /// Per t: hidden output h_t.
-    pub(crate) hs: Vec<Vec<f64>>,
+    hs: Vec<Vec<f64>>,
 }
 
 /// Flat per-sequence forward cache, reused across samples (scratch).
@@ -138,7 +138,7 @@ pub(crate) struct RefCache {
 /// stride `4·hidden`, `cs`/`hs` the cell/hidden state at stride
 /// `hidden`. Buffers only grow; steady-state reuse never allocates.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CellCache {
+struct CellCache {
     zs: Vec<f64>,
     gates: Vec<f64>,
     cs: Vec<f64>,
@@ -157,20 +157,20 @@ impl CellCache {
     }
 
     /// Hidden-state row at timestep `t` (width = the cell's hidden).
-    pub(crate) fn h_row(&self, t: usize, hidden: usize) -> &[f64] {
+    fn h_row(&self, t: usize, hidden: usize) -> &[f64] {
         &self.hs[t * hidden..(t + 1) * hidden]
     }
 
     /// The first `len` entries of the flat hidden-state slab (the
     /// layer-below input view for stacked forward passes).
-    pub(crate) fn h_slab(&self, len: usize) -> &[f64] {
+    fn h_slab(&self, len: usize) -> &[f64] {
         &self.hs[..len]
     }
 }
 
 /// BPTT work vectors shared across layers (sized to the widest).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct BackScratch {
+struct BackScratch {
     dpre: Vec<f64>,
     dc: Vec<f64>,
     dc_next: Vec<f64>,
@@ -193,7 +193,7 @@ impl BackScratch {
 
 /// A borrowed sequence: either dataset rows or a flat cache from the
 /// layer below.
-pub(crate) enum SeqView<'a> {
+enum SeqView<'a> {
     Rows(&'a [Vec<f64>]),
     Flat {
         data: &'a [f64],
@@ -224,9 +224,9 @@ fn sigmoid(x: f64) -> f64 {
 
 /// Scratch forward pass of a whole cell stack: layer 0 reads the
 /// dataset rows, each deeper layer reads the flat hidden slab of the
-/// cache below. Shared by the classifier ([`Lstm`]) and the forecaster
-/// trainer so the stacked-forward logic exists once.
-pub(crate) fn forward_stack(cells: &[Cell], xs: &[Vec<f64>], caches: &mut [CellCache]) {
+/// cache below. Shared by [`LstmTrainer`]'s training and validation
+/// passes.
+fn forward_stack(cells: &[Cell], xs: &[Vec<f64>], caches: &mut [CellCache]) {
     let t_len = xs.len();
     for li in 0..cells.len() {
         let (below, rest) = caches.split_at_mut(li);
@@ -248,7 +248,7 @@ pub(crate) fn forward_stack(cells: &[Cell], xs: &[Vec<f64>], caches: &mut [CellC
 }
 
 impl Cell {
-    pub(crate) fn new(input_dim: usize, hidden: usize, rng: &mut ChaCha8Rng) -> Cell {
+    fn new(input_dim: usize, hidden: usize, rng: &mut ChaCha8Rng) -> Cell {
         let mut cell = Cell {
             w: Matrix::xavier_init(input_dim + hidden, 4 * hidden, rng),
             b: vec![0.0; 4 * hidden],
@@ -266,7 +266,7 @@ impl Cell {
     /// allocating (after the cache has grown to shape). Arithmetic is
     /// performed in exactly the reference order, so results are
     /// bit-identical to [`Cell::forward_reference`].
-    pub(crate) fn forward_into(&self, xs: &SeqView<'_>, cache: &mut CellCache) {
+    fn forward_into(&self, xs: &SeqView<'_>, cache: &mut CellCache) {
         let h = self.hidden;
         let d = self.input_dim;
         let zw = d + h;
@@ -323,7 +323,7 @@ impl Cell {
     /// (stride `input_dim`, fully overwritten), and parameter
     /// gradients accumulate into `dw`/`db`. Bit-identical to
     /// [`Cell::backward_reference`].
-    pub(crate) fn backward_scratch(
+    fn backward_scratch(
         &self,
         cache: &CellCache,
         dhs: &[f64],
@@ -395,7 +395,7 @@ impl Cell {
 
     /// The retained allocating forward pass (the pre-scratch
     /// implementation, verbatim): per-gate `Vec`s per timestep.
-    pub(crate) fn forward_reference(&self, xs: &[Vec<f64>]) -> RefCache {
+    fn forward_reference(&self, xs: &[Vec<f64>]) -> RefCache {
         let h = self.hidden;
         let t_len = xs.len();
         let mut cache = RefCache {
@@ -433,7 +433,7 @@ impl Cell {
     /// verbatim). `dhs` holds the gradient w.r.t. each hidden output;
     /// returns the gradient w.r.t. each input x_t and accumulates into
     /// `dw`/`db`.
-    pub(crate) fn backward_reference(
+    fn backward_reference(
         &self,
         cache: &RefCache,
         dhs: &[Vec<f64>],
@@ -824,7 +824,6 @@ impl Lstm {
             max_epochs: config.max_epochs,
             batch_size: config.batch_size,
             patience: config.patience,
-            tol: 1e-6,
             train_idx: &train_idx,
             val_idx: &val_idx,
         };

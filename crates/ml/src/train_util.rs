@@ -1,6 +1,6 @@
-//! Shared training-loop plumbing: the Fisher–Yates shuffle, the
-//! shuffled validation split, and the early-stopping tracker every
-//! trainer in this crate uses.
+//! Training-loop plumbing for the scratch LSTM trainer: the
+//! Fisher–Yates shuffle, the shuffled validation split, and the
+//! early-stopping epoch loop.
 //!
 //! The draw sequence of [`shuffle`]/[`val_split`] is exactly the one
 //! the pre-refactor implementations performed, so `Lstm::fit` remains
@@ -58,19 +58,16 @@ pub(crate) struct EpochPlan<'a> {
     pub(crate) max_epochs: usize,
     pub(crate) batch_size: usize,
     pub(crate) patience: usize,
-    /// Minimum validation improvement that counts (see
-    /// [`EarlyStopper::new`]).
-    pub(crate) tol: f64,
     pub(crate) train_idx: &'a [usize],
     pub(crate) val_idx: &'a [usize],
 }
 
-/// The shuffled-minibatch / validation / early-stopping epoch loop
-/// every trainer in this crate runs, generic over the training context
-/// `C` (closures receive `ctx` explicitly so one `&mut C` serves all
-/// three hooks). Draw sequence per epoch: one [`shuffle`] of the
-/// training order — identical to the frozen `Lstm::fit_reference`
-/// loop, preserving scratch-vs-reference bit-identity.
+/// The shuffled-minibatch / validation / early-stopping epoch loop,
+/// generic over the training context `C` (closures receive `ctx`
+/// explicitly so one `&mut C` serves all three hooks). Draw sequence
+/// per epoch: one [`shuffle`] of the training order — identical to the
+/// frozen `Lstm::fit_reference` loop, preserving scratch-vs-reference
+/// bit-identity.
 ///
 /// Returns the best snapshot: `snapshot(ctx, epoch)` is invoked
 /// whenever the validation loss improves, with `epoch` the 1-based
@@ -85,7 +82,7 @@ pub(crate) fn train_epochs<C, M>(
     mut snapshot: impl FnMut(&mut C, usize) -> M,
 ) -> M {
     let mut best = initial;
-    let mut stopper = EarlyStopper::new(plan.patience, plan.tol);
+    let mut stopper = EarlyStopper::new(plan.patience);
     let mut order = plan.train_idx.to_vec();
     let mut epoch = 0usize;
     for _ in 0..plan.max_epochs {
@@ -115,27 +112,25 @@ pub(crate) struct EarlyStopper {
     best: f64,
     since: usize,
     patience: usize,
-    tol: f64,
 }
 
 impl EarlyStopper {
-    /// `tol` is the minimum improvement that counts: `1e-6` for the
-    /// classifier (frozen by `Lstm::fit_reference` bit-identity),
-    /// `1e-9` for the forecasters (z-scored MSE lives on a finer
-    /// scale).
-    pub(crate) fn new(patience: usize, tol: f64) -> EarlyStopper {
+    /// The minimum validation improvement that counts, frozen by
+    /// `Lstm::fit_reference` bit-identity.
+    const TOL: f64 = 1e-6;
+
+    pub(crate) fn new(patience: usize) -> EarlyStopper {
         EarlyStopper {
             best: f64::INFINITY,
             since: 0,
             patience,
-            tol,
         }
     }
 
     /// Records an epoch's validation loss; `true` when it improved
     /// (the caller snapshots the model then).
     pub(crate) fn improved(&mut self, vloss: f64) -> bool {
-        if vloss < self.best - self.tol {
+        if vloss < self.best - Self::TOL {
             self.best = vloss;
             self.since = 0;
             true

@@ -9,9 +9,8 @@
 
 use aps_core::context::ContextBuilder;
 use aps_core::monitors::MlFeatures;
-use aps_ml::data::{Dataset, TraceDataset};
+use aps_ml::data::Dataset;
 use aps_ml::lstm::SeqDataset;
-use aps_tracestore::{F64Column, TraceStoreReader};
 use aps_types::{Hazard, SimTrace, UnitsPerHour};
 use serde::{Deserialize, Serialize};
 
@@ -100,23 +99,6 @@ pub fn build_seq_dataset(
         }
     }
     SeqDataset::new(x, y)
-}
-
-/// Streams every trace of an open binary store into a forecast
-/// [`TraceDataset`] straight off the `bg`/`commanded` columns — no
-/// `SimTrace` materialization, no per-record allocation beyond two
-/// column buffers reused across traces. Windowing and reservoir
-/// sampling are shared with `TraceDataset::push_trace`, so under the
-/// same window/horizon/cap/seed this produces a dataset bit-identical
-/// to pushing the JSONL-loaded traces one by one.
-pub fn push_store_traces(ds: &mut TraceDataset, reader: &TraceStoreReader) {
-    let mut bg: Vec<f64> = Vec::new();
-    let mut commanded: Vec<f64> = Vec::new();
-    for view in reader.iter() {
-        view.copy_f64_column(F64Column::Bg, &mut bg);
-        view.copy_f64_column(F64Column::Commanded, &mut commanded);
-        ds.push_series(&bg, &commanded);
-    }
 }
 
 /// Deterministically subsamples the majority class so that the

@@ -52,8 +52,7 @@
 //!   straight out of an open binary trace store
 //!   ([`replay::replay_store`]);
 //! * [`dataset`] — supervised dataset extraction for the ML baselines
-//!   and threshold learning, plus the columnar store→forecast-dataset
-//!   path ([`dataset::push_store_traces`]);
+//!   and threshold learning;
 //! * [`shard`] — shard planning for campaign-as-a-service: splits a
 //!   campaign into standalone sub-specs whose expansions concatenate
 //!   to exactly the parent job list, so per-shard

@@ -45,8 +45,8 @@ use crate::outcome::SimError;
 use crate::platform::Platform;
 use aps_controllers::Controller;
 use aps_core::monitors::{
-    CawMonitor, ForecastBand, ForecastMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor,
-    MpcMonitor, NullMonitor, RiskIndexMonitor,
+    CawMonitor, GuidelineConfig, GuidelineMonitor, HazardMonitor, MpcMonitor, NullMonitor,
+    RiskIndexMonitor,
 };
 use aps_core::scs::Scs;
 use aps_fault::{FaultInjector, FaultScenario};
@@ -74,13 +74,6 @@ pub enum SessionError {
         /// The names the controller actually exposes.
         valid: Vec<String>,
     },
-    /// A [`MonitorSpec::Forecast`] model file could not be loaded.
-    ForecastModel {
-        /// The path the spec named.
-        path: String,
-        /// What went wrong (I/O or deserialization).
-        detail: String,
-    },
 }
 
 impl fmt::Display for SessionError {
@@ -96,11 +89,6 @@ impl fmt::Display for SessionError {
                  (injectable variables: {})",
                 valid.join(", ")
             ),
-            SessionError::ForecastModel { path, detail } => write!(
-                f,
-                "cannot load forecast model `{path}`: {detail} \
-                 (train one with `repro train`)"
-            ),
         }
     }
 }
@@ -111,11 +99,7 @@ impl std::error::Error for SessionError {}
 ///
 /// These are the zoo members a [`SessionSpec`] can request from a JSON
 /// file: everything that needs only the platform context (target BG
-/// and the patient's basal rate), plus the learned
-/// [`Forecast`](MonitorSpec::Forecast) monitor, whose trained weights
-/// are themselves data — a serialized
-/// [`ForecastModel`](aps_ml::forecast::ForecastModel) file written by
-/// `repro train`. Monitors requiring in-process training — CAWT's
+/// and the patient's basal rate). Monitors requiring training — CAWT's
 /// learned thresholds, the DT/MLP/LSTM classifier baselines — are
 /// constructed in code (e.g. via the bench crate's `Zoo`) and attached
 /// with [`SessionBuilder::monitor`].
@@ -131,28 +115,12 @@ pub enum MonitorSpec {
     Cawot,
     /// Streaming BG-risk-index ground truth (the reaction-time floor).
     RiskIndex,
-    /// Learned predictive glucose forecaster, loaded from a serialized
-    /// `ForecastModel` JSON file (see `repro train`).
-    Forecast {
-        /// Path of the model file.
-        path: String,
-    },
 }
 
 impl MonitorSpec {
     /// Builds the monitor for a platform/patient pairing.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::ForecastModel`] when a
-    /// [`Forecast`](MonitorSpec::Forecast) spec's model file cannot be
-    /// read or parsed.
-    pub fn build(
-        &self,
-        platform: Platform,
-        patient: &dyn PatientSim,
-    ) -> Result<Box<dyn HazardMonitor>, SessionError> {
-        Ok(match self {
+    pub fn build(&self, platform: Platform, patient: &dyn PatientSim) -> Box<dyn HazardMonitor> {
+        match self {
             MonitorSpec::Null => Box::new(NullMonitor),
             MonitorSpec::Guideline => Box::new(GuidelineMonitor::new(GuidelineConfig::default())),
             MonitorSpec::Mpc => Box::new(MpcMonitor::population()),
@@ -162,23 +130,7 @@ impl MonitorSpec {
                 platform.basal_for(patient),
             )),
             MonitorSpec::RiskIndex => Box::new(RiskIndexMonitor::default()),
-            MonitorSpec::Forecast { path } => {
-                let err = |detail: String| SessionError::ForecastModel {
-                    path: path.clone(),
-                    detail,
-                };
-                let json = std::fs::read_to_string(path).map_err(|e| err(e.to_string()))?;
-                let model: aps_ml::forecast::ForecastModel =
-                    serde_json::from_str(&json).map_err(|e| err(format!("{e:?}")))?;
-                let (got, want) = (model.lstm.input_dim(), aps_ml::data::TraceDataset::DIM);
-                if got != want {
-                    return Err(err(format!(
-                        "model expects {got}-dim per-cycle features, the monitor feeds {want}"
-                    )));
-                }
-                Box::new(ForecastMonitor::from_model(&model, ForecastBand::default()))
-            }
-        })
+        }
     }
 }
 
@@ -376,10 +328,10 @@ impl<'obs> SessionBuilder<'obs> {
             .monitors
             .into_iter()
             .map(|sel| match sel {
-                MonitorSel::Boxed(m) => Ok(m),
+                MonitorSel::Boxed(m) => m,
                 MonitorSel::Spec(s) => s.build(platform, patient.as_ref()),
             })
-            .collect::<Result<Vec<_>, SessionError>>()?;
+            .collect();
 
         Ok(Session {
             platform,
@@ -609,26 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn forecast_spec_with_missing_model_errors() {
-        let err = Session::builder(Platform::GlucosymOref0)
-            .monitor_spec(MonitorSpec::Forecast {
-                path: "/nonexistent/forecast_model.json".to_owned(),
-            })
-            .build()
-            .unwrap_err();
-        match &err {
-            SessionError::ForecastModel { path, .. } => {
-                assert!(path.contains("nonexistent"));
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
-        assert!(err.to_string().contains("repro train"));
-        // The spec itself round-trips as data.
-        let spec = MonitorSpec::Forecast {
-            path: "results/forecast_model.json".to_owned(),
-        };
-        let json = serde_json::to_string(&spec).unwrap();
-        assert_eq!(spec, serde_json::from_str(&json).unwrap());
+    fn removed_monitor_spec_is_rejected() {
+        // A spec naming a monitor kind that no longer exists must fail to
+        // parse rather than be silently dropped.
+        let json = r#"{"platform": "GlucosymOref0",
+            "monitors": ["Cawot", {"Forecast": {"path": "results/forecast_model.json"}}]}"#;
+        assert!(serde_json::from_str::<SessionSpec>(json).is_err());
+        let ok = r#"{"platform": "GlucosymOref0", "monitors": ["Cawot"]}"#;
+        assert!(serde_json::from_str::<SessionSpec>(ok).is_ok());
     }
 
     #[test]

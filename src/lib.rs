@@ -322,49 +322,16 @@
 //! --retry 2 --checkpoint ck.json --resume ck.json` (see
 //! `examples/resumable_campaign.rs`).
 //!
-//! # Prediction
+//! # ML baselines
 //!
-//! The reproduction's *learned predictive* arm forecasts BG ahead of
-//! time instead of classifying the current cycle:
-//!
-//! * **Data layer** — [`ml::data::TraceDataset`] streams a
-//!   fault-injection campaign (as a `run_campaign_with_workers` sink,
-//!   bounded memory) into sequence-regression windows of per-cycle
-//!   `[CGM BG, commanded insulin]` features with a BG-at-horizon
-//!   target at **every** timestep; retained pairs are reservoir-capped
-//!   deterministically under a fixed seed.
-//! * **Training layer** — `repro train` fits the streaming
-//!   [`ml::forecast::LstmForecaster`] plus the
-//!   [`ml::forecast::MlpForecaster`] baseline and reports held-out
-//!   RMSE against the persistence baseline (quick scale: LSTM ≈2.0
-//!   mg/dL per cycle vs persistence ≈6.6 at a 60-min horizon). LSTM
-//!   training runs through reusable scratch buffers
-//!   ([`ml::lstm::LstmTrainer`], [`ml::forecast::ForecastTrainer`]):
-//!   **zero heap allocations per timestep** in steady state, pinned by
-//!   a counting allocator in `tests/lstm_alloc.rs`, and bit-identical
-//!   to the retained allocating reference (`Lstm::fit_reference`,
-//!   `tests/lstm_equivalence.rs`). The trained bundle
-//!   ([`ml::forecast::ForecastModel`]) serializes to
-//!   `results/forecast_model.json` — weights are never opaque, the
-//!   command reproduces them bit-for-bit.
-//! * **Online layer** — [`core::monitors::ForecastMonitor`] steps the
-//!   trained network incrementally each control cycle (carried hidden
-//!   state, O(1) and allocation-free per sample; stepping equals a
-//!   batch forward pass over the same prefix, see
-//!   `tests/forecast_pipeline.rs`) and alerts when the predicted
-//!   horizon BG crosses the hazard band obtained by inverting the
-//!   labeler's LBGI/HBGI thresholds through the Kovatchev risk
-//!   transform. Attach it via the zoo (`repro zoo`), the builder, or
-//!   as data: `{"Forecast": {"path": "results/forecast_model.json"}}`
-//!   in a [`sim::session::SessionSpec`].
-//!
-//! Quick-scale zoo measurement (62 scenarios, 60-min horizon): the
-//! Forecast row reacts at **+5 min** mean (alerts ~5 min *before*
-//! labeled onset, EDR 33%) — 62 min ahead of the online risk-index
-//! floor (−57 min) that any predictive monitor must beat, though still
-//! behind the rule-based CAWOT/CAWT (+65 min, EDR 100%) whose
-//! context rules fire on the unsafe *action* rather than its
-//! consequence.
+//! The DT, MLP and LSTM classifier monitors of Table VI train on the
+//! paper's Eq. 7/8 task framing ([`sim::dataset::build_dataset`],
+//! [`sim::dataset::build_seq_dataset`]). LSTM training runs through
+//! reusable scratch buffers ([`ml::lstm::LstmTrainer`]): **zero heap
+//! allocations per timestep** in steady state, pinned by a counting
+//! allocator in `tests/lstm_alloc.rs`, and bit-identical to the
+//! retained allocating reference (`Lstm::fit_reference`,
+//! `tests/lstm_equivalence.rs`).
 //!
 //! # Trace storage
 //!
@@ -399,12 +366,10 @@
 //!   `tests/tracestore_roundtrip.rs`).
 //! * **Wired through the stack** —
 //!   [`sim::replay::replay_store`] replays monitors straight out
-//!   of a store, [`sim::dataset::push_store_traces`] streams forecast
-//!   windows off the `bg`/`commanded` columns into a
-//!   [`ml::data::TraceDataset`] (bit-identical to the JSONL path), and
-//!   `repro convert` moves corpora between formats with a measured
-//!   `--verify` round trip (size ratio, read speedup, record-view and
-//!   column-copy rates, bit-identity → `results/convert_verify.json`).
+//!   of a store, and `repro convert` moves corpora between formats
+//!   with a measured `--verify` round trip (size ratio, read speedup,
+//!   record-view and column-copy rates, bit-identity →
+//!   `results/convert_verify.json`).
 //! * **Versioned both ways** — a file from a *newer* format is
 //!   rejected with the typed [`tracestore::StoreError::Version`];
 //!   side tables are
@@ -576,18 +541,15 @@ pub mod prelude {
     pub use aps_core::learning::{learn_thresholds, LearnConfig};
     pub use aps_core::mitigation::Mitigator;
     pub use aps_core::monitors::{
-        CawMonitor, ForecastBand, ForecastMonitor, GuidelineMonitor, HazardMonitor, LstmMonitor,
-        MlMonitor, MonitorInput, MpcMonitor, NullMonitor, RiskIndexMonitor, StlCawMonitor,
+        CawMonitor, GuidelineMonitor, HazardMonitor, LstmMonitor, MlMonitor, MonitorInput,
+        MpcMonitor, NullMonitor, RiskIndexMonitor, StlCawMonitor,
     };
     pub use aps_core::scs::Scs;
     pub use aps_fault::{FaultInjector, FaultKind, FaultScenario};
     pub use aps_glucose::{BoxedPatient, PatientSim};
     pub use aps_metrics::glycemic::GlycemicSummary;
     pub use aps_metrics::ConfusionCounts;
-    pub use aps_ml::data::{ForecastSet, StandardScaler, TraceDataset};
-    pub use aps_ml::forecast::{
-        ForecastConfig, ForecastModel, LstmForecaster, LstmState, MlpForecaster,
-    };
+    pub use aps_ml::data::StandardScaler;
     pub use aps_risk::{LabelConfig, RiskSample, RiskTracker};
     pub use aps_service::{Client, JobManifest, ServiceConfig};
     pub use aps_sim::batch::BATCH_LANES;
@@ -599,7 +561,6 @@ pub mod prelude {
     pub use aps_sim::chaos::ChaosConfig;
     pub use aps_sim::checkpoint::{CampaignCheckpoint, CheckpointError};
     pub use aps_sim::closed_loop::{self, ExerciseBout, LoopConfig, Meal};
-    pub use aps_sim::dataset::push_store_traces;
     pub use aps_sim::outcome::{Backoff, ErrorLedger, JobOutcome, RetryPolicy, SimError};
     pub use aps_sim::platform::Platform;
     pub use aps_sim::replay::{replay_campaign, replay_monitor, replay_store};

@@ -3,19 +3,15 @@
 //! ISSUE/ROADMAP item: "LSTM training still allocates per-gate `Vec`s
 //! per timestep". The scratch rework retires that — after one warm-up
 //! batch has sized the reusable buffers, further same-shaped
-//! `train_batch`/`mean_ce`/`mse` calls must not touch the heap at all.
-//! A counting global allocator asserts exactly that, for both the
-//! classifier trainer ([`LstmTrainer`]) and the forecaster trainer
-//! ([`ForecastTrainer`]), plus the O(1) streaming inference step the
-//! online `ForecastMonitor` runs every control cycle.
+//! `train_batch`/`mean_ce` calls must not touch the heap at all. A
+//! counting global allocator asserts exactly that for the classifier
+//! trainer ([`LstmTrainer`]).
 //!
 //! This file holds a single test on purpose: the allocator counter is
 //! process-global, and a sibling test running on another thread would
 //! pollute the count.
 
-use aps_repro::ml::forecast::{ForecastConfig, ForecastTrainer};
 use aps_repro::ml::lstm::{LstmConfig, LstmTrainer, SeqDataset};
-use aps_repro::prelude::ForecastSet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,21 +75,8 @@ fn classifier_data() -> SeqDataset {
     SeqDataset::new(x, y)
 }
 
-fn forecast_data() -> ForecastSet {
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..16 {
-        let base = 80.0 + 10.0 * (i as f64);
-        let series: Vec<f64> = (0..14).map(|t| base + 2.0 * t as f64).collect();
-        x.push(series[..10].iter().map(|&bg| vec![bg, 1.0]).collect());
-        y.push((0..10).map(|t| series[t + 4]).collect());
-    }
-    ForecastSet::new(x, y)
-}
-
 #[test]
 fn steady_state_lstm_training_performs_zero_heap_allocations() {
-    // --- Classifier trainer -------------------------------------------------
     let data = classifier_data();
     let config = LstmConfig {
         hidden: vec![8, 5],
@@ -122,43 +105,5 @@ fn steady_state_lstm_training_performs_zero_heap_allocations() {
     assert_eq!(
         during_eval, 0,
         "classifier mean_ce allocated {during_eval} times in steady state"
-    );
-
-    // --- Forecaster trainer -------------------------------------------------
-    let fdata = forecast_data();
-    let fconfig = ForecastConfig {
-        hidden: vec![7, 4],
-        ..ForecastConfig::default()
-    };
-    let mut ftrainer = ForecastTrainer::new(&fdata, &fconfig);
-    let fidx: Vec<usize> = (0..fdata.len()).collect();
-    ftrainer.train_batch(&fdata, &fidx[..8]);
-    ftrainer.mse(&fdata, &fidx);
-
-    let during_fbatches = count_allocations(|| {
-        for _ in 0..5 {
-            ftrainer.train_batch(&fdata, &fidx[..8]);
-            ftrainer.train_batch(&fdata, &fidx[8..]);
-        }
-        ftrainer.mse(&fdata, &fidx);
-    });
-    assert_eq!(
-        during_fbatches, 0,
-        "forecast trainer allocated {during_fbatches} times in steady state"
-    );
-
-    // --- O(1) streaming inference (the online monitor's per-cycle op) ------
-    let model = ftrainer.model().clone();
-    let mut state = model.state();
-    let sample = [0.25_f64, -0.5];
-    let _ = model.step(&mut state, &sample); // warm (no-op: state preallocated)
-    let during_stream = count_allocations(|| {
-        for _ in 0..100 {
-            let _ = model.step(&mut state, &sample);
-        }
-    });
-    assert_eq!(
-        during_stream, 0,
-        "streaming step allocated {during_stream} times across 100 cycles"
     );
 }

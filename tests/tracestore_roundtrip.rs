@@ -9,13 +9,16 @@
 //! * A store truncated at *any* byte is rejected with a typed error,
 //!   never misread; a store from a newer format version is rejected
 //!   with `StoreError::Version`.
-//! * The columnar paths match the JSONL paths exactly: a
-//!   `TraceDataset` streamed off store columns equals one built from
+//! * The columnar paths match the in-memory and JSONL paths: the ML
+//!   monitors' flat and windowed training datasets built from
+//!   store-read traces equal those built from the written and from
 //!   JSONL-loaded traces, and `replay_store` equals `replay_campaign`
 //!   on a real quick-campaign corpus.
 
-use aps_repro::ml::data::TraceDataset;
+use aps_repro::ml::data::Dataset;
+use aps_repro::ml::lstm::SeqDataset;
 use aps_repro::prelude::*;
+use aps_repro::sim::dataset::{build_dataset, build_seq_dataset, LabelMode};
 use aps_repro::sim::io::{read_jsonl, write_jsonl};
 use aps_repro::tracestore::{
     code_version_hash, read_store, write_store, StoreError, TraceStoreReader,
@@ -193,13 +196,16 @@ proptest! {
         }
     }
 
-    /// Forecast windows streamed off store columns are bit-identical
-    /// to windows built from traces that went through JSONL: same
-    /// reservoir decisions, same window contents.
+    /// The DT/MLP flat dataset and the LSTM windowed dataset built from
+    /// store-read traces are bit-identical to those built from the
+    /// traces that were written, and equal to those built from traces
+    /// that went through JSONL. JSONL writes `-0.0` as `0`, so that
+    /// path is compared with the sign of zero folded away.
     #[test]
-    fn dataset_from_store_matches_dataset_from_jsonl(
+    fn ml_datasets_from_store_match_datasets_from_jsonl(
         seed in any::<u64>(),
-        cap_sel in 0usize..3,
+        window_sel in 0usize..3,
+        multiclass in any::<bool>(),
     ) {
         let traces = gen_corpus(seed, 4);
 
@@ -207,15 +213,42 @@ proptest! {
         write_jsonl(&traces, &mut jsonl).unwrap();
         let from_jsonl = read_jsonl(&jsonl[..]).unwrap();
         let reader = TraceStoreReader::from_bytes(write_store(&traces, 0).unwrap()).unwrap();
+        let from_store = read_store(&reader);
 
-        let cap = [0, 7, 100][cap_sel];
-        let mut via_jsonl = TraceDataset::with_cap(12, 6, cap, seed ^ 0xA5A5);
-        for t in &from_jsonl {
-            via_jsonl.push_trace(t);
-        }
-        let mut via_store = TraceDataset::with_cap(12, 6, cap, seed ^ 0xA5A5);
-        push_store_traces(&mut via_store, &reader);
-        prop_assert_eq!(via_store, via_jsonl);
+        let basal = UnitsPerHour(0.9);
+        let mode = if multiclass { LabelMode::MultiClass } else { LabelMode::Binary };
+        let window = [1, 6, 12][window_sel];
+        // Every feature of every sample, as raw bits (`fold_zero` maps
+        // -0.0 to 0.0 first), in dataset order.
+        let flat_bits = |ds: &Dataset, fold_zero: bool| -> Vec<u64> {
+            ds.x.iter()
+                .flatten()
+                .map(|&v| if fold_zero { v + 0.0 } else { v }.to_bits())
+                .collect()
+        };
+        let seq_bits = |ds: &SeqDataset, fold_zero: bool| -> Vec<u64> {
+            ds.x.iter()
+                .flatten()
+                .flatten()
+                .map(|&v| if fold_zero { v + 0.0 } else { v }.to_bits())
+                .collect()
+        };
+
+        let flat_written = build_dataset(&traces, basal, mode);
+        let flat_store = build_dataset(&from_store, basal, mode);
+        let flat_jsonl = build_dataset(&from_jsonl, basal, mode);
+        prop_assert_eq!(&flat_store.y, &flat_written.y);
+        prop_assert_eq!(flat_bits(&flat_store, false), flat_bits(&flat_written, false));
+        prop_assert_eq!(&flat_jsonl.y, &flat_store.y);
+        prop_assert_eq!(flat_bits(&flat_jsonl, true), flat_bits(&flat_store, true));
+
+        let seq_written = build_seq_dataset(&traces, basal, mode, window);
+        let seq_store = build_seq_dataset(&from_store, basal, mode, window);
+        let seq_jsonl = build_seq_dataset(&from_jsonl, basal, mode, window);
+        prop_assert_eq!(&seq_store.y, &seq_written.y);
+        prop_assert_eq!(seq_bits(&seq_store, false), seq_bits(&seq_written, false));
+        prop_assert_eq!(&seq_jsonl.y, &seq_store.y);
+        prop_assert_eq!(seq_bits(&seq_jsonl, true), seq_bits(&seq_store, true));
     }
 }
 
